@@ -23,7 +23,7 @@ from .syntax import (
 from .bamodels import (
     Atomless, BASpec, DEFAULT_FAMILY, GuardExceeded, Justification,
     PowerFinite, TheoryOracle, Verdict, brute_check, is_prop_tautology,
-    model_check, theory_contains, valid_all_bas,
+    model_check, valid_all_bas,
 )
 from .pole import (
     ExplicitTheory, GammaClass, PoleConfig, TestReport,
@@ -32,9 +32,9 @@ from .pole import (
 )
 from .dinfty import (
     DElem, FinLattice, RankCapError, SeqVerdict, app, arrow, bottom,
-    cc_elem, denote, denote_formula, elem, embed, eq_at, idx_of, join, lam,
-    leq, level, level_size, phi_tbl, project, psi_tbl, rank_cap, seq_check,
-    term_search, theta, top, val,
+    cc_elem, denote, denote_formula, elem, eq_at, idx_of, join, lam, leq,
+    level, level_size, phi_tbl, psi_tbl, rank_cap, seq_check, term_search,
+    theta, top, val,
 )
 from .typecheck import (
     Context, Derivation, Judgement, RULES, TypingError, check_derivation,

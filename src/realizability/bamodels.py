@@ -62,10 +62,10 @@ class GuardExceeded(Exception):
     """A cost guard (atom count or quantifier depth) was hit."""
 
 
-# Cell sizes: exact naturals for PowerFinite, 0 or math.inf for Atomless.
-# Cells are indexed by bitmasks over the current quantified-variable list
-# (bit i belongs to the i-th innermost-to-outermost... actually to the i-th
-# variable bound so far, in binding order).
+MAX_ATOMS = 6        # largest PowerFinite that model_check accepts
+MAX_DEPTH = 6        # deepest quantifier nesting that model_check accepts
+MAX_PROP_ATOMS = 14  # most inequation atoms is_prop_tautology truth-tables
+
 
 def _splits(size, atomless: bool):
     if atomless:
@@ -75,20 +75,7 @@ def _splits(size, atomless: bool):
     return tuple((i, size - i) for i in range(size + 1))
 
 
-@dataclass
-class CellState:
-    vars: list[str]
-    sizes: dict[int, object]   # mask -> int or math.inf
-
-    @classmethod
-    def initial(cls, spec: BASpec) -> "CellState":
-        if isinstance(spec, PowerFinite):
-            return cls([], {0: spec.atoms})
-        return cls([], {0: math.inf})
-
-
-def _term_cells(a, env: Mapping[str, int], masks: Iterable[int],
-                nvars: int) -> frozenset[int]:
+def _term_cells(a, env: Mapping[str, int], masks: Iterable[int]) -> frozenset[int]:
     """The set of cells contained in the value of a term.  env maps each
     variable name to its bit position."""
     out = []
@@ -99,42 +86,43 @@ def _term_cells(a, env: Mapping[str, int], masks: Iterable[int],
     return frozenset(out)
 
 
-def model_check(A: Formula, spec: BASpec, *, max_atoms: int = 6,
-                max_depth: int = 6, trace: list[str] | None = None) -> bool:
-    """Truth of a closed formula in the denoted algebra."""
+def model_check(A: Formula, spec: BASpec, *,
+                trace: list[str] | None = None) -> bool:
+    """Truth of a closed formula in the denoted algebra.  A cell is a
+    bitmask whose bit i is 1 inside the i-th quantified variable, in binding
+    order, and 0 outside it; `sizes` maps each cell to its size."""
     if free_vars(A):
         raise UsageError(f"model_check needs a closed formula, free: {sorted(free_vars(A))}")
     atomless = isinstance(spec, Atomless)
-    if isinstance(spec, PowerFinite) and spec.atoms > max_atoms:
-        raise GuardExceeded(f"{spec.atoms} atoms exceeds the guard of {max_atoms}")
+    if isinstance(spec, PowerFinite) and spec.atoms > MAX_ATOMS:
+        raise GuardExceeded(f"{spec.atoms} atoms exceeds the guard of {MAX_ATOMS}")
 
-    def go(f: Formula, env: dict[str, int], cells: CellState) -> bool:
+    def go(f: Formula, env: dict[str, int], sizes: dict[int, object],
+           depth: int) -> bool:
         if isinstance(f, Neq):
-            masks = cells.sizes.keys()
-            sa = _term_cells(f.lhs, env, masks, len(cells.vars))
-            sb = _term_cells(f.rhs, env, masks, len(cells.vars))
-            hit = any(cells.sizes[m] for m in sa ^ sb)
+            sa = _term_cells(f.lhs, env, sizes)
+            sb = _term_cells(f.rhs, env, sizes)
+            hit = any(sizes[m] for m in sa ^ sb)
             if not hit and trace is not None:
-                trace.append(f"inequation fails on cell sizes {cells.sizes}")
+                trace.append(f"inequation fails on cell sizes {sizes}")
             return hit
         if isinstance(f, Impl):
-            return (not go(f.ante, env, cells)) or go(f.cons, env, cells)
+            return ((not go(f.ante, env, sizes, depth))
+                    or go(f.cons, env, sizes, depth))
         if isinstance(f, Forall):
-            pos = len(cells.vars)
-            if pos + 1 > max_depth:
+            if depth + 1 > MAX_DEPTH:
                 raise GuardExceeded(
-                    f"quantifier depth {pos + 1} exceeds the guard of {max_depth}")
+                    f"quantifier depth {depth + 1} exceeds the guard of {MAX_DEPTH}")
             env2 = dict(env)
-            env2[f.var] = pos
-            masks = sorted(cells.sizes)
-            options = [_splits(cells.sizes[m], atomless) for m in masks]
+            env2[f.var] = depth
+            masks = sorted(sizes)
+            options = [_splits(sizes[m], atomless) for m in masks]
             for combo in itertools.product(*options):
-                sizes = {}
+                sub = {}
                 for m, (s0, s1) in zip(masks, combo):
-                    sizes[m] = s0              # bit pos = 0: outside z
-                    sizes[m | (1 << pos)] = s1  # bit pos = 1: inside z
-                sub = CellState(cells.vars + [f.var], sizes)
-                if not go(f.body, env2, sub):
+                    sub[m] = s0
+                    sub[m | (1 << depth)] = s1
+                if not go(f.body, env2, sub, depth + 1):
                     if trace is not None:
                         picked = {m: combo[i] for i, m in enumerate(masks)}
                         trace.append(
@@ -143,7 +131,8 @@ def model_check(A: Formula, spec: BASpec, *, max_atoms: int = 6,
             return True
         raise TypeError(f"not a formula: {f!r}")
 
-    return go(A, {}, CellState.initial(spec))
+    unit = math.inf if atomless else spec.atoms
+    return go(A, {}, {0: unit}, 0)
 
 
 def brute_check(A: Formula, k: int, *, max_k: int = 3) -> bool:
@@ -230,7 +219,7 @@ def _strip_matrix(A: Formula) -> Formula:
     return A
 
 
-def is_prop_tautology(A: Formula, *, max_atoms: int = 14) -> bool:
+def is_prop_tautology(A: Formula) -> bool:
     """Sound incomplete validity test: treat the inequation atoms of the
     quantifier-stripped matrix as independent propositional atoms and
     truth-table the implication structure.  Any truth-value assignment the
@@ -257,7 +246,7 @@ def is_prop_tautology(A: Formula, *, max_atoms: int = 14) -> bool:
             collect(f.cons)
 
     collect(matrix)
-    if len(atoms) > max_atoms:
+    if len(atoms) > MAX_PROP_ATOMS:
         return False
     index = {a: i for i, a in enumerate(atoms)}
 
@@ -272,8 +261,7 @@ def is_prop_tautology(A: Formula, *, max_atoms: int = 14) -> bool:
 
 
 def valid_all_bas(A: Formula, family: Sequence[BASpec] = DEFAULT_FAMILY, *,
-                  family_complete: bool = False, max_atoms: int = 6,
-                  max_depth: int = 6) -> Verdict:
+                  family_complete: bool = False) -> Verdict:
     """Three-valued verdict on truth in every Boolean algebra with at
     least two elements."""
     if free_vars(A):
@@ -298,8 +286,7 @@ def valid_all_bas(A: Formula, family: Sequence[BASpec] = DEFAULT_FAMILY, *,
     for spec in family:
         tr = []
         try:
-            ok = model_check(A, spec, max_atoms=max_atoms,
-                             max_depth=max_depth, trace=tr)
+            ok = model_check(A, spec, trace=tr)
         except GuardExceeded as e:
             return Verdict("unknown", detail=f"guard: {e}")
         if not ok:
@@ -320,8 +307,6 @@ class TheoryOracle:
     deduction, and every member algebra has at least two elements, so the
     background axioms all belong."""
     family: tuple[BASpec, ...] = DEFAULT_FAMILY
-    max_atoms: int = 6
-    max_depth: int = 6
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -332,12 +317,6 @@ class TheoryOracle:
     def membership(self, A: Formula) -> bool:
         key = canon(A)
         if key not in self._cache:
-            self._cache[key] = all(
-                model_check(A, spec, max_atoms=self.max_atoms,
-                            max_depth=self.max_depth)
-                for spec in self.family)
+            self._cache[key] = all(model_check(A, spec)
+                                   for spec in self.family)
         return self._cache[key]
-
-
-def theory_contains(oracle: TheoryOracle, A: Formula) -> bool:
-    return oracle.membership(A)

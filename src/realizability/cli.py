@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 success/true/valid, 1 false/refuted, 2 unknown or
-inconclusive, 64 usage error, 65 parse error.  With --json, every result
+inconclusive (including a model-checking guard or the rank cap being hit),
+64 usage error, 65 parse error.  With --json, every result
 is one JSON object per line; flags can also come from a `key = value`
 config file via --config, and REALIZ_RANK_CAP caps the model rank.
 """
@@ -13,12 +14,12 @@ import json
 import sys
 
 from .bamodels import (
-    Atomless, BASpec, DEFAULT_FAMILY, PowerFinite, TheoryOracle, Verdict,
-    theory_contains, valid_all_bas,
+    Atomless, BASpec, DEFAULT_FAMILY, GuardExceeded, PowerFinite,
+    TheoryOracle, Verdict, valid_all_bas,
 )
 from .corpus import formula_corpus, lcterm_corpus
 from .dinfty import (
-    denote, elem, level_size, seq_check, theta, val,
+    DElem, RankCapError, denote, elem, level_size, seq_check, theta, val,
 )
 from .formulas import UsageError
 from .machine import evaluate
@@ -93,8 +94,16 @@ def cmd_eval(args) -> int:
     return EX_OK
 
 
+def _read(path: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as e:
+        raise UsageError(f"cannot read {path}: {e.strerror}") from None
+
+
 def cmd_typecheck(args) -> int:
-    src = sys.stdin.read() if args.file == "-" else open(args.file).read()
+    src = sys.stdin.read() if args.file == "-" else _read(args.file)
     try:
         j = check_derivation(parse_derivation(src))
     except TypingError as e:
@@ -119,14 +128,13 @@ def cmd_validity(args) -> int:
 
 
 def cmd_theory(args) -> int:
-    oracle = TheoryOracle(args.family)
-    member = theory_contains(oracle, parse_formula(args.contains))
+    member = TheoryOracle(args.family).membership(parse_formula(args.contains))
     _emit(args, {"member": member}, str(member).lower())
     return EX_OK if member else EX_FALSE
 
 
 def cmd_pole_member(args) -> int:
-    cfg = PoleConfig(oracle=TheoryOracle(args.family), k_max=args.k)
+    cfg = PoleConfig(k_max=args.k)
     least = in_pole_limit(parse_process(args.process), cfg)
     _emit(args, {"member": least is not None, "k": least},
           f"k={least}" if least is not None else f"not a member up to k={args.k}")
@@ -134,7 +142,7 @@ def cmd_pole_member(args) -> int:
 
 
 def cmd_realizes(args) -> int:
-    cfg = PoleConfig(oracle=TheoryOracle(args.family), k_max=args.k_max)
+    cfg = PoleConfig(k_max=args.k_max)
     rep = realizes_bounded(parse_lcterm(args.term), parse_formula(args.formula),
                            cfg, depth=args.depth)
     for pi, k in rep.results:
@@ -163,8 +171,17 @@ def cmd_lattice(args) -> int:
     return EX_OK
 
 
+def _element(args) -> DElem:
+    """The element through the rank value at index --element."""
+    size = level_size(args.rank)
+    if not 0 <= args.element < size:
+        raise UsageError(f"--element must be in 0..{size - 1} at rank "
+                         f"{args.rank}, got {args.element}")
+    return elem(args.rank, val(args.rank, args.element))
+
+
 def cmd_theta(args) -> int:
-    alpha = elem(args.rank, val(args.rank, args.element))
+    alpha = _element(args)
     text = print_formula(theta(alpha))
     _emit(args, {"rank": args.rank, "element": args.element, "formula": text},
           text)
@@ -172,7 +189,7 @@ def cmd_theta(args) -> int:
 
 
 def cmd_seq_check(args) -> int:
-    alpha = elem(args.rank, val(args.rank, args.element))
+    alpha = _element(args)
     sv = seq_check(alpha, family=args.family,
                    search_budget=args.search_budget)
     wit = print_lcterm(sv.witness) if sv.witness is not None else None
@@ -208,14 +225,22 @@ def cmd_suite(args) -> int:
 
 def _load_config(path: str) -> dict[str, str]:
     out = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or "=" not in line:
-                continue
-            k, v = line.split("=", 1)
-            out[k.strip()] = v.strip()
+    for line in _read(path).splitlines():
+        line = line.strip()
+        if not line or line.startswith("#") or "=" not in line:
+            continue
+        k, v = line.split("=", 1)
+        out[k.strip()] = v.strip()
     return out
+
+
+def _check_naturals(args) -> None:
+    """Reject negative counts, from the command line or the config."""
+    for key in ("k", "k_max", "depth", "fuel", "size", "rank"):
+        value = getattr(args, key, None)
+        if value is not None and value < 0:
+            raise UsageError(f"--{key.replace('_', '-')} must not be "
+                             f"negative, got {value}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -261,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pole-member", help="bounded pole membership")
     p.add_argument("process")
     p.add_argument("--k", type=int, default=32)
-    fam(p)
     p.set_defaults(fn=cmd_pole_member)
 
     p = sub.add_parser("realizes", help="bounded realizability report")
@@ -269,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("formula")
     p.add_argument("--depth", type=int, default=2)
     p.add_argument("--k-max", type=int, default=32)
-    fam(p)
     p.set_defaults(fn=cmd_realizes)
 
     p = sub.add_parser("denote", help="model component of a machine term")
@@ -314,24 +337,28 @@ def main(argv: list[str] | None = None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as e:
         return EX_USAGE if e.code not in (0, None) else 0
-    if args.config:
-        defaults = _load_config(args.config)
-        for key, value in defaults.items():
-            key = key.replace("-", "_")
-            if not hasattr(args, key):
-                continue
-            cur = getattr(args, key)
-            if key == "family":
-                if cur is DEFAULT_FAMILY:
-                    setattr(args, key, parse_family(value))
-            elif isinstance(cur, bool):
-                if not cur:
-                    setattr(args, key, value.lower() in ("1", "true", "yes"))
-            elif isinstance(cur, int):
-                setattr(args, key, int(value))
-            elif cur is None:
-                setattr(args, key, value)
     try:
+        if args.config:
+            for key, value in _load_config(args.config).items():
+                key = key.replace("-", "_")
+                if not hasattr(args, key):
+                    continue
+                cur = getattr(args, key)
+                if key == "family":
+                    if cur is DEFAULT_FAMILY:
+                        setattr(args, key, parse_family(value))
+                elif isinstance(cur, bool):
+                    if not cur:
+                        setattr(args, key, value.lower() in ("1", "true", "yes"))
+                elif isinstance(cur, int):
+                    try:
+                        setattr(args, key, int(value))
+                    except ValueError:
+                        raise UsageError(f"config {key} is not an integer: "
+                                         f"{value!r}") from None
+                elif cur is None:
+                    setattr(args, key, value)
+        _check_naturals(args)
         return args.fn(args)
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
@@ -339,6 +366,9 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EX_USAGE
+    except (GuardExceeded, RankCapError) as e:
+        print(f"unknown: {e}", file=sys.stderr)
+        return EX_UNKNOWN
 
 
 if __name__ == "__main__":

@@ -48,7 +48,12 @@ _HARD_ENUM_LIMIT = 3  # rank-4 tables are astronomically many
 
 
 def rank_cap() -> int:
-    return int(os.environ.get("REALIZ_RANK_CAP", "3"))
+    text = os.environ.get("REALIZ_RANK_CAP", "3")
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(
+            f"REALIZ_RANK_CAP must be an integer, got {text!r}") from None
 
 
 # --------------------------------------------------------------------------
@@ -60,8 +65,9 @@ def level(n: int) -> tuple:
     """All values of rank n, lexicographically sorted."""
     if n < 0:
         raise UsageError("negative rank")
-    if n > max(rank_cap(), 0) or n > _HARD_ENUM_LIMIT:
-        raise RankCapError(f"rank {n} exceeds the enumeration cap")
+    cap = min(max(rank_cap(), 0), _HARD_ENUM_LIMIT)
+    if n > cap:
+        raise RankCapError(f"rank {n} exceeds the enumeration cap {cap}")
     if n == 0:
         return (0, 1)
     below = level(n - 1)
@@ -127,14 +133,6 @@ def tbl_join(n: int, x, y):
         return x | y
     return tuple(idx_of(n - 1, tbl_join(n - 1, val(n - 1, a), val(n - 1, b)))
                  for a, b in zip(x, y))
-
-
-def bottom_val(n: int):
-    return 0 if n == 0 else level(n)[0]
-
-
-def top_val(n: int):
-    return 1 if n == 0 else level(n)[-1]
 
 
 @dataclass(frozen=True)
@@ -253,14 +251,6 @@ def elem(home: int, v) -> DElem:
 
     e._fn = fn
     return e
-
-
-def embed(v, n: int) -> DElem:
-    return elem(n, v)
-
-
-def project(x: DElem, n: int):
-    return x.component(n)
 
 
 def bottom() -> DElem:

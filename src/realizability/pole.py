@@ -9,6 +9,10 @@ corresponding stack entry facing the premise's sub-tags is in ⫫_k.
 
 Membership in each ⫫_k is decided exactly; membership in the union is
 semi-decided up to a bound k_max.
+
+The pole consults no theory: a tag's witness bits are checked by
+evaluating its head equality in {0,1}.  Only gamma_classify asks a
+theory, and it takes its oracle as an argument.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
-from .bamodels import GuardExceeded, TheoryOracle, Verdict, valid_all_bas
+from .bamodels import GuardExceeded, Verdict, valid_all_bas
 from .formulas import (
     Formula, Impl, InnerDecomposition, ONE, UsageError, ZERO,
     alpha_eq, bot, decompose, eval_term_01, free_vars, recompose_inner,
@@ -59,10 +63,7 @@ def gamma_classify(A: Formula, oracle) -> GammaClass:
 
 @dataclass
 class PoleConfig:
-    oracle: TheoryOracle = field(default_factory=TheoryOracle)
     k_max: int = 32
-    fuel: int = 1000
-    depth: int = 2
     memo: dict = field(default_factory=dict, repr=False)
 
 
@@ -87,7 +88,6 @@ def in_pole(p: Process, k: int, cfg: PoleConfig) -> bool:
     hit = cfg.memo.get(key)
     if hit is not None:
         return hit
-    cfg.memo[key] = False  # cycles cannot certify membership
     result = _in_pole_raw(p, k, cfg)
     cfg.memo[key] = result
     return result
@@ -200,11 +200,10 @@ class TestReport:
 
 
 def realizes_bounded(t: LcTerm, A: Formula, cfg: PoleConfig | None = None,
-                     depth: int | None = None) -> TestReport:
+                     depth: int = 2) -> TestReport:
     """Evidence (not proof) of realizability: t must enter the pole against
     every canonical falsity stack of A."""
     cfg = cfg or PoleConfig()
-    depth = cfg.depth if depth is None else depth
     results = []
     for pi in canonical_falsity_stacks(A, depth):
         results.append((pi, in_pole_limit(Process(t, pi), cfg)))

@@ -168,7 +168,7 @@ def criterion_4() -> CriterionResult:
 # -- 5/6: tagged-instruction realizability and its soundness check ---------
 
 def _criterion_5_run(collect: list[Process] | None):
-    cfg = PoleConfig(k_max=32, depth=2)
+    cfg = PoleConfig(k_max=32)
     corpus = exhaustive_formulas_height2()
     corpus += [a for a in formula_corpus(130, seed=43, height=3, max_qdepth=3)
                if not free_vars(a)][:100]

@@ -1,0 +1,39 @@
+"""The names and call shapes the benchmark harness in `perfbench/` relies on.
+
+`perfbench/tracer.py` rebinds package functions by name and builds pole
+configurations by keyword, so renaming or deleting any of them breaks the
+traced benchmark run without failing anything else.  This imports the
+tracer as it is and checks each of those names and shapes cheaply.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from realizability import bamodels, lcterms, pole, syntax
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def _tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_names_resolve():
+    tracer = _tracer()
+    for owner, attr, *_ in tracer.SPANNED + tracer.COUNTED:
+        assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr}"
+
+
+def test_call_shapes_the_harness_uses():
+    tracer = _tracer()
+    assert pole.PoleConfig(k_max=1, memo={}).k_max == 1
+    assert tracer.Tracer().pole_config(k_max=1).k_max == 1
+    A = syntax.parse_formula("forall z. forall w. z /\\ w == w /\\ z")
+    assert bamodels.valid_all_bas(A, bamodels.DEFAULT_FAMILY).is_valid
+    assert bamodels.TheoryOracle(bamodels.DEFAULT_FAMILY).membership(A)
+    rep = pole.realizes_bounded(lcterms.Lam("x", lcterms.LVar("x")), A,
+                                pole.PoleConfig(k_max=4), depth=2)
+    assert rep.clean

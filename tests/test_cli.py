@@ -108,3 +108,55 @@ def test_config_file(tmp_path, capsys):
     code, out = run(capsys, "--config", str(cfg),
                     "pole-member", "g{_|_} * []")
     assert code == 0
+
+
+SEVEN_FORALLS = ("forall a. forall b. forall c. forall d. forall e. "
+                 "forall f. forall g. a != 0")
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (("denote", "\\x. x", "--rank", "4"), 2, "rank cap 3"),
+    (("theory", "--contains", SEVEN_FORALLS), 2, "guard of 6"),
+    (("theta", "--rank", "4", "--element", "0"), 2, "enumeration cap 3"),
+    (("typecheck", "/nonexistent/derivation.sexpr"), 64, "cannot read"),
+    (("theta", "--rank", "2", "--element", "99"), 64, "0..9"),
+])
+def test_crash_exit_codes(capsys, argv, code, message):
+    assert main(list(argv)) == code
+    assert message in capsys.readouterr().err
+
+
+def test_bad_rank_cap_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("REALIZ_RANK_CAP", "abc")
+    assert main(["denote", "\\x. x", "--rank", "1"]) == 64
+    assert "REALIZ_RANK_CAP" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("theta", "--rank", "1", "--element", "-1"),
+    ("seq-check", "--rank", "1", "--element", "-3"),
+    ("seq-check", "--rank", "1", "--element", "3"),
+    ("pole-member", "g{_|_} * []", "--k", "-3"),
+    ("realizes", "\\x. x", "_|_", "--k-max", "-1"),
+    ("realizes", "\\x. x", "_|_", "--depth", "-1"),
+    ("eval", "(\\x. x) cc * []", "--fuel", "-1"),
+    ("corpus", "formulas", "--size", "-1"),
+    ("lattice", "--rank", "-1"),
+    ("denote", "\\x. x", "--rank", "-2"),
+])
+def test_out_of_range_numbers_are_usage_errors(capsys, argv):
+    assert main(list(argv)) == 64
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("text", ["k = -3\n", "k = abc\n"])
+def test_bad_config_number_is_usage_error(tmp_path, text):
+    cfg = tmp_path / "realiz.cfg"
+    cfg.write_text(text)
+    assert main(["--config", str(cfg), "pole-member", "g{_|_} * []"]) == 64
+
+
+def test_family_flag_only_where_read():
+    for argv in (["pole-member", "g{_|_} * []"],
+                 ["realizes", "\\x. x", "_|_"]):
+        assert main(argv + ["--family", "pf1"]) == 64

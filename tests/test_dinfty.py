@@ -5,9 +5,8 @@ import pytest
 
 from realizability.dinfty import (
     DElem, FinLattice, RankCapError, app, arrow, bottom, cc_elem, denote,
-    denote_formula, elem, embed, eq_at, idx_of, join, lam, leq, level,
-    level_size, phi_tbl, project, psi_tbl, rank_cap, seq_check, term_search,
-    theta, top, val,
+    denote_formula, elem, eq_at, idx_of, join, lam, leq, level, level_size,
+    phi_tbl, psi_tbl, rank_cap, seq_check, term_search, theta, top, val,
 )
 from realizability.bamodels import valid_all_bas
 from realizability.lcterms import CC, Lam, LVar, App
@@ -81,7 +80,7 @@ def test_elem_components_cohere():
 def test_embed_project_roundtrip():
     for i in range(level_size(1)):
         v = val(1, i)
-        assert project(embed(v, 1), 1) == v
+        assert elem(1, v).component(1) == v
 
 
 def test_bottom_top_join():

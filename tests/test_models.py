@@ -4,8 +4,7 @@ import pytest
 
 from realizability.bamodels import (
     Atomless, DEFAULT_FAMILY, GuardExceeded, Justification, PowerFinite,
-    TheoryOracle, brute_check, is_prop_tautology, model_check,
-    theory_contains, valid_all_bas,
+    TheoryOracle, brute_check, is_prop_tautology, model_check, valid_all_bas,
 )
 from realizability.corpus import formula_corpus, horn_corpus
 from realizability.formulas import (
@@ -55,7 +54,7 @@ def test_guards():
         "forall z1. forall z2. forall z3. forall z4. forall z5. "
         "forall z6. forall z7. z1 != 0")
     with pytest.raises(GuardExceeded):
-        model_check(deep, PowerFinite(1), max_depth=6)
+        model_check(deep, PowerFinite(1))
 
 
 def test_trace_on_failure():
@@ -118,14 +117,14 @@ def test_is_prop_tautology():
 def test_oracle_caches_and_answers():
     oracle = TheoryOracle(DEFAULT_FAMILY)
     A = parse_formula("0 != 1")
-    assert theory_contains(oracle, A)
-    assert theory_contains(oracle, A)
-    assert not theory_contains(oracle, parse_formula("forall z. z != 0"))
+    assert oracle.membership(A)
+    assert oracle.membership(A)
+    assert not oracle.membership(parse_formula("forall z. z != 0"))
 
 
 def test_oracle_closed_under_weakening_spot():
     oracle = TheoryOracle(DEFAULT_FAMILY)
     A = parse_formula("forall z. forall w. z /\\ w == w /\\ z")
     B = Impl(Neq(ZERO, ONE), A)
-    assert theory_contains(oracle, A)
-    assert theory_contains(oracle, B)
+    assert oracle.membership(A)
+    assert oracle.membership(B)
