@@ -230,7 +230,7 @@ def _load_config(path: str) -> dict[str, str]:
         if not line or line.startswith("#") or "=" not in line:
             continue
         k, v = line.split("=", 1)
-        out[k.strip()] = v.strip()
+        out[k.strip().replace("-", "_")] = v.strip()
     return out
 
 
@@ -252,6 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="one JSON object per result line")
     ap.add_argument("--config", help="key = value defaults file")
     sub = ap.add_subparsers(dest="cmd", required=True)
+    ap.commands = sub.choices   # name -> subparser, for --config defaults
 
     def fam(p):
         p.add_argument("--family", type=parse_family, default=DEFAULT_FAMILY,
@@ -331,35 +332,31 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _config_defaults(parser: argparse.ArgumentParser,
+                     config: dict[str, str]) -> None:
+    """Make the config values the defaults of parser's own arguments.
+    argparse passes a string default through the argument's type=, so a
+    flag given on the command line wins and a bad number is a usage error."""
+    for action in parser._actions:
+        value = config.get(action.dest)
+        if value is not None:
+            action.default = (value.lower() in ("1", "true", "yes")
+                              if isinstance(action.default, bool) else value)
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
-    except SystemExit as e:
-        return EX_USAGE if e.code not in (0, None) else 0
-    try:
         if args.config:
-            for key, value in _load_config(args.config).items():
-                key = key.replace("-", "_")
-                if not hasattr(args, key):
-                    continue
-                cur = getattr(args, key)
-                if key == "family":
-                    if cur is DEFAULT_FAMILY:
-                        setattr(args, key, parse_family(value))
-                elif isinstance(cur, bool):
-                    if not cur:
-                        setattr(args, key, value.lower() in ("1", "true", "yes"))
-                elif isinstance(cur, int):
-                    try:
-                        setattr(args, key, int(value))
-                    except ValueError:
-                        raise UsageError(f"config {key} is not an integer: "
-                                         f"{value!r}") from None
-                elif cur is None:
-                    setattr(args, key, value)
+            config = _load_config(args.config)
+            for parser in (ap, ap.commands[args.cmd]):
+                _config_defaults(parser, config)
+            args = ap.parse_args(argv)
         _check_naturals(args)
         return args.fn(args)
+    except SystemExit as e:
+        return EX_USAGE if e.code not in (0, None) else 0
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EX_PARSE

@@ -489,11 +489,9 @@ def _debruijn_terms(size: int, depth: int, allow_cc: bool):
         if allow_cc:
             yield ("cc",
 )
-    for body_size in (size - 1,
-):
-        if body_size >= 1:
-            for b in _debruijn_terms(body_size, depth + 1, allow_cc):
-                yield ("l", b)
+    if size >= 2:
+        for b in _debruijn_terms(size - 1, depth + 1, allow_cc):
+            yield ("l", b)
     for left in range(1, size - 1):
         for f in _debruijn_terms(left, depth, allow_cc):
             for a in _debruijn_terms(size - 1 - left, depth, allow_cc):

@@ -7,8 +7,15 @@ the head equality true such that, for every premise and every bit choice
 for its inner variables making that premise's head equality true, the
 corresponding stack entry facing the premise's sub-tags is in ⫫_k.
 
-Membership in each ⫫_k is decided exactly; membership in the union is
-semi-decided up to a bound k_max.
+in_pole computes a process's least level directly.  Any process but a
+tagged instruction enters one level after its successor, so the machine
+runs, a level per step, to a tag, a stuck state (absent) or the end of
+the budget.  A tag enters at 1 + the least, over witness bits, of the
+greatest level of the premise processes the bits oblige (1 if none),
+each asked with one level less.  PoleConfig.memo holds tags only, keyed
+by canonical process and remaining budget, valued by level or 0 (absent
+within that budget).  Each ⫫_k is decided exactly; the union is
+semi-decided up to k_max.
 
 The pole consults no theory: a tag's witness bits are checked by
 evaluating its head equality in {0,1}.  Only gamma_classify asks a
@@ -20,17 +27,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import Generator, Iterator
 
 from .bamodels import GuardExceeded, Verdict, valid_all_bas
 from .formulas import (
-    Formula, Impl, InnerDecomposition, ONE, UsageError, ZERO,
+    Decomposition, Formula, Impl, InnerDecomposition, ONE, UsageError, ZERO,
     alpha_eq, bot, decompose, eval_term_01, free_vars, recompose_inner,
     subst_formula,
 )
 from .lcterms import (
     EMPTY, Gamma, LcTerm, Process, SPush, StackT, canon_process,
-    constraint_of, stack_of, stack_to_list,
+    constraint_of, stack_of,
 )
 from .machine import step1
 
@@ -43,8 +50,8 @@ class GammaClass(Enum):
 @dataclass
 class ExplicitTheory:
     """A finite formula list with membership up to alpha-equivalence.
-    Not closed under deduction; adequate for the pole itself, which only
-    needs a membership function."""
+    Not closed under deduction; adequate as the oracle of gamma_classify,
+    which only needs a membership function."""
     formulas: tuple[Formula, ...]
 
     def membership(self, A: Formula) -> bool:
@@ -67,84 +74,97 @@ class PoleConfig:
     memo: dict = field(default_factory=dict, repr=False)
 
 
-def _bits_env(names: Sequence[str], bits: Sequence[int]) -> dict[str, int]:
-    return dict(zip(names, bits))
-
-
 def _subst_bits(A: Formula, env: dict[str, int]) -> Formula:
     names = list(env)
     return subst_formula(A, names, [ONE if env[n] else ZERO for n in names])
 
 
-def _head_true(lhs, rhs, env: dict[str, int]) -> bool:
-    return eval_term_01(lhs, env) == eval_term_01(rhs, env)
+def _witnesses(d: Decomposition | InnerDecomposition,
+               env: dict[str, int] | None = None) -> Iterator[dict[str, int]]:
+    """Each extension of env by bits for d's quantified variables under
+    which d's head equality holds in {0,1}."""
+    names = d.all_vars
+    for bits in itertools.product((0, 1), repeat=len(names)):
+        ext = dict(env or {})
+        ext.update(zip(names, bits))
+        if eval_term_01(d.head_lhs, ext) == eval_term_01(d.head_rhs, ext):
+            yield ext
 
 
-def in_pole(p: Process, k: int, cfg: PoleConfig) -> bool:
-    """Exact membership of p in ⫫_k."""
-    if k <= 0:
-        return False
-    key = (canon_process(p), k)
-    hit = cfg.memo.get(key)
-    if hit is not None:
-        return hit
-    result = _in_pole_raw(p, k, cfg)
-    cfg.memo[key] = result
-    return result
+def in_pole(p: Process, k: int, cfg: PoleConfig) -> int | None:
+    """The least level ≤ k at which p enters the pole, or None: truthy
+    exactly when p ∈ ⫫_k.  Premise questions nest about as deep as the
+    budget, so they wait on an explicit stack rather than Python's."""
+    pending, answer = [_least_level(p, k, cfg)], None
+    while pending:
+        try:
+            pending.append(_least_level(*pending[-1].send(answer), cfg))
+            answer = None
+        except StopIteration as done:
+            pending.pop()
+            answer = done.value
+    return answer
 
 
-def _in_pole_raw(p: Process, k: int, cfg: PoleConfig) -> bool:
-    q = step1(p)
-    if q is not None and in_pole(q, k - 1, cfg):
-        return True
-    if not isinstance(p.term, Gamma):
-        return False
+def _least_level(p: Process, k: int, cfg: PoleConfig) -> Generator:
+    """in_pole's recursion: it yields each premise question (process,
+    budget) and is sent the answer."""
+    for steps in range(k):
+        if isinstance(p.term, Gamma):
+            key = (canon_process(p), k - steps)
+            level = cfg.memo.get(key)
+            if level is None:
+                level = cfg.memo[key] = yield from _tag_level(p, k - steps)
+            return steps + level if level else None
+        p = step1(p)
+        if p is None:
+            return None
+    return None
+
+
+def _tag_level(p: Process, k: int) -> Generator:
+    """The least level ≤ k of a tagged instruction facing a stack, or 0;
+    it asks its premise questions as _least_level does."""
     A = p.term.tag
     if free_vars(A):
         raise UsageError(f"open instruction tag: {A!r}")
     d = decompose(A)
-    m = len(d.blocks)
-    entries = stack_to_list(p.stack)
-    if len(entries) < m:
-        return False
-    ts = entries[:m]
-    pi = p.stack
-    for _ in range(m):
+    ts, pi = [], p.stack
+    for _ in d.blocks:
+        if not isinstance(pi, SPush):
+            return 0
+        ts.append(pi.head)
         pi = pi.tail
-    outer = d.all_vars
-    for beta in itertools.product((0, 1), repeat=len(outer)):
-        env = _bits_env(outer, beta)
-        if not _head_true(d.head_lhs, d.head_rhs, env):
-            continue
-        if all(_block_ok(ts[i], inner, env, pi, k - 1, cfg)
-               for i, (_, inner) in enumerate(d.blocks)):
-            return True
-    return False
+    best = 0
+    for beta in _witnesses(d):
+        worst = 1
+        for q in _premises(d, beta, ts, pi):
+            level = yield q, k - 1
+            if not level:
+                break
+            worst = max(worst, level + 1)
+        else:
+            best = min(best, worst) if best else worst
+            if best == 1:
+                break
+    return best
 
 
-def _block_ok(t: LcTerm, inner: InnerDecomposition, env: dict[str, int],
-              pi: StackT, k: int, cfg: PoleConfig) -> bool:
-    ivars = inner.all_vars
-    for delta in itertools.product((0, 1), repeat=len(ivars)):
-        env2 = dict(env)
-        env2.update(_bits_env(ivars, delta))
-        if not _head_true(inner.head_lhs, inner.head_rhs, env2):
-            continue
-        tags = [_subst_bits(sub, env2) for _, sub in inner.blocks]
-        proc = Process(t, stack_of(*(Gamma(tag) for tag in tags), tail=pi))
-        if not in_pole(proc, k, cfg):
-            return False
-    return True
+def _premises(d: Decomposition, beta: dict[str, int], ts: list[LcTerm],
+              pi: StackT) -> Iterator[Process]:
+    """The processes that witness bits beta oblige to enter the pole: each
+    stack entry facing the sub-tags of every true-head premise instance."""
+    for t, (_, inner) in zip(ts, d.blocks):
+        for delta in _witnesses(inner, beta):
+            tags = (Gamma(_subst_bits(sub, delta)) for _, sub in inner.blocks)
+            yield Process(t, stack_of(*tags, tail=pi))
 
 
 def in_pole_limit(p: Process, cfg: PoleConfig | None = None) -> int | None:
     """Least k ≤ k_max with p ∈ ⫫_k, if any.  The levels are cumulative,
     so absence below k_max is the only negative information available."""
     cfg = cfg or PoleConfig()
-    for k in range(1, cfg.k_max + 1):
-        if in_pole(p, k, cfg):
-            return k
-    return None
+    return in_pole(p, cfg.k_max, cfg)
 
 
 # --------------------------------------------------------------------------
@@ -167,13 +187,9 @@ def canonical_falsity_stacks(A: Formula, depth: int = 2) -> list[StackT]:
     if free_vars(A):
         raise UsageError("canonical_falsity_stacks needs a closed formula")
     d = decompose(A)
-    outer = d.all_vars
     seen = set()
     out: list[StackT] = []
-    for beta in itertools.product((0, 1), repeat=len(outer)):
-        env = _bits_env(outer, beta)
-        if not _head_true(d.head_lhs, d.head_rhs, env):
-            continue
+    for env in _witnesses(d):
         tags = tuple(_subst_bits(recompose_inner(inner), env)
                      for _, inner in d.blocks)
         if tags in seen:

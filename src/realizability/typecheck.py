@@ -358,18 +358,6 @@ def _sexpr_tokens(src: str):
     yield ("eof", "")
 
 
-def _read_sexpr(toks):
-    tok = next(toks)
-    if tok == "(":
-        out = []
-        while True:
-            tok2 = next(toks)
-            if tok2 == ")":
-                return out
-            out.append(_read_back(tok2, toks))
-    return _read_back(tok, toks)
-
-
 def _read_back(tok, toks):
     if tok == "(":
         out = []
@@ -422,7 +410,7 @@ def parse_derivation(src: str) -> Derivation:
         return Derivation(rule, premises, judgement, rule_data)
 
     toks = _sexpr_tokens(src)
-    form = _read_sexpr(toks)
+    form = _read_back(next(toks), toks)
     tail = next(toks)
     if tail != ("eof", ""):
         raise UsageError("trailing input after derivation")

@@ -37,3 +37,18 @@ def test_call_shapes_the_harness_uses():
     rep = pole.realizes_bounded(lcterms.Lam("x", lcterms.LVar("x")), A,
                                 pole.PoleConfig(k_max=4), depth=2)
     assert rep.clean
+
+
+def test_traced_pole_counters_move():
+    # the traced run's pole.* layer metrics read these counters; a pole
+    # that stopped calling in_pole or the memo would report them as 0
+    tracer = _tracer().Tracer()
+    tracer.install()
+    try:
+        p = syntax.parse_process("g{_|_ -> _|_} * g{_|_} . []")
+        assert pole.in_pole_limit(p, tracer.pole_config(k_max=4)) == 2
+    finally:
+        tracer.uninstall()
+    summary = tracer.summary()
+    assert summary["counts"]["pole.in_pole.calls"] > 0
+    assert summary["memo_lookups"] > 0

@@ -110,6 +110,20 @@ def test_config_file(tmp_path, capsys):
     assert code == 0
 
 
+def test_flags_beat_config(tmp_path, capsys):
+    cfg = tmp_path / "realiz.cfg"
+    cfg.write_text("k = 0\nfuel = 1\n")
+    code, out = run(capsys, "--config", str(cfg),
+                    "pole-member", "g{_|_} * []", "--k", "5")
+    assert code == 0 and out.strip() == "k=1"
+    code, out = run(capsys, "--config", str(cfg),
+                    "pole-member", "g{_|_} * []")
+    assert code == 1 and "up to k=0" in out
+    _, out = run(capsys, "--config", str(cfg),
+                 "eval", "(\\x. x) cc * []", "--fuel", "10")
+    assert "stuck" in out.splitlines()[-1]
+
+
 SEVEN_FORALLS = ("forall a. forall b. forall c. forall d. forall e. "
                  "forall f. forall g. a != 0")
 

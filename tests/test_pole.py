@@ -1,13 +1,19 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from realizability.bamodels import TheoryOracle
+from realizability.corpus import exhaustive_formulas_height2, process_corpus
 from realizability.formulas import (
-    Forall, Impl, Neq, ONE, Or, Not, Var, ZERO, bot, eq,
+    Forall, Impl, Neq, ONE, Or, Not, Var, ZERO, bot, decompose, eq,
+    eval_term_01, subst_formula,
 )
 from realizability.lcterms import (
-    CC, EMPTY, Gamma, Lam, LVar, App, Process, constraint_of, fo_subst,
-    is_proof_like, stack_of,
+    CC, EMPTY, Gamma, Lam, LVar, App, Process, canon_process, constraint_of,
+    fo_subst, is_proof_like, stack_of, stack_to_list,
 )
+from realizability.machine import step1
 from realizability.pole import (
     ExplicitTheory, GammaClass, PoleConfig, canonical_falsity_stacks,
     constraint_check, gamma_classify, in_pole, in_pole_limit,
@@ -139,3 +145,107 @@ def test_constraint_check():
     bad = constraint_check(parse_process("g{0 != 1} * []"))
     assert bad.is_refuted
     assert constraint_of(parse_process("cc * []")) is not None
+
+
+# The per-k ladder that in_pole's least-level recursion replaced, kept as
+# an independent reference: it decides p ∈ ⫫_k from the definition for
+# k = 1, 2, ... and memoises every machine step under (process, k).
+
+def _ladder_bits(d, env):
+    names = d.all_vars
+    for bits in itertools.product((0, 1), repeat=len(names)):
+        ext = {**env, **dict(zip(names, bits))}
+        if eval_term_01(d.head_lhs, ext) == eval_term_01(d.head_rhs, ext):
+            yield ext
+
+
+def _ladder_in_pole(p, k, memo):
+    if k <= 0:
+        return False
+    key = (canon_process(p), k)
+    if key not in memo:
+        memo[key] = _ladder_raw(p, k, memo)
+    return memo[key]
+
+
+def _ladder_raw(p, k, memo):
+    q = step1(p)
+    if q is not None and _ladder_in_pole(q, k - 1, memo):
+        return True
+    if not isinstance(p.term, Gamma):
+        return False
+    d = decompose(p.term.tag)
+    entries = stack_to_list(p.stack)
+    if len(entries) < len(d.blocks):
+        return False
+    pi = p.stack
+    for _ in d.blocks:
+        pi = pi.tail
+
+    def premise(t, sub_tags, env):
+        tags = [subst_formula(A, list(env), [ONE if env[n] else ZERO
+                                             for n in env]) for A in sub_tags]
+        return Process(t, stack_of(*map(Gamma, tags), tail=pi))
+
+    return any(all(_ladder_in_pole(premise(t, [A for _, A in inner.blocks],
+                                           delta), k - 1, memo)
+                   for t, (_, inner) in zip(entries, d.blocks)
+                   for delta in _ladder_bits(inner, beta))
+               for beta in _ladder_bits(d, {}))
+
+
+def ladder_limit(p, k_max, memo):
+    return next((k for k in range(1, k_max + 1)
+                 if _ladder_in_pole(p, k, memo)), None)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 6))
+def test_least_level_matches_ladder_on_corpus(seed, k_max):
+    cfg, memo = PoleConfig(k_max=k_max), {}
+    for p in process_corpus(40, seed):
+        assert in_pole_limit(p, cfg) == ladder_limit(p, k_max, memo), p
+
+
+@pytest.mark.parametrize("k_max", [1, 2, 3, 32])
+def test_realizes_bounded_matches_ladder(k_max):
+    cfg, memo = PoleConfig(k_max=k_max), {}
+    for A in exhaustive_formulas_height2():
+        for pi, k in realizes_bounded(Gamma(A), A, cfg).results:
+            assert k == ladder_limit(Process(Gamma(A), pi), k_max, memo), A
+
+
+def _identity_chain(n):
+    t = Gamma(bot())
+    for _ in range(n):
+        t = App(Lam("x", LVar("x")), t)
+    return Process(t, EMPTY)
+
+
+def _cc_chain(n):
+    t = Gamma(bot())
+    for _ in range(n):
+        t = App(CC, Lam("k", App(LVar("k"), t)))
+    return Process(t, EMPTY)
+
+
+@pytest.mark.parametrize("n", [1, 10, 60])
+@pytest.mark.parametrize("chain, per_layer", [(_identity_chain, 2),
+                                              (_cc_chain, 5)])
+def test_chain_levels_closed_form(chain, per_layer, n):
+    # a Push and a Grab per identity redex; Push, Save, Grab, Push and
+    # Restore per cc layer; then g{_|_} enters at 1
+    level = per_layer * n + 1
+    cfg = PoleConfig(k_max=level + 8)
+    assert in_pole_limit(chain(n), cfg) == level
+    assert len(cfg.memo) <= 2
+    assert in_pole(chain(n), level - 1, cfg) is None
+
+
+def test_deep_budgets_need_no_deep_python_stack():
+    # a long machine run and a tag that re-presents itself every five
+    # steps each nest their questions about as deep as the budget
+    assert in_pole_limit(_identity_chain(600), PoleConfig(k_max=1210)) == 1201
+    w = r"(\y. \x. g{(_|_ -> _|_) -> _|_} (y y))"
+    loop = parse_process(f"{w} {w} * g{{0 != 1}} . []")
+    assert in_pole_limit(loop, PoleConfig(k_max=6000)) is None
