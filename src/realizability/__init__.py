@@ -31,10 +31,9 @@ from .pole import (
     in_pole_limit, realizes_bounded,
 )
 from .dinfty import (
-    DElem, FinLattice, RankCapError, SeqVerdict, app, arrow, bottom,
-    cc_elem, denote, denote_formula, elem, eq_at, idx_of, join, lam, leq,
-    level, level_size, phi_tbl, psi_tbl, rank_cap, seq_check, term_search,
-    theta, top, val,
+    DElem, RankCapError, SeqVerdict, app, arrow, bottom, cc_elem, denote,
+    denote_formula, elem, eq_at, idx_of, join, lam, leq, level, level_size,
+    phi_tbl, psi_tbl, rank_cap, seq_check, term_search, theta, top, val,
 )
 from .typecheck import (
     Context, Derivation, Judgement, RULES, TypingError, check_derivation,

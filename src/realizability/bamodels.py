@@ -224,40 +224,44 @@ def is_prop_tautology(A: Formula) -> bool:
     quantifier-stripped matrix as independent propositional atoms and
     truth-table the implication structure.  Any truth-value assignment the
     atoms can take in some algebra is among those enumerated, so a
-    tautology here is true in every Boolean algebra."""
+    tautology here is true in every Boolean algebra.
+
+    Atoms true or false in every algebra are pinned; the others are
+    numbered 0..n-1 in order of first occurrence, left to right.  The
+    truth table is an int of 2^n bits: bit b holds the matrix's value
+    under the assignment that makes atom i true exactly when bit i of b
+    is 1."""
     matrix = _strip_matrix(canon(A))
-    atoms: list[Neq] = []
-    fixed: dict[Neq, bool] = {}
+    pinned: dict[Neq, bool] = {}
+    free: dict[Neq, int] = {}
 
     def collect(f: Formula):
-        if isinstance(f, Neq):
-            if f in atoms or f in fixed:
-                return
-            # pin atoms whose truth value is the same in every algebra
-            if f.lhs == f.rhs:
-                fixed[f] = False
-            elif is_ground(f):
-                fixed[f] = eval_formula_01(f, {}) == 1
-            else:
-                atoms.append(f)
-        else:
-            assert isinstance(f, Impl)
+        if isinstance(f, Impl):
             collect(f.ante)
             collect(f.cons)
+        elif f not in pinned and f not in free:
+            if f.lhs == f.rhs:
+                pinned[f] = False
+            elif is_ground(f):
+                pinned[f] = eval_formula_01(f, {}) == 1
+            else:
+                free[f] = len(free)
 
     collect(matrix)
-    if len(atoms) > MAX_PROP_ATOMS:
+    if len(free) > MAX_PROP_ATOMS:
         return False
-    index = {a: i for i, a in enumerate(atoms)}
+    ones = (1 << (1 << len(free))) - 1
+    leaf = {f: ones if v else 0 for f, v in pinned.items()}
+    for f, i in free.items():
+        # atom i's column: runs of 2^i zeros and 2^i ones, zeros first
+        leaf[f] = ones // ((1 << (1 << i)) + 1) << (1 << i)
 
-    def ev(f: Formula, bits: int) -> bool:
+    def table(f: Formula) -> int:
         if isinstance(f, Neq):
-            if f in fixed:
-                return fixed[f]
-            return bool((bits >> index[f]) & 1)
-        return (not ev(f.ante, bits)) or ev(f.cons, bits)
+            return leaf[f]
+        return (ones ^ table(f.ante)) | table(f.cons)
 
-    return all(ev(matrix, bits) for bits in range(1 << len(atoms)))
+    return table(matrix) == ones
 
 
 def valid_all_bas(A: Formula, family: Sequence[BASpec] = DEFAULT_FAMILY, *,

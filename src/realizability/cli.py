@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Exit codes: 0 success/true/valid, 1 false/refuted, 2 unknown or
-inconclusive (including a model-checking guard or the rank cap being hit),
+inconclusive (a model-checking guard, the rank cap, too deep nesting),
 64 usage error, 65 parse error.  With --json, every result
 is one JSON object per line; flags can also come from a `key = value`
 config file via --config, and REALIZ_RANK_CAP caps the model rank.
@@ -236,7 +236,8 @@ def _load_config(path: str) -> dict[str, str]:
 
 def _check_naturals(args) -> None:
     """Reject negative counts, from the command line or the config."""
-    for key in ("k", "k_max", "depth", "fuel", "size", "rank"):
+    for key in ("k", "k_max", "depth", "fuel", "size", "rank",
+                "search_budget", "cc_trunc"):
         value = getattr(args, key, None)
         if value is not None and value < 0:
             raise UsageError(f"--{key.replace('_', '-')} must not be "
@@ -365,6 +366,9 @@ def main(argv: list[str] | None = None) -> int:
         return EX_USAGE
     except (GuardExceeded, RankCapError) as e:
         print(f"unknown: {e}", file=sys.stderr)
+        return EX_UNKNOWN
+    except RecursionError:
+        print("unknown: the input nests too deeply", file=sys.stderr)
         return EX_UNKNOWN
 
 

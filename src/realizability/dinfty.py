@@ -6,7 +6,11 @@ canonical tables: a rank-0 value is 0 or 1 (equal to its enumeration
 index), and a rank-(n+1) value is a tuple assigning to each enumeration
 index of rank n an enumeration index of rank n.  Enumeration is in
 lexicographic order, which is inductively a linear extension of the
-pointwise order, so index 0 is bottom and the last index is top.
+pointwise order, so index 0 is bottom and the last index is top.  The
+depth-first enumeration tries each entry in increasing order, so it emits
+the tables already sorted.  The order and the join of each rank are
+cached functions of enumeration indices (`idx_leq`, `idx_join`); the
+table forms `tbl_leq` and `tbl_join` lift them entrywise.
 
 Elements of the limit are families of per-rank components coherent under
 the downward projections; they are built lazily and memoised.  The rank
@@ -62,7 +66,7 @@ def rank_cap() -> int:
 
 @lru_cache(maxsize=None)
 def level(n: int) -> tuple:
-    """All values of rank n, lexicographically sorted."""
+    """All values of rank n, in lexicographic order."""
     if n < 0:
         raise UsageError("negative rank")
     cap = min(max(rank_cap(), 0), _HARD_ENUM_LIMIT)
@@ -70,11 +74,11 @@ def level(n: int) -> tuple:
         raise RankCapError(f"rank {n} exceeds the enumeration cap {cap}")
     if n == 0:
         return (0, 1)
-    below = level(n - 1)
-    m = len(below)
+    m = len(level(n - 1))
     # For assigned positions j < i with value(j) <= value(i) pointwise,
     # monotonicity forces table[i] >= join of those entries; lexicographic
     # index order is a linear extension, so no constraint points forward.
+    # Entries are tried in increasing order, so tables come out sorted.
     out: list[tuple[int, ...]] = []
 
     def dfs(prefix: list[int]):
@@ -85,8 +89,7 @@ def level(n: int) -> tuple:
         lo = 0
         for j in range(i):
             if idx_leq(n - 1, j, i):
-                lo = idx_of(n - 1, tbl_join(n - 1, val(n - 1, lo),
-                                            val(n - 1, prefix[j])))
+                lo = idx_join(n - 1, lo, prefix[j])
         for c in range(m):
             if idx_leq(n - 1, lo, c):
                 prefix.append(c)
@@ -94,7 +97,6 @@ def level(n: int) -> tuple:
                 prefix.pop()
 
     dfs([])
-    out.sort()
     return tuple(out)
 
 
@@ -129,45 +131,15 @@ def idx_leq(n: int, i: int, j: int) -> bool:
 
 
 def tbl_join(n: int, x, y):
+    """Pointwise join on rank-n values."""
     if n == 0:
         return x | y
-    return tuple(idx_of(n - 1, tbl_join(n - 1, val(n - 1, a), val(n - 1, b)))
-                 for a, b in zip(x, y))
+    return tuple(idx_join(n - 1, a, b) for a, b in zip(x, y))
 
 
-@dataclass(frozen=True)
-class FinLattice:
-    """Convenience view of one rank: elements in canonical order plus the
-    order and join as functions of indices."""
-    rank: int
-    elements: tuple
-
-    @classmethod
-    def at(cls, n: int) -> "FinLattice":
-        return cls(n, level(n))
-
-    def leq(self, i: int, j: int) -> bool:
-        return idx_leq(self.rank, i, j)
-
-    def join(self, i: int, j: int) -> int:
-        return idx_of(self.rank, tbl_join(self.rank, val(self.rank, i),
-                                          val(self.rank, j)))
-
-    def meet(self, i: int, j: int) -> int:
-        # greatest lower bound by scan; the lattice is finite
-        best = 0
-        for k in range(len(self.elements)):
-            if self.leq(k, i) and self.leq(k, j) and self.leq(best, k):
-                best = k
-        return best
-
-    @property
-    def bottom(self) -> int:
-        return 0
-
-    @property
-    def top(self) -> int:
-        return len(self.elements) - 1
+@lru_cache(maxsize=None)
+def idx_join(n: int, i: int, j: int) -> int:
+    return idx_of(n, tbl_join(n, val(n, i), val(n, j)))
 
 
 # --------------------------------------------------------------------------

@@ -344,7 +344,9 @@ def _sexpr_tokens(src: str):
             yield ch
             i += 1
         elif ch == '"':
-            j = src.index('"', i + 1)
+            j = src.find('"', i + 1)
+            if j < 0:
+                raise UsageError("unterminated string in derivation text")
             yield ("str", src[i + 1:j])
             i = j + 1
         elif ch == ";":
@@ -355,7 +357,7 @@ def _sexpr_tokens(src: str):
                 j += 1
             yield ("atom", src[i:j])
             i = j
-    yield ("eof", "")
+    yield None  # end of input
 
 
 def _read_back(tok, toks):
@@ -368,50 +370,66 @@ def _read_back(tok, toks):
             out.append(_read_back(tok2, toks))
     if isinstance(tok, tuple):
         return tok
-    raise UsageError(f"unexpected token {tok!r} in derivation text")
+    raise UsageError(f"unexpected {tok or 'end of input'} in derivation text")
 
 
 def parse_derivation(src: str) -> Derivation:
     from .syntax import parse_bterm, parse_formula, parse_lcterm
 
+    def items(form, what: str, n: int | None = None) -> list:
+        if not isinstance(form, list) or n not in (None, len(form)):
+            raise UsageError(f"malformed {what} in derivation text")
+        return form
+
+    def text(form, what: str) -> str:
+        if not isinstance(form, tuple):
+            raise UsageError(f"{what} must be a string, not a list")
+        return form[1]
+
+    def head(form, what: str) -> str:
+        form = items(form, what)
+        if not form or not isinstance(form[0], tuple) or form[0][0] != "atom":
+            raise UsageError(f"{what} must start with a name")
+        return form[0][1]
+
     def ctx_of(form) -> Context:
         out = []
-        for entry in form:
-            (_, name), (_, fsrc) = entry
-            out.append((name, parse_formula(fsrc)))
+        for entry in items(form, "context"):
+            name, fsrc = items(entry, "context entry", 2)
+            out.append((text(name, "context variable"),
+                        parse_formula(text(fsrc, "context formula"))))
         return tuple(out)
 
     def node(form) -> Derivation:
-        if not form or form[0][0] != "atom":
-            raise UsageError("derivation node must start with a rule name")
-        rule = form[0][1]
+        rule = head(form, "derivation node")
         rule_data = None
         premises: tuple[Derivation, ...] = ()
         judgement = None
         for part in form[1:]:
-            head = part[0][1]
-            if head == "term":
-                rule_data = parse_bterm(part[1][1])
-            elif head == "subst":
-                (_, z), (_, asrc), (_, bsrc) = part[1], part[2], part[3]
-                rule_data = (z, parse_bterm(asrc), parse_bterm(bsrc),
-                             ctx_of(part[4]))
-            elif head == "premises":
+            block = head(part, "derivation block")
+            if block == "term":
+                _, t = items(part, "term block", 2)
+                rule_data = parse_bterm(text(t, "term"))
+            elif block == "subst":
+                _, z, asrc, bsrc, tmpl = items(part, "subst block", 5)
+                rule_data = (text(z, "substituted variable"),
+                             parse_bterm(text(asrc, "term")),
+                             parse_bterm(text(bsrc, "term")), ctx_of(tmpl))
+            elif block == "premises":
                 premises = tuple(node(sub) for sub in part[1:])
-            elif head == "judgement":
-                ctx = ctx_of(part[1])
-                subject = parse_lcterm(part[2][1])
-                ftype = parse_formula(part[3][1])
-                judgement = Judgement(ctx, subject, ftype)
+            elif block == "judgement":
+                _, ctx, subject, ftype = items(part, "judgement block", 4)
+                judgement = Judgement(ctx_of(ctx),
+                                      parse_lcterm(text(subject, "subject")),
+                                      parse_formula(text(ftype, "type")))
             else:
-                raise UsageError(f"unknown derivation block {head!r}")
+                raise UsageError(f"unknown derivation block {block!r}")
         if judgement is None:
             raise UsageError(f"rule {rule} has no judgement block")
         return Derivation(rule, premises, judgement, rule_data)
 
     toks = _sexpr_tokens(src)
     form = _read_back(next(toks), toks)
-    tail = next(toks)
-    if tail != ("eof", ""):
+    if next(toks) is not None:
         raise UsageError("trailing input after derivation")
     return node(form)

@@ -134,6 +134,9 @@ SEVEN_FORALLS = ("forall a. forall b. forall c. forall d. forall e. "
     (("theta", "--rank", "4", "--element", "0"), 2, "enumeration cap 3"),
     (("typecheck", "/nonexistent/derivation.sexpr"), 64, "cannot read"),
     (("theta", "--rank", "2", "--element", "99"), 64, "0..9"),
+    (("pole-member", "x * []"), 64, "must be closed"),
+    (("pole-member", "g{_|_} * x . []"), 64, "must be closed"),
+    (("pole-member", "cc * k[x] . []"), 64, "must be closed"),
 ])
 def test_crash_exit_codes(capsys, argv, code, message):
     assert main(list(argv)) == code
@@ -157,10 +160,34 @@ def test_bad_rank_cap_is_usage_error(monkeypatch, capsys):
     ("corpus", "formulas", "--size", "-1"),
     ("lattice", "--rank", "-1"),
     ("denote", "\\x. x", "--rank", "-2"),
+    ("seq-check", "--rank", "2", "--element", "3", "--search-budget", "-2"),
+    ("denote", "\\x. x", "--cc-trunc", "-1"),
 ])
 def test_out_of_range_numbers_are_usage_errors(capsys, argv):
     assert main(list(argv)) == 64
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("text", [
+    '(Axiom "x',
+    "(Axiom (judgement x))",
+    '(Axiom (judgement () "x"))',
+    '(Axiom (premises) (judgement (("x")) "x" "0 != 1"))',
+])
+def test_malformed_derivation_is_usage_error(tmp_path, capsys, text):
+    path = tmp_path / "bad.sexpr"
+    path.write_text(text)
+    assert main(["typecheck", str(path)]) == 64
+    assert "derivation text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("validity", "(" * 1500 + "0 != 1" + ")" * 1500),
+    ("parse", "lcterm", "\\x. " * 2000 + "x"),
+])
+def test_deep_nesting_is_unknown(capsys, argv):
+    assert main(list(argv)) == 2
+    assert "nests too deeply" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text", ["k = -3\n", "k = abc\n"])

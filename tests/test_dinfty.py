@@ -4,9 +4,10 @@ import os
 import pytest
 
 from realizability.dinfty import (
-    DElem, FinLattice, RankCapError, app, arrow, bottom, cc_elem, denote,
-    denote_formula, elem, eq_at, idx_of, join, lam, leq, level, level_size,
-    phi_tbl, psi_tbl, rank_cap, seq_check, term_search, theta, top, val,
+    DElem, RankCapError, app, arrow, bottom, cc_elem, denote, denote_formula,
+    elem, eq_at, idx_join, idx_leq, idx_of, join, lam, leq, level,
+    level_size, phi_tbl, psi_tbl, rank_cap, seq_check, tbl_join,
+    term_search, theta, top, val,
 )
 from realizability.bamodels import valid_all_bas
 from realizability.lcterms import CC, Lam, LVar, App
@@ -23,27 +24,72 @@ def test_levels_are_sorted_with_bottom_and_top():
     for n in (0, 1, 2):
         vs = level(n)
         assert list(vs) == sorted(vs)
-        lat = FinLattice.at(n)
-        assert idx_of(n, vs[lat.bottom]) == 0
-        assert idx_of(n, vs[lat.top]) == len(vs) - 1
+        top_i = len(vs) - 1
+        for i in range(len(vs)):
+            assert idx_leq(n, 0, i) and idx_leq(n, i, top_i)
+
+
+def test_level_3_is_strictly_increasing():
+    # the enumeration emits tables in order; nothing sorts them afterwards
+    vs = level(3)
+    assert len(vs) == 120_549
+    assert all(a < b for a, b in zip(vs, vs[1:]))
+
+
+def test_levels_match_brute_force():
+    for n in (1, 2):
+        m = level_size(n - 1)
+        monotone = [f for f in itertools.product(range(m), repeat=m)
+                    if all(idx_leq(n - 1, f[i], f[j])
+                           for i, j in itertools.product(range(m), repeat=2)
+                           if idx_leq(n - 1, i, j))]
+        assert level(n) == tuple(monotone)
 
 
 def test_monotone_tables_only():
-    lat = FinLattice.at(1)
     for f in level(2):
         for i, j in itertools.product(range(3), repeat=2):
-            if lat.leq(i, j):
-                assert lat.leq(f[i], f[j])
+            if idx_leq(1, i, j):
+                assert idx_leq(1, f[i], f[j])
 
 
 def test_lattice_laws_rank_2():
-    lat = FinLattice.at(2)
-    for a, b in itertools.product(range(level_size(2)), repeat=2):
-        j = lat.join(a, b)
-        assert lat.leq(a, j) and lat.leq(b, j)
-        m = lat.meet(a, b)
-        assert lat.leq(m, a) and lat.leq(m, b)
-        assert lat.join(a, a) == a
+    size = level_size(2)
+    for a, b in itertools.product(range(size), repeat=2):
+        j = idx_join(2, a, b)
+        assert idx_leq(2, a, j) and idx_leq(2, b, j)
+        # greatest lower bound by scan; the lattice is finite
+        m = 0
+        for k in range(size):
+            if idx_leq(2, k, a) and idx_leq(2, k, b) and idx_leq(2, m, k):
+                m = k
+        assert idx_leq(2, m, a) and idx_leq(2, m, b)
+        assert idx_join(2, a, a) == a
+
+
+def test_join_is_least_upper_bound():
+    for n in (0, 1, 2):
+        size = level_size(n)
+        for a, b, c in itertools.product(range(size), repeat=3):
+            above_both = idx_leq(n, a, c) and idx_leq(n, b, c)
+            assert above_both == idx_leq(n, idx_join(n, a, b), c)
+
+
+def _reference_join(n, x, y):
+    # the entry-by-entry table recursion that idx_join replaces
+    if n == 0:
+        return x | y
+    return tuple(idx_of(n - 1, _reference_join(n - 1, val(n - 1, a),
+                                               val(n - 1, b)))
+                 for a, b in zip(x, y))
+
+
+def test_idx_join_matches_reference_join():
+    for n in (0, 1, 2):
+        for a, b in itertools.product(range(level_size(n)), repeat=2):
+            x, y = val(n, a), val(n, b)
+            assert val(n, idx_join(n, a, b)) == _reference_join(n, x, y)
+            assert tbl_join(n, x, y) == _reference_join(n, x, y)
 
 
 def test_projection_pair_laws():
@@ -51,22 +97,20 @@ def test_projection_pair_laws():
         for a in level(n):
             assert psi_tbl(n, phi_tbl(n, a)) == a
     for n in (1, 2):
-        lat = FinLattice.at(n)
         for f in level(n):
             low = phi_tbl(n - 1, psi_tbl(n - 1, f))
-            assert lat.leq(idx_of(n, low), idx_of(n, f))
+            assert idx_leq(n, idx_of(n, low), idx_of(n, f))
 
 
 def test_projections_monotone():
-    lat0, lat1 = FinLattice.at(0), FinLattice.at(1)
     for i, j in itertools.product(range(level_size(0)), repeat=2):
-        if lat0.leq(i, j):
-            assert lat1.leq(idx_of(1, phi_tbl(0, val(0, i))),
-                            idx_of(1, phi_tbl(0, val(0, j))))
+        if idx_leq(0, i, j):
+            assert idx_leq(1, idx_of(1, phi_tbl(0, val(0, i))),
+                           idx_of(1, phi_tbl(0, val(0, j))))
     for i, j in itertools.product(range(level_size(1)), repeat=2):
-        if lat1.leq(i, j):
-            assert lat0.leq(idx_of(0, psi_tbl(0, val(1, i))),
-                            idx_of(0, psi_tbl(0, val(1, j))))
+        if idx_leq(1, i, j):
+            assert idx_leq(0, idx_of(0, psi_tbl(0, val(1, i))),
+                           idx_of(0, psi_tbl(0, val(1, j))))
 
 
 def test_elem_components_cohere():
@@ -93,11 +137,11 @@ def test_bottom_top_join():
 def test_arrow_application_law():
     # applying arrow(x, y) to anything >= x yields at least y; application
     # components are approximations, so compare at the working rank only
-    lat = FinLattice.at(1)
     for i, j in itertools.product(range(level_size(1)), repeat=2):
         x, y = elem(1, val(1, i)), elem(1, val(1, j))
         r = app(arrow(x, y), x)
-        assert lat.leq(idx_of(1, y.component(1)), idx_of(1, r.component(1)))
+        assert idx_leq(1, idx_of(1, y.component(1)),
+                       idx_of(1, r.component(1)))
         if i > 0:
             assert app(arrow(x, y), bottom()).component(1) == val(1, 0)
 

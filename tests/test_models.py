@@ -3,13 +3,15 @@ import math
 import pytest
 
 from realizability.bamodels import (
-    Atomless, DEFAULT_FAMILY, GuardExceeded, Justification, PowerFinite,
-    TheoryOracle, brute_check, is_prop_tautology, model_check, valid_all_bas,
+    Atomless, DEFAULT_FAMILY, GuardExceeded, Justification, MAX_PROP_ATOMS,
+    PowerFinite, TheoryOracle, _strip_matrix, brute_check, is_prop_tautology,
+    model_check, valid_all_bas,
 )
 from realizability.corpus import formula_corpus, horn_corpus
+from realizability.dinfty import elem, level_size, theta, val
 from realizability.formulas import (
-    Forall, Impl, Neq, Not, ONE, Or, Var, ZERO, And, bot, conj, eq,
-    eval_formula_01, exists,
+    Forall, Impl, Neq, Not, ONE, Or, Var, ZERO, And, bot, canon, conj, eq,
+    eval_formula_01, exists, is_ground,
 )
 from realizability.syntax import parse_formula
 
@@ -112,6 +114,64 @@ def test_family_passed_is_unknown_by_default():
 def test_is_prop_tautology():
     assert is_prop_tautology(parse_formula("z != 0 -> z != 0"))
     assert not is_prop_tautology(parse_formula("z != 0 -> w != 0"))
+
+
+def _reference_prop_tautology(A):
+    # the per-assignment evaluator that the one-pass truth table replaced
+    matrix = _strip_matrix(canon(A))
+    atoms, fixed = [], {}
+
+    def collect(f):
+        if isinstance(f, Neq):
+            if f in atoms or f in fixed:
+                return
+            if f.lhs == f.rhs:
+                fixed[f] = False
+            elif is_ground(f):
+                fixed[f] = eval_formula_01(f, {}) == 1
+            else:
+                atoms.append(f)
+        else:
+            collect(f.ante)
+            collect(f.cons)
+
+    collect(matrix)
+    if len(atoms) > MAX_PROP_ATOMS:
+        return False
+    index = {a: i for i, a in enumerate(atoms)}
+
+    def ev(f, bits):
+        if isinstance(f, Neq):
+            if f in fixed:
+                return fixed[f]
+            return bool((bits >> index[f]) & 1)
+        return (not ev(f.ante, bits)) or ev(f.cons, bits)
+
+    return all(ev(matrix, bits) for bits in range(1 << len(atoms)))
+
+
+def test_prop_tautology_matches_reference():
+    sentences = [a for seed in (1, 2, 3, 4)
+                 for a in formula_corpus(200, seed=seed, height=4)]
+    sentences += [theta(elem(n, val(n, i)))
+                  for n in (1, 2) for i in range(level_size(n))]
+    sentences += [theta(elem(3, val(3, i))) for i in (0, 5000, 120548)]
+    answers = [is_prop_tautology(a) for a in sentences]
+    assert answers == [_reference_prop_tautology(a) for a in sentences]
+    assert 0 < sum(answers) < len(answers)
+
+
+def test_prop_tautology_atom_cap():
+    def chain(n):
+        # z1 != 0 -> ... -> zn != 0 -> z1 != 0, a tautology over n atoms
+        atoms = [Neq(Var(f"z{i}"), ZERO) for i in range(1, n + 1)]
+        out = atoms[0]
+        for a in reversed(atoms):
+            out = Impl(a, out)
+        return out
+
+    assert is_prop_tautology(chain(MAX_PROP_ATOMS))
+    assert not is_prop_tautology(chain(MAX_PROP_ATOMS + 1))
 
 
 def test_oracle_caches_and_answers():
