@@ -232,33 +232,38 @@ def is_prop_tautology(A: Formula) -> bool:
     under the assignment that makes atom i true exactly when bit i of b
     is 1."""
     matrix = _strip_matrix(canon(A))
-    pinned: dict[Neq, bool] = {}
-    free: dict[Neq, int] = {}
+    index: dict[Neq, int] = {}  # distinct atoms, in order of first occurrence
+    leaves: list[int] = []  # each leaf's atom, left to right
 
     def collect(f: Formula):
         if isinstance(f, Impl):
             collect(f.ante)
             collect(f.cons)
-        elif f not in pinned and f not in free:
-            if f.lhs == f.rhs:
-                pinned[f] = False
-            elif is_ground(f):
-                pinned[f] = eval_formula_01(f, {}) == 1
-            else:
-                free[f] = len(free)
+        else:
+            leaves.append(index.setdefault(f, len(index)))
 
     collect(matrix)
-    if len(free) > MAX_PROP_ATOMS:
+    pins = [False if f.lhs == f.rhs
+            else eval_formula_01(f, {}) == 1 if is_ground(f) else None
+            for f in index]
+    n = pins.count(None)
+    if n > MAX_PROP_ATOMS:
         return False
-    ones = (1 << (1 << len(free))) - 1
-    leaf = {f: ones if v else 0 for f, v in pinned.items()}
-    for f, i in free.items():
-        # atom i's column: runs of 2^i zeros and 2^i ones, zeros first
-        leaf[f] = ones // ((1 << (1 << i)) + 1) << (1 << i)
+    ones = (1 << (1 << n)) - 1
+    columns = []
+    i = 0
+    for pin in pins:
+        if pin is None:
+            # free atom i's column: runs of 2^i zeros and 2^i ones, zeros first
+            columns.append(ones // ((1 << (1 << i)) + 1) << (1 << i))
+            i += 1
+        else:
+            columns.append(ones if pin else 0)
+    column = map(columns.__getitem__, leaves)
 
     def table(f: Formula) -> int:
         if isinstance(f, Neq):
-            return leaf[f]
+            return next(column)
         return (ones ^ table(f.ante)) | table(f.cons)
 
     return table(matrix) == ones

@@ -36,7 +36,7 @@ from typing import Callable, Mapping
 from .bamodels import DEFAULT_FAMILY, Verdict, valid_all_bas
 from .formulas import (
     Formula, Forall, Impl, Neq, ONE, UsageError, ZERO, eval_term_01,
-    forall_many, free_vars, subst_formula, table_term,
+    forall_many, free_vars, rows_term, subst_formula,
 )
 from .lcterms import (
     App, CC, Cc, Eta, Gamma, Kont, LVar, Lam, LcTerm, Zeta, free_lvars,
@@ -398,38 +398,29 @@ def denote_formula(A: Formula) -> DElem:
     raise TypeError(f"not a formula: {A!r}")
 
 
-def _famcode(n: int, g: Callable[[tuple[int, ...]], object],
-             us: tuple[str, ...], fresh) -> Formula:
+def _famcode(n: int, fam: list, us: tuple[str, ...], fresh) -> Formula:
     """A formula in the variables us whose denotation at each 0/1
-    instantiation of us is the rank-n value g(bits).
+    instantiation of us is a rank-n value of fam: fam[b] at row number b,
+    which counts the instantiations in `itertools.product` order with the
+    first variable as the most significant bit.
 
     Rank 0 values are coded by an inequation against 0 whose left side is
-    the truth table sending bits to 1 exactly when g(bits) is bottom.
+    the truth table with a 1 exactly in the rows where fam holds bottom.
     Rank n+1 values are coded as a quantified implication whose selector
     variables sweep the rank-n values: the instance at selector index s is
-    (code of value_s) -> (code of g(bits) applied to value_s), and the
-    join of those step functions is g(bits) itself."""
+    (code of value_s) -> (code of fam[b] applied to value_s), and the
+    join of those step functions is fam[b] itself."""
     if n == 0:
-        return Neq(table_term(lambda bits: 1 if g(bits) == 0 else 0, us), ZERO)
+        return Neq(rows_term([x == 0 for x in fam], us), ZERO)
     m = level_size(n - 1)
     r = max(1, math.ceil(math.log2(max(m, 2))))
     vs = tuple(next(fresh) for _ in range(r))
-
-    def sel(vbits: tuple[int, ...]) -> int:
-        i = 0
-        for b in vbits:
-            i = (i << 1) | b
-        return min(i, m - 1)  # padding indices repeat the top value
-
-    def h_b(bits: tuple[int, ...]):
-        return val(n - 1, sel(bits[len(us):]))
-
-    def h_c(bits: tuple[int, ...]):
-        table = g(bits[:len(us)])
-        return val(n - 1, table[sel(bits[len(us):])])
-
-    body = Impl(_famcode(n - 1, h_b, us + vs, fresh),
-                _famcode(n - 1, h_c, us + vs, fresh))
+    sel = [min(i, m - 1) for i in range(1 << r)]  # padding repeats top
+    body = Impl(
+        _famcode(n - 1, [val(n - 1, s) for _ in fam for s in sel],
+                 us + vs, fresh),
+        _famcode(n - 1, [val(n - 1, t[s]) for t in fam for s in sel],
+                 us + vs, fresh))
     return forall_many(vs, body)
 
 
@@ -443,7 +434,7 @@ def theta(alpha: DElem) -> Formula:
         return Neq(ZERO, ONE) if v == 0 else Neq(ZERO, ZERO)
     counter = itertools.count()
     fresh = (f"u{i}" for i in counter)
-    return _famcode(n, lambda bits: v, (), fresh)
+    return _famcode(n, [v], (), fresh)
 
 
 # --------------------------------------------------------------------------

@@ -126,21 +126,30 @@ def table_term(f, us: Sequence[str]) -> BTerm:
 
     ``f`` maps bit tuples of length len(us) to 0/1 (a callable or a mapping).
     The result is a disjunction of minterms, so its size is bounded by 2^r.
+    Minterms that share a prefix of literals share that prefix's
+    conjunction, so the term is a DAG with at most 2^(r+1) conjunctions
+    that is `==` to the unshared tree.
     """
     fn: Callable[[tuple[int, ...]], int]
     fn = f.__getitem__ if isinstance(f, Mapping) else f
-    minterms = []
-    for bits in itertools.product((0, 1), repeat=len(us)):
-        if fn(tuple(bits)):
-            lits: list[BTerm] = [
-                Var(u) if b else Not(Var(u)) for u, b in zip(us, bits)
-            ]
-            if not lits:
-                return ONE  # r = 0 and f() = 1
-            acc = lits[0]
-            for lit in lits[1:]:
-                acc = And(acc, lit)
-            minterms.append(acc)
+    return rows_term([fn(bits)
+                      for bits in itertools.product((0, 1), repeat=len(us))],
+                     us)
+
+
+def rows_term(rows: Sequence[int], us: Sequence[str]) -> BTerm:
+    """`table_term` of the table whose row number b holds rows[b]; row
+    numbers count the bit tuples in `itertools.product` order, the first
+    variable being the most significant bit."""
+    if not us:
+        return ONE if rows[0] else ZERO
+    prefixes: list = [None]  # one conjunction per row-number prefix
+    for u in us:
+        pos = Var(u)
+        lits = (Not(pos), pos)
+        prefixes = [lit if acc is None else And(acc, lit)
+                    for acc in prefixes for lit in lits]
+    minterms = [m for m, b in zip(prefixes, rows) if b]
     if not minterms:
         return ZERO
     acc = minterms[0]

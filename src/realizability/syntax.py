@@ -19,8 +19,8 @@ from __future__ import annotations
 import re
 
 from .formulas import (
-    And, BTerm, Formula, Forall, Impl, Neq, Not, ONE, Or, Var, ZERO,
-    bot, eq, exists,
+    And, BTerm, Formula, Forall, Impl, Neq, Not, ONE, One, Or, Var, ZERO,
+    Zero, bot, eq, exists,
 )
 from .lcterms import (
     App, CC, Cc, EMPTY, Eta, Gamma, Kont, LVar, Lam, LcTerm, Process,     SPush, StackT, Zeta, stack_of,
@@ -274,9 +274,9 @@ def print_bterm(t: BTerm, prec: int = 0) -> str:
     # precedence: or=1, and=2, not=3
     if isinstance(t, Var):
         return t.name
-    if t == ZERO:
+    if isinstance(t, Zero):
         return "0"
-    if t == ONE:
+    if isinstance(t, One):
         return "1"
     if isinstance(t, Not):
         return "~" + print_bterm(t.arg, 3)

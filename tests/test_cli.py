@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -87,6 +88,23 @@ def test_theta_and_seq(capsys):
     code, out = run(capsys, "theta", "--rank", "1", "--element", "1")
     assert code == 0 and "->" in out
     assert run(capsys, "seq-check", "--rank", "0", "--element", "1")[0] == 1
+
+
+# sha256 of `theta --rank 3 --element i` as printed before the row-table
+# synthesis, which must keep the text byte-identical
+THETA_RANK3_SHA256 = {
+    0: "639a4a6516c0015426cf1fdc5105abeaaa468d1f319239044e759df03fa44ff0",
+    2863: "81abfcc56a218b2bd9ec36deb7a0e4ae730b1f68e09979ccd9aa633e35bb01d6",
+    120548: "d38c5a0d94e1ca63c285454cffe2c3419c1fc3458b396f43fff37a22d22efc30",
+}
+
+
+@pytest.mark.parametrize("element", sorted(THETA_RANK3_SHA256))
+def test_theta_rank_3_text_is_pinned(capsys, element):
+    code, out = run(capsys, "theta", "--rank", "3", "--element", str(element))
+    assert code == 0 and out.endswith("\n")
+    digest = hashlib.sha256(out[:-1].encode()).hexdigest()
+    assert digest == THETA_RANK3_SHA256[element]
 
 
 def test_corpus_reproducible(capsys):

@@ -1,5 +1,8 @@
+import functools
 import itertools
+import math
 import os
+import random
 
 import pytest
 
@@ -10,6 +13,9 @@ from realizability.dinfty import (
     term_search, theta, top, val,
 )
 from realizability.bamodels import valid_all_bas
+from realizability.formulas import (
+    And, Impl, Neq, Not, ONE, Or, Var, ZERO, forall_many,
+)
 from realizability.lcterms import CC, Lam, LVar, App
 from realizability.syntax import parse_lcterm, print_formula
 
@@ -238,6 +244,53 @@ def test_theta_roundtrip_rank_2_sample():
     for i in (0, 3, 9):
         x = elem(2, val(2, i))
         assert eq_at(denote_formula(theta(x)), x, 2)
+
+
+def _reference_theta(x):
+    # the closure-based synthesis with per-minterm tables that the row-list
+    # synthesis replaced
+    n, v = x.home, x.component(x.home)
+    if n == 0:
+        return Neq(ZERO, ONE) if v == 0 else Neq(ZERO, ZERO)
+    fresh = (f"u{i}" for i in itertools.count())
+
+    def table(f, us):
+        minterms = [
+            functools.reduce(And, [Var(u) if b else Not(Var(u))
+                                   for u, b in zip(us, bits)])
+            for bits in itertools.product((0, 1), repeat=len(us)) if f(bits)]
+        return functools.reduce(Or, minterms) if minterms else ZERO
+
+    def famcode(n, g, us):
+        if n == 0:
+            return Neq(table(lambda bits: g(bits) == 0, us), ZERO)
+        m = level_size(n - 1)
+        vs = tuple(next(fresh)
+                   for _ in range(max(1, math.ceil(math.log2(max(m, 2))))))
+
+        def sel(bits):
+            return min(int("".join(map(str, bits[len(us):])), 2), m - 1)
+
+        return forall_many(vs, Impl(
+            famcode(n - 1, lambda bits: val(n - 1, sel(bits)), us + vs),
+            famcode(n - 1,
+                    lambda bits: val(n - 1, g(bits[:len(us)])[sel(bits)]),
+                    us + vs)))
+
+    return famcode(n, lambda bits: v, ())
+
+
+RANK3_SAMPLE = (0, 2863, 120548) + tuple(
+    random.Random(11).sample(range(1, 120548), 9))
+
+
+def test_theta_matches_reference():
+    cases = [(n, i) for n in range(3) for i in range(level_size(n))]
+    for n, i in cases + [(3, i) for i in RANK3_SAMPLE]:
+        x = elem(n, val(n, i))
+        A, ref = theta(x), _reference_theta(x)
+        assert A == ref, (n, i)
+        assert print_formula(A) == print_formula(ref), (n, i)
 
 
 def test_term_search_finds_identity():

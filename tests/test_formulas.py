@@ -1,3 +1,6 @@
+import functools
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -37,6 +40,48 @@ def test_table_term_matches_function():
     for a in (0, 1):
         for b in (0, 1):
             assert eval_term_01(t, {"z": a, "w": b}) == a ^ b
+
+
+def _reference_table_term(f, us):
+    # the per-minterm tree that the shared-prefix table term replaced
+    if not us:
+        return ONE if f(()) else ZERO
+    minterms = [
+        functools.reduce(And, [Var(u) if b else Not(Var(u))
+                               for u, b in zip(us, bits)])
+        for bits in itertools.product((0, 1), repeat=len(us)) if f(bits)]
+    return functools.reduce(Or, minterms) if minterms else ZERO
+
+
+def _distinct_ands(t) -> int:
+    seen, stack = {}, [t]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen[id(t)] = t
+            stack += [getattr(t, k) for k in ("lhs", "rhs", "arg")
+                      if hasattr(t, k)]
+    return sum(isinstance(t, And) for t in seen.values())
+
+
+@given(st.integers(0, 6).flatmap(
+    lambda r: st.lists(st.integers(0, 1), min_size=1 << r, max_size=1 << r)))
+def test_table_term_matches_reference(rows):
+    r = len(rows).bit_length() - 1
+    us = [f"x{k}" for k in range(r)]
+    table = dict(zip(itertools.product((0, 1), repeat=r), rows))
+    t = table_term(table, us)
+    assert t == _reference_table_term(table.__getitem__, us)
+    for bits, b in table.items():
+        assert eval_term_01(t, dict(zip(us, bits))) == b
+    assert _distinct_ands(t) <= 1 << (r + 1)
+
+
+@pytest.mark.parametrize("r", range(9))
+def test_table_term_shares_minterm_prefixes(r):
+    # the unshared tree of the all-ones table has (r - 1) * 2^r conjunctions
+    t = table_term(lambda bits: 1, [f"x{k}" for k in range(r)])
+    assert _distinct_ands(t) <= 1 << (r + 1)
 
 
 def test_encodings_two_valued():
