@@ -11,10 +11,10 @@ from .formulas import (
 from .lcterms import (
     App, CC, Cc, EMPTY, Eta, Gamma, Kont, Lam, LVar, LcTerm, Process,
     SEmpty, SPush, StackT, Zeta, canon_process, canon_term, constraint_of,
-    fo_subst, free_lvars, is_proof_like, lc_alpha_eq, proc_alpha_eq,
+    free_lvars, is_proof_like, lc_alpha_eq, proc_alpha_eq,
     stack_of, stack_to_list, subst_lc,
 )
-from .machine import Trace, evaluate, reduces_to, step, step1
+from .machine import Trace, evaluate, step, step1
 from .syntax import (
     ParseError, parse_bterm, parse_formula, parse_lcterm, parse_process,
     parse_stack, print_bterm, print_formula, print_lcterm, print_process,
@@ -26,9 +26,8 @@ from .bamodels import (
     model_check, valid_all_bas,
 )
 from .pole import (
-    ExplicitTheory, GammaClass, PoleConfig, TestReport,
-    canonical_falsity_stacks, constraint_check, gamma_classify, in_pole,
-    in_pole_limit, realizes_bounded,
+    PoleConfig, TestReport, canonical_falsity_stacks, constraint_check,
+    in_pole, in_pole_limit, realizes_bounded,
 )
 from .dinfty import (
     DElem, RankCapError, SeqVerdict, app, arrow, bottom, cc_elem, denote,

@@ -4,10 +4,11 @@ Two families of algebras are supported: the finite powerset algebras
 {0,1}^k and the countable atomless algebra.  The model checker keeps a
 partition of the unit into minterm cells of the quantified variables and
 records only the size of each cell (an exact count for the finite
-algebras, zero-or-infinite for the atomless one).  A term then denotes a
-set of cells, an inequation holds when the symmetric difference contains
-a cell of nonzero size, and a universal quantifier ranges over all splits
-of every cell.  Sizes determine the isomorphism type of the partition, so
+algebras, zero-or-infinite for the atomless one).  A term then denotes an
+int with one bit per cell, set for the cells inside its value; an
+inequation holds when the two sides' xor sets the bit of a cell of
+nonzero size, and a universal quantifier ranges over all splits of every
+cell.  Sizes determine the isomorphism type of the partition, so
 this is complete for the supported algebras.
 
 On top sits a three-valued validity layer for "true in every Boolean
@@ -22,7 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 from .formulas import (
     Formula, Forall, HornKind, Impl, Neq, UsageError, canon, classify_horn,
@@ -75,22 +76,19 @@ def _splits(size, atomless: bool):
     return tuple((i, size - i) for i in range(size + 1))
 
 
-def _term_cells(a, env: Mapping[str, int], masks: Iterable[int]) -> frozenset[int]:
-    """The set of cells contained in the value of a term.  env maps each
-    variable name to its bit position."""
-    out = []
-    for mask in masks:
-        bits = {name: (mask >> pos) & 1 for name, pos in env.items()}
-        if eval_term_01(a, bits):
-            out.append(mask)
-    return frozenset(out)
+def _column(i: int, ones: int) -> int:
+    """Variable i's column over the bits of ones (2^n ones, n > i): bit m
+    is set iff bit i of m is, so runs of 2^i zeros and 2^i ones alternate,
+    zeros first."""
+    return ones // ((1 << (1 << i)) + 1) << (1 << i)
 
 
 def model_check(A: Formula, spec: BASpec, *,
                 trace: list[str] | None = None) -> bool:
     """Truth of a closed formula in the denoted algebra.  A cell is a
     bitmask whose bit i is 1 inside the i-th quantified variable, in binding
-    order, and 0 outside it; `sizes` maps each cell to its size."""
+    order, and 0 outside it; `sizes` maps each of the 2^depth cells to its
+    size, and a term's value sets bit m for each cell m inside it."""
     if free_vars(A):
         raise UsageError(f"model_check needs a closed formula, free: {sorted(free_vars(A))}")
     atomless = isinstance(spec, Atomless)
@@ -100,9 +98,11 @@ def model_check(A: Formula, spec: BASpec, *,
     def go(f: Formula, env: dict[str, int], sizes: dict[int, object],
            depth: int) -> bool:
         if isinstance(f, Neq):
-            sa = _term_cells(f.lhs, env, sizes)
-            sb = _term_cells(f.rhs, env, sizes)
-            hit = any(sizes[m] for m in sa ^ sb)
+            ones = (1 << len(sizes)) - 1
+            cols = {name: _column(pos, ones) for name, pos in env.items()}
+            diff = (eval_term_01(f.lhs, cols, ones)
+                    ^ eval_term_01(f.rhs, cols, ones))
+            hit = any(sizes[m] for m in sizes if diff >> m & 1)
             if not hit and trace is not None:
                 trace.append(f"inequation fails on cell sizes {sizes}")
             return hit
@@ -254,8 +254,7 @@ def is_prop_tautology(A: Formula) -> bool:
     i = 0
     for pin in pins:
         if pin is None:
-            # free atom i's column: runs of 2^i zeros and 2^i ones, zeros first
-            columns.append(ones // ((1 << (1 << i)) + 1) << (1 << i))
+            columns.append(_column(i, ones))
             i += 1
         else:
             columns.append(ones if pin else 0)

@@ -101,8 +101,12 @@ def subst_term(a: BTerm, zs: Sequence[str], bs: Sequence[BTerm]) -> BTerm:
     return go(a)
 
 
-def eval_term_01(a: BTerm, env: Mapping[str, int]) -> int:
-    """Value of a term in the two-element Boolean algebra {0, 1}."""
+def eval_term_01(a: BTerm, env: Mapping[str, int], ones: int = 1) -> int:
+    """Value of a term in {0, 1}, or in many assignments at once: with
+    ones = 2^n - 1 and each variable mapped to an n-bit int, bit m of the
+    result is the term's value under the assignment given by bit m of the
+    variables.  brute_check keeps its own evaluator on purpose, so that it
+    stays an independent check of model_check."""
     if isinstance(a, Var):
         try:
             return env[a.name]
@@ -111,13 +115,13 @@ def eval_term_01(a: BTerm, env: Mapping[str, int]) -> int:
     if isinstance(a, Zero):
         return 0
     if isinstance(a, One):
-        return 1
+        return ones
     if isinstance(a, Not):
-        return 1 - eval_term_01(a.arg, env)
+        return ones ^ eval_term_01(a.arg, env, ones)
     if isinstance(a, Or):
-        return eval_term_01(a.lhs, env) | eval_term_01(a.rhs, env)
+        return eval_term_01(a.lhs, env, ones) | eval_term_01(a.rhs, env, ones)
     if isinstance(a, And):
-        return eval_term_01(a.lhs, env) & eval_term_01(a.rhs, env)
+        return eval_term_01(a.lhs, env, ones) & eval_term_01(a.rhs, env, ones)
     raise TypeError(f"not a term: {a!r}")
 
 

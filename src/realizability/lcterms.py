@@ -1,25 +1,20 @@
 """Lambda calculus with call/cc, stack constants and tagged instructions.
 
 Terms, stacks and processes; capture-avoiding substitution of lambda
-variables; substitution of first-order variables inside instruction tags;
-proof-likeness; and the conjunction of all instruction tags occurring in a
-term, stack or process.
+variables; proof-likeness; and the conjunction of all instruction tags
+occurring in a term, stack or process.
 
 First-order variables (inside tags) and lambda variables are disjoint
-sorts: `subst_lc` never descends into tags, `fo_subst` touches nothing but
-tags.
+sorts: `subst_lc` never descends into tags.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .formulas import (
-    BTerm, Formula, canon as canon_formula, conj_many,
-    subst_formula, UsageError,
-)
+from .formulas import Formula, canon as canon_formula, conj_many, UsageError
 
 
 @dataclass(frozen=True)
@@ -170,35 +165,6 @@ def subst_lc(t: LcTerm, xs: Sequence[str], us: Sequence[LcTerm]) -> LcTerm:
     return go(t, dict(zip(xs, us)))
 
 
-def fo_subst(x, zs: Sequence[str], bs: Sequence[BTerm]):
-    """Replace every instruction tag A by A[zs := bs], including inside
-    stack constants; everything else is untouched."""
-    if len(zs) != len(bs):
-        raise UsageError(f"substitution length mismatch: {len(zs)} vs {len(bs)}")
-
-    def go_term(t: LcTerm) -> LcTerm:
-        if isinstance(t, Gamma):
-            return Gamma(subst_formula(t.tag, zs, bs))
-        if isinstance(t, App):
-            return App(go_term(t.fn), go_term(t.arg))
-        if isinstance(t, Lam):
-            return Lam(t.var, go_term(t.body))
-        if isinstance(t, Kont):
-            return Kont(go_stack(t.stack))
-        return t
-
-    def go_stack(pi: StackT) -> StackT:
-        if isinstance(pi, SPush):
-            return SPush(go_term(pi.head), go_stack(pi.tail))
-        return pi
-
-    if isinstance(x, Process):
-        return Process(go_term(x.term), go_stack(x.stack))
-    if isinstance(x, StackT):
-        return go_stack(x)
-    return go_term(x)
-
-
 def iter_tags(x) -> Iterable[Formula]:
     """All instruction tags in deterministic pre-order (term before stack,
     function before argument, head before tail)."""
@@ -225,20 +191,15 @@ def constraint_of(x) -> Formula:
     return conj_many(list(iter_tags(x)))
 
 
-def is_proof_like(t: LcTerm,
-                  gamma_restricted: Callable[[Formula], bool] | None = None
-                  ) -> bool:
-    """Closed, no stack constants, no restricted instructions.  Whether a
-    tagged instruction counts as restricted is decided by the callback;
-    with no callback every tagged instruction counts as unrestricted."""
+def is_proof_like(t: LcTerm) -> bool:
+    """Closed and free of stack constants.  Tagged instructions are allowed:
+    the pole consults no theory, so none of them is restricted."""
     if free_lvars(t):
         return False
 
     def ok(t: LcTerm) -> bool:
         if isinstance(t, (Kont, Eta)):
             return False
-        if isinstance(t, Gamma):
-            return gamma_restricted is None or not gamma_restricted(t.tag)
         if isinstance(t, App):
             return ok(t.fn) and ok(t.arg)
         if isinstance(t, Lam):

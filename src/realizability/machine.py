@@ -67,15 +67,3 @@ def evaluate(p: Process, fuel: int = 1000) -> Trace:
         steps.append((cur, rule))
         cur = nxt
     return Trace(steps, cur, stuck=step(cur) is None)
-
-
-def reduces_to(p: Process, q: Process, fuel: int = 1000) -> bool:
-    """Does p reach q (syntactic equality) within `fuel` steps?"""
-    cur = p
-    for _ in range(fuel + 1):
-        if cur == q:
-            return True
-        cur = step1(cur)
-        if cur is None:
-            return False
-    return False

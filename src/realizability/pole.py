@@ -18,54 +18,25 @@ within that budget).  Each ⫫_k is decided exactly; the union is
 semi-decided up to k_max.
 
 The pole consults no theory: a tag's witness bits are checked by
-evaluating its head equality in {0,1}.  Only gamma_classify asks a
-theory, and it takes its oracle as an argument.
+evaluating its head equality in {0,1}.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Generator, Iterator
 
-from .bamodels import GuardExceeded, Verdict, valid_all_bas
+from .bamodels import Verdict, valid_all_bas
 from .formulas import (
     Decomposition, Formula, Impl, InnerDecomposition, ONE, UsageError, ZERO,
-    alpha_eq, bot, decompose, eval_term_01, free_vars, recompose_inner,
-    subst_formula,
+    bot, decompose, eval_term_01, free_vars, recompose_inner, subst_formula,
 )
 from .lcterms import (
     EMPTY, Gamma, LcTerm, Process, SPush, StackT, canon_process,
     constraint_of, stack_of,
 )
 from .machine import step1
-
-
-class GammaClass(Enum):
-    UNRESTRICTED = "unrestricted"
-    RESTRICTED = "restricted"
-
-
-@dataclass
-class ExplicitTheory:
-    """A finite formula list with membership up to alpha-equivalence.
-    Not closed under deduction; adequate as the oracle of gamma_classify,
-    which only needs a membership function."""
-    formulas: tuple[Formula, ...]
-
-    def membership(self, A: Formula) -> bool:
-        return any(alpha_eq(A, B) for B in self.formulas)
-
-
-def gamma_classify(A: Formula, oracle) -> GammaClass:
-    if free_vars(A):
-        raise UsageError("gamma_classify needs a closed formula")
-    try:
-        member = oracle.membership(A)
-    except GuardExceeded:
-        member = False  # conservative: unknown tags count as restricted
-    return GammaClass.UNRESTRICTED if member else GammaClass.RESTRICTED
 
 
 @dataclass

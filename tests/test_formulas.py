@@ -1,9 +1,12 @@
 import functools
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from realizability.bamodels import _column
+from realizability.corpus import random_bterm
 from realizability.formulas import (
     And, Forall, HornKind, Impl, Neq, Not, ONE, Or, UsageError, Var, ZERO,
     alpha_eq, bot, canon, classify_horn, conj, conj_many, decompose, disj,
@@ -32,6 +35,32 @@ def test_term_vars():
 def test_eval_term_total(t, bz, bw):
     env = {"z": int(bz), "w": int(bw)}
     assert eval_term_01(t, env) in (0, 1)
+
+
+def _reference_value(t, bits) -> bool:
+    # one assignment at a time, with Python booleans
+    if isinstance(t, Var):
+        return bool(bits[t.name])
+    if isinstance(t, Not):
+        return not _reference_value(t.arg, bits)
+    if isinstance(t, Or):
+        return _reference_value(t.lhs, bits) or _reference_value(t.rhs, bits)
+    if isinstance(t, And):
+        return _reference_value(t.lhs, bits) and _reference_value(t.rhs, bits)
+    return t == ONE
+
+
+@given(st.integers(0, 6), st.integers(0, 5), st.integers(0, 2 ** 32))
+def test_bitwise_eval_matches_each_assignment(n, depth, seed):
+    us = [f"x{i}" for i in range(n)]
+    t = random_bterm(random.Random(seed), us, depth)
+    ones = (1 << (1 << n)) - 1
+    value = eval_term_01(t, {u: _column(i, ones) for i, u in enumerate(us)},
+                         ones)
+    assert 0 <= value <= ones
+    for m in range(1 << n):
+        bits = {u: m >> i & 1 for i, u in enumerate(us)}
+        assert value >> m & 1 == _reference_value(t, bits)
 
 
 def test_table_term_matches_function():

@@ -2,7 +2,7 @@ from realizability.lcterms import (
     CC, EMPTY, Gamma, Kont, Lam, LVar, App, Process, stack_of,
 )
 from realizability.formulas import bot
-from realizability.machine import evaluate, reduces_to, step, step1
+from realizability.machine import evaluate, step, step1
 from realizability.syntax import parse_process, print_process
 
 
@@ -76,12 +76,6 @@ def test_kont_restores_saved_stack():
     assert tr.stuck
     # the restored stack puts the tag back on top, then cc saves again
     assert print_process(tr.final) == "g{0 != 0} * k[] . []"
-
-
-def test_reduces_to():
-    p = parse_process("(\\x. x) (\\x. x) cc * []")
-    assert reduces_to(p, parse_process("cc * []"))
-    assert not reduces_to(p, parse_process("cc * cc . []"))
 
 
 def test_determinism():

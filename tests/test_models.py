@@ -1,17 +1,18 @@
+import itertools
 import math
 
 import pytest
 
 from realizability.bamodels import (
     Atomless, DEFAULT_FAMILY, GuardExceeded, Justification, MAX_PROP_ATOMS,
-    PowerFinite, TheoryOracle, _strip_matrix, brute_check, is_prop_tautology,
-    model_check, valid_all_bas,
+    PowerFinite, TheoryOracle, _splits, _strip_matrix, brute_check,
+    is_prop_tautology, model_check, valid_all_bas,
 )
 from realizability.corpus import formula_corpus, horn_corpus
 from realizability.dinfty import elem, level_size, theta, val
 from realizability.formulas import (
     Forall, Impl, Neq, Not, ONE, Or, Var, ZERO, And, bot, canon, conj, eq,
-    eval_formula_01, exists, is_ground,
+    eval_formula_01, eval_term_01, exists, is_ground,
 )
 from realizability.syntax import parse_formula
 
@@ -64,6 +65,84 @@ def test_trace_on_failure():
     assert not model_check(parse_formula("forall z. z != 0"), PowerFinite(2),
                            trace=trace)
     assert trace
+
+
+def test_refutation_traces_are_pinned():
+    trace = []
+    assert not model_check(parse_formula("forall z. forall w. z /\\ w != 0"),
+                           PowerFinite(2), trace=trace)
+    assert trace == [
+        "inequation fails on cell sizes {0: 0, 2: 0, 1: 2, 3: 0}",
+        "forall w: failing split {0: (0, 0), 1: (2, 0)}",
+        "forall z: failing split {0: (0, 2)}",
+    ]
+    # some nonzero element has no nonzero element strictly below it
+    has_atom = parse_formula(
+        "(forall z. z != 0 -> "
+        "(forall w. (w /\\ z == w -> w != 0 -> w == z)) -> _|_) -> _|_")
+    trace = []
+    assert not model_check(has_atom, Atomless(), trace=trace)
+    assert trace == [
+        "inequation fails on cell sizes {0: inf, 2: inf, 1: inf, 3: inf}",
+        "inequation fails on cell sizes {0: inf, 2: inf, 1: inf, 3: 0}",
+        "inequation fails on cell sizes {0: inf, 2: inf, 1: 0, 3: inf}",
+        "inequation fails on cell sizes {0: inf, 2: 0, 1: inf, 3: inf}",
+        "inequation fails on cell sizes {0: inf, 2: 0, 1: inf, 3: inf}",
+        "forall w: failing split {0: (inf, 0), 1: (inf, inf)}",
+        "inequation fails on cell sizes {0: inf, 1: 0}",
+        "inequation fails on cell sizes {0: 0, 2: 0, 1: inf, 3: inf}",
+        "inequation fails on cell sizes {0: 0, 2: 0, 1: inf, 3: inf}",
+        "forall w: failing split {0: (0, 0), 1: (inf, inf)}",
+        "inequation fails on cell sizes {0: inf}",
+    ]
+
+
+def _reference_model_check(A, spec, trace):
+    # the per-cell evaluator that the bitwise term values replaced
+    atomless = isinstance(spec, Atomless)
+
+    def cells(a, env, masks):
+        return frozenset(m for m in masks if eval_term_01(
+            a, {name: m >> pos & 1 for name, pos in env.items()}))
+
+    def go(f, env, sizes, depth):
+        if isinstance(f, Neq):
+            diff = cells(f.lhs, env, sizes) ^ cells(f.rhs, env, sizes)
+            hit = any(sizes[m] for m in diff)
+            if not hit:
+                trace.append(f"inequation fails on cell sizes {sizes}")
+            return hit
+        if isinstance(f, Impl):
+            return (not go(f.ante, env, sizes, depth)
+                    or go(f.cons, env, sizes, depth))
+        env2 = {**env, f.var: depth}
+        masks = sorted(sizes)
+        options = [_splits(sizes[m], atomless) for m in masks]
+        for combo in itertools.product(*options):
+            sub = {}
+            for m, (s0, s1) in zip(masks, combo):
+                sub[m] = s0
+                sub[m | 1 << depth] = s1
+            if not go(f.body, env2, sub, depth + 1):
+                picked = dict(zip(masks, combo))
+                trace.append(f"forall {f.var}: failing split {picked}")
+                return False
+        return True
+
+    return go(A, {}, {0: math.inf if atomless else spec.atoms}, 0)
+
+
+def test_model_check_matches_per_cell_reference():
+    specs = [PowerFinite(k) for k in (1, 2, 3, 4, 6)] + [Atomless()]
+    answers = []
+    for seed in (1, 2, 3, 4):
+        for a in formula_corpus(200, seed=seed, height=4):
+            for spec in specs:
+                got, want = [], []
+                answers.append(model_check(a, spec, trace=got))
+                assert answers[-1] == _reference_model_check(a, spec, want)
+                assert got == want
+    assert 0 < sum(answers) < len(answers)
 
 
 def test_valid_ground():

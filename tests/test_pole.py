@@ -3,21 +3,18 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from realizability.bamodels import TheoryOracle
 from realizability.corpus import exhaustive_formulas_height2, process_corpus
 from realizability.formulas import (
-    Forall, Impl, Neq, ONE, Or, Not, Var, ZERO, bot, decompose, eq,
-    eval_term_01, subst_formula,
+    ONE, ZERO, bot, decompose, eval_term_01, subst_formula,
 )
 from realizability.lcterms import (
     CC, EMPTY, Gamma, Lam, LVar, App, Process, canon_process, constraint_of,
-    fo_subst, is_proof_like, stack_of, stack_to_list,
+    is_proof_like, stack_of, stack_to_list,
 )
 from realizability.machine import step1
 from realizability.pole import (
-    ExplicitTheory, GammaClass, PoleConfig, canonical_falsity_stacks,
-    constraint_check, gamma_classify, in_pole, in_pole_limit,
-    realizes_bounded,
+    PoleConfig, canonical_falsity_stacks, constraint_check, in_pole,
+    in_pole_limit, realizes_bounded,
 )
 from realizability.syntax import parse_formula, parse_lcterm, parse_process
 
@@ -72,34 +69,12 @@ def test_saturation_under_antireduction(cfg):
     assert kq is not None and kp is not None and kp > kq
 
 
-def test_fo_subst_compat(cfg):
-    p = Process(Gamma(Neq(Var("z"), ZERO)), EMPTY)
-    q = fo_subst(p, ["z"], [ONE])
-    assert q == Process(Gamma(Neq(ONE, ZERO)), EMPTY)
-    assert in_pole_limit(q, cfg) is None
-    r = fo_subst(p, ["z"], [ZERO])
-    assert in_pole_limit(r, cfg) == 1
-
-
 def test_forall_tag_obligations(cfg):
     # every 0/1 instance with a true head must discharge
     p = parse_process("g{forall z. z \\/ ~z != 0} * []")
     assert in_pole_limit(p, cfg) is None
     q = parse_process("g{forall z. z /\\ ~z != 0} * []")
     assert in_pole_limit(q, cfg) == 1
-
-
-def test_gamma_classify():
-    oracle = TheoryOracle()
-    assert gamma_classify(bot(), oracle) == GammaClass.RESTRICTED
-    assert gamma_classify(parse_formula("forall z. z != 0"), oracle) == GammaClass.RESTRICTED
-    assert gamma_classify(parse_formula("0 != 1"), oracle) == GammaClass.UNRESTRICTED
-
-
-def test_explicit_theory():
-    th = ExplicitTheory([parse_formula("0 != 1")])
-    assert th.membership(parse_formula("0 != 1"))
-    assert not th.membership(parse_formula("1 != 0"))
 
 
 def test_is_proof_like():
