@@ -39,8 +39,7 @@ from .formulas import (
     forall_many, free_vars, rows_term, subst_formula,
 )
 from .lcterms import (
-    App, CC, Cc, Eta, Gamma, Kont, LVar, Lam, LcTerm, Zeta, free_lvars,
-    stack_to_list,
+    App, CC, Cc, Eta, Gamma, Kont, LVar, Lam, LcTerm, Zeta, stack_to_list,
 )
 
 
@@ -361,17 +360,11 @@ def denote(t: LcTerm, env: Mapping[str, DElem] | None = None, *,
         if isinstance(t, (Gamma, Zeta, Eta)):
             return bottom()
         if isinstance(t, Kont):
-            entries = stack_to_list(t.stack)
-            avoid = set()
-            for u in entries:
-                avoid |= free_lvars(u)
-            y = "y"
-            while y in avoid:
-                y += "'"
-            expansion: LcTerm = LVar(y)
-            for u in entries:
+            # The entries are closed, so the binder y captures none of them.
+            expansion: LcTerm = LVar("y")
+            for u in stack_to_list(t.stack):
                 expansion = App(expansion, u)
-            return go(Lam(y, expansion), env)
+            return go(Lam("y", expansion), env)
         raise TypeError(f"not a term: {t!r}")
 
     return go(t, env)

@@ -1,7 +1,7 @@
 """Lambda calculus with call/cc, stack constants and tagged instructions.
 
-Terms, stacks and processes; capture-avoiding substitution of lambda
-variables; proof-likeness; and the conjunction of all instruction tags
+Terms, stacks and processes; substitution of a closed term for a lambda
+variable; proof-likeness; and the conjunction of all instruction tags
 occurring in a term, stack or process.
 
 First-order variables (inside tags) and lambda variables are disjoint
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .formulas import Formula, canon as canon_formula, conj_many, UsageError
 
@@ -76,22 +76,18 @@ class SEmpty(StackT):
 
 @dataclass(frozen=True)
 class SPush(StackT):
+    """A closed term on top of a stack.  Checked by the parser, and by
+    `pole.in_pole` for a process's own stack; kept by `machine`."""
     head: LcTerm
     tail: StackT
-
-    def __post_init__(self):
-        if free_lvars(self.head):
-            raise UsageError(f"stack entries must be closed: {self.head!r}")
 
 
 @dataclass(frozen=True)
 class Process:
+    """A closed term facing a stack.  Checked where processes enter (the
+    parser, `pole.in_pole`, `pole.realizes_bounded`), kept by `machine`."""
     term: LcTerm
     stack: StackT
-
-    def __post_init__(self):
-        if free_lvars(self.term):
-            raise UsageError(f"process terms must be closed: {self.term!r}")
 
 
 CC = Cc()
@@ -126,43 +122,30 @@ def free_lvars(t: LcTerm) -> frozenset[str]:
     raise TypeError(f"not a term: {t!r}")
 
 
-def _fresh_lvar(avoid: set[str], base: str) -> str:
-    i = 0
-    while True:
-        name = f"{base}_{i}"
-        if name not in avoid:
-            return name
-        i += 1
+def _closed(t: LcTerm, what: str) -> LcTerm:
+    """t, if no lambda variable is free in it; else a UsageError saying
+    that `what` must be closed."""
+    if free_lvars(t):
+        raise UsageError(f"{what} must be closed: {t!r}")
+    return t
 
 
-def subst_lc(t: LcTerm, xs: Sequence[str], us: Sequence[LcTerm]) -> LcTerm:
-    """Simultaneous capture-avoiding substitution of lambda variables."""
-    if len(xs) != len(us):
-        raise UsageError(f"substitution length mismatch: {len(xs)} vs {len(us)}")
+def subst_lc(t: LcTerm, x: str, u: LcTerm) -> LcTerm:
+    """t[x := u] for a closed u.  No binder can capture a closed term, so
+    nothing is renamed."""
 
-    def go(t: LcTerm, mapping: dict[str, LcTerm]) -> LcTerm:
-        if not mapping:
-            return t
+    def go(t: LcTerm) -> LcTerm:
         if isinstance(t, LVar):
-            return mapping.get(t.name, t)
+            return u if t.name == x else t
         if isinstance(t, App):
-            return App(go(t.fn, mapping), go(t.arg, mapping))
+            return App(go(t.fn), go(t.arg))
         if isinstance(t, Lam):
-            inner = {k: v for k, v in mapping.items() if k != t.var}
-            if not inner:
-                return t
-            clash = set().union(*(free_lvars(v) for v in inner.values()))
-            if t.var in clash:
-                avoid = clash | free_lvars(t.body) | set(inner)
-                new = _fresh_lvar(set(avoid), t.var)
-                body = go(t.body, {t.var: LVar(new)})
-                return Lam(new, go(body, inner))
-            return Lam(t.var, go(t.body, inner))
+            return t if t.var == x else Lam(t.var, go(t.body))
         if isinstance(t, (Cc, Kont, Gamma, Zeta, Eta)):
             return t
         raise TypeError(f"not a term: {t!r}")
 
-    return go(t, dict(zip(xs, us)))
+    return go(t)
 
 
 def iter_tags(x) -> Iterable[Formula]:

@@ -1,7 +1,7 @@
 """Deterministic stack machine for the lambda calculus with call/cc.
 
-A process is a closed term facing a stack.  At most one of four rules can
-fire at any time:
+A process is a closed term facing a stack of closed terms.  At most one of
+four rules can fire at any time:
 
     Push     (t u) * pi        ->  t * u . pi
     Grab     (\\x. v) * t . pi  ->  v[x := t] * pi
@@ -10,6 +10,14 @@ fire at any time:
 
 Processes where no rule applies are stuck and reported as such; tagged
 instructions never reduce here.  Substitution-based, no closures.
+
+Every rule keeps the terms closed, the entries of each k[...] included, so
+closedness is checked where processes enter (the parser, `pole.in_pole`,
+`pole.realizes_bounded`), never per step.  Push: t and u are subterms of
+the closed t u.  Grab: only x is free in v and t is closed, so v[x := t]
+is closed, and no binder in v can capture t.  Save: t and the entries of
+k[pi] are entries of pi.  Restore: t is an entry of the stack, and pi2's
+entries were inside k[pi2].
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ def step(p: Process) -> tuple[Process, str] | None:
         return Process(t.fn, SPush(t.arg, pi)), "Push"
     if isinstance(pi, SPush):
         if isinstance(t, Lam):
-            return Process(subst_lc(t.body, [t.var], [pi.head]), pi.tail), "Grab"
+            return Process(subst_lc(t.body, t.var, pi.head), pi.tail), "Grab"
         if isinstance(t, Cc):
             return Process(pi.head, SPush(Kont(pi.tail), pi.tail)), "Save"
         if isinstance(t, Kont):

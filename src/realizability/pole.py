@@ -33,8 +33,8 @@ from .formulas import (
     bot, decompose, eval_term_01, free_vars, recompose_inner, subst_formula,
 )
 from .lcterms import (
-    EMPTY, Gamma, LcTerm, Process, SPush, StackT, canon_process,
-    constraint_of, stack_of,
+    EMPTY, Gamma, LcTerm, Process, SPush, StackT, _closed, canon_process,
+    constraint_of, iter_tags, stack_of, stack_to_list,
 )
 from .machine import step1
 
@@ -62,10 +62,23 @@ def _witnesses(d: Decomposition | InnerDecomposition,
             yield ext
 
 
+def _check_closed(p: Process) -> None:
+    """UsageError unless p's term, stack entries and instruction tags are
+    closed.  Checked once where p enters: the machine keeps terms closed,
+    and a premise is a stack entry facing tags with every variable a bit."""
+    _closed(p.term, "process terms")
+    for t in stack_to_list(p.stack):
+        _closed(t, "stack entries")
+    for A in iter_tags(p):
+        if free_vars(A):
+            raise UsageError(f"open instruction tag: {A!r}")
+
+
 def in_pole(p: Process, k: int, cfg: PoleConfig) -> int | None:
     """The least level ≤ k at which p enters the pole, or None: truthy
     exactly when p ∈ ⫫_k.  Premise questions nest about as deep as the
     budget, so they wait on an explicit stack rather than Python's."""
+    _check_closed(p)
     pending, answer = [_least_level(p, k, cfg)], None
     while pending:
         try:
@@ -96,10 +109,7 @@ def _least_level(p: Process, k: int, cfg: PoleConfig) -> Generator:
 def _tag_level(p: Process, k: int) -> Generator:
     """The least level ≤ k of a tagged instruction facing a stack, or 0;
     it asks its premise questions as _least_level does."""
-    A = p.term.tag
-    if free_vars(A):
-        raise UsageError(f"open instruction tag: {A!r}")
-    d = decompose(A)
+    d = decompose(p.term.tag)
     ts, pi = [], p.stack
     for _ in d.blocks:
         if not isinstance(pi, SPush):
@@ -190,6 +200,7 @@ def realizes_bounded(t: LcTerm, A: Formula, cfg: PoleConfig | None = None,
                      depth: int = 2) -> TestReport:
     """Evidence (not proof) of realizability: t must enter the pole against
     every canonical falsity stack of A."""
+    _check_closed(Process(t, EMPTY))
     cfg = cfg or PoleConfig()
     results = []
     for pi in canonical_falsity_stacks(A, depth):

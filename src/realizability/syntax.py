@@ -11,7 +11,8 @@ Processes          t * pi
 left-associative, a lambda body extends as far right as possible (so a
 lambda used as a stack entry or argument needs parentheses).  Sugar is
 expanded at parse time; printers emit the primitive syntax and satisfy
-parse(print(x)) alpha-equivalent to x.
+parse(print(x)) alpha-equivalent to x.  The parser checks that process
+terms and stack entries, in k[...] too, are closed.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from .formulas import (
     Zero, bot, eq, exists,
 )
 from .lcterms import (
-    App, CC, Cc, EMPTY, Eta, Gamma, Kont, LVar, Lam, LcTerm, Process,     SPush, StackT, Zeta, stack_of,
+    App, CC, Cc, EMPTY, Eta, Gamma, Kont, LVar, Lam, LcTerm, Process, SPush,
+    StackT, Zeta, _closed, stack_of,
 )
 
 
@@ -211,7 +213,8 @@ class _Parser:
                         self.next()
                         entries.append(self.lcterm())
                 self.eat("]")
-                return Kont(stack_of(*entries))
+                return Kont(stack_of(*(_closed(t, "stack entries")
+                                       for t in entries)))
             return LVar(val)
         raise ParseError(f"expected a machine term, found {val!r}", pos)
 
@@ -222,13 +225,14 @@ class _Parser:
             return EMPTY
         head = self.lcterm()
         self.eat(".")
-        return SPush(head, self.stack())
+        tail = self.stack()
+        return SPush(_closed(head, "stack entries"), tail)
 
     def process(self) -> Process:
         t = self.lcterm()
         self.eat("*")
         pi = self.stack()
-        return Process(t, pi)
+        return Process(_closed(t, "process terms"), pi)
 
 
 def parse_bterm(src: str) -> BTerm:

@@ -155,6 +155,11 @@ SEVEN_FORALLS = ("forall a. forall b. forall c. forall d. forall e. "
     (("pole-member", "x * []"), 64, "must be closed"),
     (("pole-member", "g{_|_} * x . []"), 64, "must be closed"),
     (("pole-member", "cc * k[x] . []"), 64, "must be closed"),
+    (("realizes", "x", "0 != 1"), 64, "must be closed"),
+    (("realizes", "g{z != 0}", "0 != 1"), 64, "open instruction tag"),
+    (("pole-member", "(\\x. g{z != 0}) * []"), 64, "open instruction tag"),
+    (("pole-member", "g{0 != 1 -> 0 != 0} * g{z != 0} . []"), 64,
+     "open instruction tag"),
 ])
 def test_crash_exit_codes(capsys, argv, code, message):
     assert main(list(argv)) == code

@@ -1,5 +1,11 @@
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from realizability.corpus import random_lcterm
 from realizability.lcterms import (
-    CC, EMPTY, Gamma, Kont, Lam, LVar, App, Process, stack_of,
+    CC, EMPTY, Cc, Eta, Gamma, Kont, Lam, LVar, App, Process, Zeta,
+    free_lvars, stack_of, subst_lc,
 )
 from realizability.formulas import bot
 from realizability.machine import evaluate, step, step1
@@ -83,3 +89,50 @@ def test_determinism():
     for p in process_corpus(120, seed=3):
         r1, r2 = step(p), step(p)
         assert r1 == r2
+
+
+# The simultaneous capture-avoiding substitution that subst_lc replaced,
+# kept as a reference: with a closed substituend it never renames, so the
+# one-variable subst_lc must return exactly the same term.
+
+def _fresh_lvar(avoid, base):
+    i = 0
+    while f"{base}_{i}" in avoid:
+        i += 1
+    return f"{base}_{i}"
+
+
+def _reference_subst(t, mapping):
+    if not mapping:
+        return t
+    if isinstance(t, LVar):
+        return mapping.get(t.name, t)
+    if isinstance(t, App):
+        return App(_reference_subst(t.fn, mapping),
+                   _reference_subst(t.arg, mapping))
+    if isinstance(t, Lam):
+        inner = {k: v for k, v in mapping.items() if k != t.var}
+        if not inner:
+            return t
+        clash = set().union(*(free_lvars(v) for v in inner.values()))
+        if t.var in clash:
+            avoid = clash | free_lvars(t.body) | set(inner)
+            new = _fresh_lvar(avoid, t.var)
+            body = _reference_subst(t.body, {t.var: LVar(new)})
+            return Lam(new, _reference_subst(body, inner))
+        return Lam(t.var, _reference_subst(t.body, inner))
+    assert isinstance(t, (Cc, Kont, Gamma, Zeta, Eta))
+    return t
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from(["x0", "x1", "x2"]),
+       st.integers(0, 6), st.integers(0, 4))
+def test_subst_lc_matches_capture_avoiding_reference(seed, x, depth, udepth):
+    # random_lcterm names its binders x1, x2, ... below the free x, so a
+    # free x1 or x2 is shadowed by an inner binder in some bodies
+    rng = random.Random(seed)
+    body = random_lcterm(rng, (x,), depth)
+    u = random_lcterm(rng, (), udepth)
+    assert not free_lvars(u)
+    assert subst_lc(body, x, u) == _reference_subst(body, {x: u})

@@ -3,18 +3,22 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from realizability.corpus import exhaustive_formulas_height2, process_corpus
+from realizability.corpus import (
+    exhaustive_formulas_height2, formula_corpus, process_corpus,
+)
 from realizability.formulas import (
-    ONE, ZERO, bot, decompose, eval_term_01, subst_formula,
+    Impl, Neq, ONE, UsageError, ZERO, bot, decompose, eval_term_01,
+    free_vars, subst_formula,
 )
 from realizability.lcterms import (
-    CC, EMPTY, Gamma, Lam, LVar, App, Process, canon_process, constraint_of,
-    is_proof_like, stack_of, stack_to_list,
+    CC, EMPTY, Gamma, Kont, Lam, LVar, App, Process, SPush, canon_process,
+    constraint_of, free_lvars, is_proof_like, iter_tags, stack_of,
+    stack_to_list,
 )
-from realizability.machine import step1
+from realizability.machine import evaluate, step1
 from realizability.pole import (
-    PoleConfig, canonical_falsity_stacks, constraint_check, in_pole,
-    in_pole_limit, realizes_bounded,
+    PoleConfig, _premises, _witnesses, canonical_falsity_stacks,
+    constraint_check, in_pole, in_pole_limit, realizes_bounded,
 )
 from realizability.syntax import parse_formula, parse_lcterm, parse_process
 
@@ -224,3 +228,75 @@ def test_deep_budgets_need_no_deep_python_stack():
     w = r"(\y. \x. g{(_|_ -> _|_) -> _|_} (y y))"
     loop = parse_process(f"{w} {w} * g{{0 != 1}} . []")
     assert in_pole_limit(loop, PoleConfig(k_max=6000)) is None
+
+
+# Closedness is checked where processes enter; the machine and the premise
+# construction must keep it, which these tests cross-check.
+
+def _open_parts(x):
+    """Every open term in x: its process term or any stack entry, in x's
+    stack or inside a k[...] anywhere in x."""
+    if isinstance(x, Process):
+        return ([x.term] if free_lvars(x.term) else []) + \
+            _open_parts(x.term) + _open_parts(x.stack)
+    if isinstance(x, SPush):
+        return ([x.head] if free_lvars(x.head) else []) + \
+            _open_parts(x.head) + _open_parts(x.tail)
+    if isinstance(x, App):
+        return _open_parts(x.fn) + _open_parts(x.arg)
+    if isinstance(x, Lam):
+        return _open_parts(x.body)
+    if isinstance(x, Kont):
+        return _open_parts(x.stack)
+    return []
+
+
+def _criterion_7_processes():
+    ident = Lam("x", LVar("x"))
+    return [Process(Gamma(bot()), EMPTY),
+            *(Process(Gamma(Neq(ZERO, ONE)), pi)
+              for pi in (EMPTY, stack_of(Gamma(bot())), stack_of(ident))),
+            Process(Gamma(Impl(bot(), bot())), stack_of(Gamma(bot()))),
+            Process(App(ident, Gamma(bot())), EMPTY)]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_machine_keeps_processes_closed(seed):
+    procs = process_corpus(300, seed) + _criterion_7_processes() + [
+        chain(n) for chain in (_identity_chain, _cc_chain) for n in (1, 10, 60)]
+    steps = 0
+    for p in procs:
+        for q in evaluate(p, fuel=300).states:
+            assert _open_parts(q) == [], (p, q)
+            steps += 1
+    assert steps > 1000
+
+
+def test_premises_are_closed():
+    # the criterion 5/6 tags, each facing its canonical falsity stacks
+    corpus = exhaustive_formulas_height2()
+    corpus += [a for a in formula_corpus(130, seed=43, height=3, max_qdepth=3)
+               if not free_vars(a)][:100]
+    premises = 0
+    for a in corpus:
+        d = decompose(a)
+        for pi in canonical_falsity_stacks(a):
+            ts = stack_to_list(pi)[:len(d.blocks)]
+            rest = pi
+            for _ in ts:
+                rest = rest.tail
+            for beta in _witnesses(d):
+                for q in _premises(d, beta, ts, rest):
+                    assert _open_parts(q) == [], (a, q)
+                    assert not any(map(free_vars, iter_tags(q))), (a, q)
+                    premises += 1
+    assert premises > 1000
+
+
+def test_in_pole_checks_closedness_at_entry():
+    # processes built without the parser, which would reject them first
+    x = LVar("x")
+    with pytest.raises(UsageError, match="process terms must be closed"):
+        in_pole_limit(Process(x, EMPTY))
+    with pytest.raises(UsageError, match="stack entries must be closed"):
+        in_pole_limit(Process(CC, stack_of(x)))
