@@ -5,8 +5,7 @@ from .formulas import (
     And, BTerm, Forall, Formula, Impl, Neq, Not, ONE, Or, UsageError, Var,
     ZERO, Zero, One, alpha_eq, bot, canon, classify_horn, conj, conj_many,
     decompose, disj, eq, eval_formula_01, eval_term_01, exists, forall_many,
-    free_vars, subst_formula, subst_term, table_term, tbool_axioms,
-    tbool_equations, term_vars,
+    free_vars, subst_formula, tbool_axioms, tbool_equations, term_vars,
 )
 from .lcterms import (
     App, CC, Cc, EMPTY, Eta, Gamma, Kont, Lam, LVar, LcTerm, Process,
@@ -32,7 +31,7 @@ from .pole import (
 from .dinfty import (
     DElem, RankCapError, SeqVerdict, app, arrow, bottom, cc_elem, denote,
     denote_formula, elem, eq_at, idx_of, join, lam, leq, level, level_size,
-    phi_tbl, psi_tbl, rank_cap, seq_check, term_search, theta, top, val,
+    phi_tbl, psi_tbl, seq_check, term_search, theta, top, val,
 )
 from .typecheck import (
     Context, Derivation, Judgement, RULES, TypingError, check_derivation,

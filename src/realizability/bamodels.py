@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -274,19 +274,16 @@ def valid_all_bas(A: Formula, family: Sequence[BASpec] = DEFAULT_FAMILY, *,
     least two elements."""
     if free_vars(A):
         raise UsageError("valid_all_bas needs a closed formula")
-    if is_ground(A):
-        # Ground terms land in the two-element subalgebra {0,1}, which
-        # embeds in every algebra with at least two elements.
+    # Ground terms land in the two-element subalgebra {0,1}, which embeds
+    # in every algebra with at least two elements; Horn clauses transfer
+    # between {0,1} and every algebra >= 2.  Either way {0,1} decides.
+    just = (Justification.GROUND if is_ground(A)
+            else Justification.HORN if classify_horn(A) is not HornKind.NOT_HORN
+            else None)
+    if just is not None:
         if eval_formula_01(A):
-            return Verdict("valid", Justification.GROUND)
+            return Verdict("valid", just)
         tr: list[str] = []
-        model_check(A, PowerFinite(1), trace=tr)
-        return Verdict("refuted", witness=PowerFinite(1), trace=tuple(tr))
-    if classify_horn(A) is not HornKind.NOT_HORN:
-        # Horn clauses transfer between {0,1} and every algebra >= 2.
-        if eval_formula_01(A):
-            return Verdict("valid", Justification.HORN)
-        tr = []
         model_check(A, PowerFinite(1), trace=tr)
         return Verdict("refuted", witness=PowerFinite(1), trace=tuple(tr))
     if is_prop_tautology(A):
@@ -315,7 +312,6 @@ class TheoryOracle:
     deduction, and every member algebra has at least two elements, so the
     background axioms all belong."""
     family: tuple[BASpec, ...] = DEFAULT_FAMILY
-    _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if not self.family:
@@ -323,8 +319,4 @@ class TheoryOracle:
         self.family = tuple(self.family)
 
     def membership(self, A: Formula) -> bool:
-        key = canon(A)
-        if key not in self._cache:
-            self._cache[key] = all(model_check(A, spec)
-                                   for spec in self.family)
-        return self._cache[key]
+        return all(model_check(A, spec) for spec in self.family)

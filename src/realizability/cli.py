@@ -1,10 +1,10 @@
 """Command-line entry point.
 
 Exit codes: 0 success/true/valid, 1 false/refuted, 2 unknown or
-inconclusive (a model-checking guard, the rank cap, too deep nesting),
+inconclusive (a model-checking guard, a rank above 3, too deep nesting),
 64 usage error, 65 parse error.  With --json, every result
 is one JSON object per line; flags can also come from a `key = value`
-config file via --config, and REALIZ_RANK_CAP caps the model rank.
+config file via --config.
 """
 
 from __future__ import annotations
@@ -154,7 +154,7 @@ def cmd_realizes(args) -> int:
 
 
 def cmd_denote(args) -> int:
-    d = denote(parse_lcterm(args.term), cc_trunc=args.cc_trunc)
+    d = denote(parse_lcterm(args.term))
     comp = d.component(args.rank)
     _emit(args, {"rank": args.rank, "component": comp},
           f"component({args.rank}) = {comp}")
@@ -237,7 +237,7 @@ def _load_config(path: str) -> dict[str, str]:
 def _check_naturals(args) -> None:
     """Reject negative counts, from the command line or the config."""
     for key in ("k", "k_max", "depth", "fuel", "size", "rank",
-                "search_budget", "cc_trunc"):
+                "search_budget"):
         value = getattr(args, key, None)
         if value is not None and value < 0:
             raise UsageError(f"--{key.replace('_', '-')} must not be "
@@ -300,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("denote", help="model component of a machine term")
     p.add_argument("term")
     p.add_argument("--rank", type=int, default=2)
-    p.add_argument("--cc-trunc", type=int, default=0)
     p.set_defaults(fn=cmd_denote)
 
     p = sub.add_parser("lattice", help="finite lattice sizes and elements")

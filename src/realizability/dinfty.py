@@ -13,10 +13,9 @@ cached functions of enumeration indices (`idx_leq`, `idx_join`); the
 table forms `tbl_leq` and `tbl_join` lift them entrywise.
 
 Elements of the limit are families of per-rank components coherent under
-the downward projections; they are built lazily and memoised.  The rank
-cap (default 3, override via REALIZ_RANK_CAP) bounds which components can
-be materialised; the top enumerated rank is 3 regardless, and rank-4
-components are never built.
+the downward projections; they are built lazily and memoised.  MAX_RANK
+(3) bounds both the enumerated ranks and the components that can be
+materialised, so rank-4 components are never built.
 
 On top: step functions (arrow), application and abstraction through the
 retraction, the truncated control-operator element, denotations of machine
@@ -28,10 +27,9 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Mapping
+from typing import Callable
 
 from .bamodels import DEFAULT_FAMILY, Verdict, valid_all_bas
 from .formulas import (
@@ -44,19 +42,10 @@ from .lcterms import (
 
 
 class RankCapError(Exception):
-    """An operation demanded a component beyond the configured rank cap."""
+    """An operation demanded a rank above MAX_RANK."""
 
 
-_HARD_ENUM_LIMIT = 3  # rank-4 tables are astronomically many
-
-
-def rank_cap() -> int:
-    text = os.environ.get("REALIZ_RANK_CAP", "3")
-    try:
-        return int(text)
-    except ValueError:
-        raise UsageError(
-            f"REALIZ_RANK_CAP must be an integer, got {text!r}") from None
+MAX_RANK = 3  # rank-4 tables are astronomically many
 
 
 # --------------------------------------------------------------------------
@@ -68,9 +57,8 @@ def level(n: int) -> tuple:
     """All values of rank n, in lexicographic order."""
     if n < 0:
         raise UsageError("negative rank")
-    cap = min(max(rank_cap(), 0), _HARD_ENUM_LIMIT)
-    if n > cap:
-        raise RankCapError(f"rank {n} exceeds the enumeration cap {cap}")
+    if n > MAX_RANK:
+        raise RankCapError(f"rank {n} exceeds the enumeration cap {MAX_RANK}")
     if n == 0:
         return (0, 1)
     m = len(level(n - 1))
@@ -196,8 +184,8 @@ class DElem:
     def component(self, n: int):
         if n < 0:
             raise UsageError("negative rank")
-        if n > rank_cap():
-            raise RankCapError(f"component({n}) exceeds the rank cap {rank_cap()}")
+        if n > MAX_RANK:
+            raise RankCapError(f"component({n}) exceeds the rank cap {MAX_RANK}")
         if n not in self._memo:
             if n >= self.home:
                 self._memo[n] = self._fn(n)
@@ -312,20 +300,14 @@ def lam(body: Callable[[DElem], DElem], tag: str = "exact") -> DElem:
     return DElem(0, fn, tag)
 
 
-def cc_elem(n_prime: int = 0) -> DElem:
+def cc_elem() -> DElem:
     """Truncated control-operator element: the join of the dominance
-    pattern ((b -> c) -> b) -> b over all b, c of rank n_prime.  The full
-    element joins over the whole limit, so this is a lower bound."""
-    if n_prime > rank_cap() - 3:
-        raise RankCapError(
-            f"cc truncation {n_prime} needs rank {n_prime + 3} > cap {rank_cap()}")
-    parts = []
-    for bi in range(level_size(n_prime)):
-        b = elem(n_prime, val(n_prime, bi))
-        for ci in range(level_size(n_prime)):
-            c = elem(n_prime, val(n_prime, ci))
-            parts.append(arrow(arrow(arrow(b, c), b), b))
-    out = join(*parts)
+    pattern ((b -> c) -> b) -> b over all b, c of rank 0.  Over rank-n
+    values the pattern has home rank n + 3, so under MAX_RANK only rank 0
+    can be built.  The full element joins over the whole limit, so this
+    is a lower bound."""
+    rank0 = (bottom(), top())
+    out = join(*(arrow(arrow(arrow(b, c), b), b) for b in rank0 for c in rank0))
     out.tag = "cc-truncated"
     return out
 
@@ -334,12 +316,10 @@ def cc_elem(n_prime: int = 0) -> DElem:
 # Denotation of machine terms
 # --------------------------------------------------------------------------
 
-def denote(t: LcTerm, env: Mapping[str, DElem] | None = None, *,
-           cc_trunc: int = 0) -> DElem:
-    """Denotation of a machine term.  Variables come from env; tagged,
-    raw-restricted and raw-unrestricted instructions denote bottom; a
-    stack constant denotes the term that replays its entries."""
-    env = dict(env or {})
+def denote(t: LcTerm) -> DElem:
+    """Denotation of a closed machine term.  Tagged, raw-restricted and
+    raw-unrestricted instructions denote bottom; a stack constant denotes
+    the term that replays its entries."""
 
     def go(t: LcTerm, env: dict[str, DElem]) -> DElem:
         if isinstance(t, LVar):
@@ -356,7 +336,7 @@ def denote(t: LcTerm, env: Mapping[str, DElem] | None = None, *,
                 return go(t.body, env2)
             return lam(body)
         if isinstance(t, Cc):
-            return cc_elem(cc_trunc)
+            return cc_elem()
         if isinstance(t, (Gamma, Zeta, Eta)):
             return bottom()
         if isinstance(t, Kont):
@@ -367,7 +347,7 @@ def denote(t: LcTerm, env: Mapping[str, DElem] | None = None, *,
             return go(Lam("y", expansion), env)
         raise TypeError(f"not a term: {t!r}")
 
-    return go(t, env)
+    return go(t, {})
 
 
 # --------------------------------------------------------------------------
@@ -466,12 +446,10 @@ def _skeleton_to_term(sk) -> LcTerm:
     return go(sk, 0)
 
 
-def term_search(alpha: DElem, size_budget: int = 5, work_rank: int = 2,
-                *, cc_trunc: int = 0) -> LcTerm | None:
+def term_search(alpha: DElem, size_budget: int = 5) -> LcTerm | None:
     """First closed machine term (abstraction, application, control
-    operator) whose denotation dominates alpha at work_rank.  Terms
-    without the control operator are tried first at every size."""
-    rank = min(work_rank, rank_cap())
+    operator) whose denotation dominates alpha at rank 2.  Terms without
+    the control operator are tried first at every size."""
     for allow_cc in (False, True):
         for size in range(1, size_budget + 1):
             for sk in _debruijn_terms(size, 0, allow_cc):
@@ -479,7 +457,7 @@ def term_search(alpha: DElem, size_budget: int = 5, work_rank: int = 2,
                     continue  # already tried in the pure pass
                 t = _skeleton_to_term(sk)
                 try:
-                    if leq(alpha, denote(t, cc_trunc=cc_trunc), rank):
+                    if leq(alpha, denote(t), 2):
                         return t
                 except RankCapError:
                     continue
@@ -504,36 +482,37 @@ class SeqVerdict:
     detail: str = ""
 
 
-def seq_check(alpha: DElem, *, family=DEFAULT_FAMILY, search_budget: int = 5,
-              work_rank: int = 2, cc_trunc: int = 0) -> SeqVerdict:
+def seq_check(alpha: DElem, *, family=DEFAULT_FAMILY,
+              search_budget: int = 5) -> SeqVerdict:
     """Is some closed machine term denoted at or above alpha?  Equivalent
     to truth of the synthesized formula in every Boolean algebra with at
     least two elements, which is decided as far as the validity layer
-    allows; a dominance witness (searched term, or the truncated control
-    element) corroborates or settles the positive side."""
+    allows; a dominance witness (a searched term, checked at rank 2, or
+    the truncated control element) corroborates or settles the positive
+    side."""
     A = theta(alpha)
     v = valid_all_bas(A, family)
     if v.is_refuted:
         return SeqVerdict("not-sequentialisable", validity=v)
     if v.is_valid:
-        w = term_search(alpha, search_budget, work_rank, cc_trunc=cc_trunc)
-        if w is None and _cc_dominates(alpha, cc_trunc):
+        w = term_search(alpha, search_budget)
+        if w is None and _cc_dominates(alpha):
             w = CC
         return SeqVerdict("sequentialisable", witness=w, validity=v,
                           detail="" if w else "no witness within budget")
     # Validity undecided: a dominance witness still settles the question.
-    if _cc_dominates(alpha, cc_trunc):
+    if _cc_dominates(alpha):
         return SeqVerdict("sequentialisable", witness=CC, validity=v,
                           detail="dominated by the truncated control element")
-    w = term_search(alpha, search_budget, work_rank, cc_trunc=cc_trunc)
+    w = term_search(alpha, search_budget)
     if w is not None:
         return SeqVerdict("sequentialisable", witness=w, validity=v,
                           detail="search witness; validity layer undecided")
     return SeqVerdict("unknown", validity=v, detail=v.detail)
 
 
-def _cc_dominates(alpha: DElem, cc_trunc: int) -> bool:
+def _cc_dominates(alpha: DElem) -> bool:
     try:
-        return leq(alpha, cc_elem(cc_trunc), min(alpha.home, rank_cap()))
+        return leq(alpha, cc_elem(), min(alpha.home, MAX_RANK))
     except RankCapError:
         return False

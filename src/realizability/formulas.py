@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 
 class UsageError(ValueError):
@@ -77,13 +77,8 @@ def term_vars(a: BTerm) -> frozenset[str]:
     raise TypeError(f"not a term: {a!r}")
 
 
-def subst_term(a: BTerm, zs: Sequence[str], bs: Sequence[BTerm]) -> BTerm:
-    """Simultaneous substitution of the variables zs by the terms bs."""
-    if len(zs) != len(bs):
-        raise UsageError(f"substitution length mismatch: {len(zs)} vs {len(bs)}")
-    if len(set(zs)) != len(zs):
-        raise UsageError("substituted variables must be pairwise distinct")
-    mapping = dict(zip(zs, bs))
+def _subst_term(a: BTerm, mapping: Mapping[str, BTerm]) -> BTerm:
+    """Simultaneous substitution of each variable in mapping by its term."""
 
     def go(t: BTerm) -> BTerm:
         if isinstance(t, Var):
@@ -125,26 +120,18 @@ def eval_term_01(a: BTerm, env: Mapping[str, int], ones: int = 1) -> int:
     raise TypeError(f"not a term: {a!r}")
 
 
-def table_term(f, us: Sequence[str]) -> BTerm:
-    """A term realizing an arbitrary truth table over the variables us.
+def rows_term(rows: Sequence[int], us: Sequence[str]) -> BTerm:
+    """A term realizing the truth table over the variables us whose row
+    number b holds rows[b]; row numbers count the bit tuples in
+    `itertools.product` order, the first variable being the most
+    significant bit.
 
-    ``f`` maps bit tuples of length len(us) to 0/1 (a callable or a mapping).
-    The result is a disjunction of minterms, so its size is bounded by 2^r.
+    The result is a disjunction of minterms, so with r = len(us) its size
+    is bounded by 2^r.
     Minterms that share a prefix of literals share that prefix's
     conjunction, so the term is a DAG with at most 2^(r+1) conjunctions
     that is `==` to the unshared tree.
     """
-    fn: Callable[[tuple[int, ...]], int]
-    fn = f.__getitem__ if isinstance(f, Mapping) else f
-    return rows_term([fn(bits)
-                      for bits in itertools.product((0, 1), repeat=len(us))],
-                     us)
-
-
-def rows_term(rows: Sequence[int], us: Sequence[str]) -> BTerm:
-    """`table_term` of the table whose row number b holds rows[b]; row
-    numbers count the bit tuples in `itertools.product` order, the first
-    variable being the most significant bit."""
     if not us:
         return ONE if rows[0] else ZERO
     prefixes: list = [None]  # one conjunction per row-number prefix
@@ -232,9 +219,7 @@ def subst_formula(A: Formula, zs: Sequence[str], bs: Sequence[BTerm]) -> Formula
         if not mapping:
             return f
         if isinstance(f, Neq):
-            keys = list(mapping)
-            vals = [mapping[k] for k in keys]
-            return Neq(subst_term(f.lhs, keys, vals), subst_term(f.rhs, keys, vals))
+            return Neq(_subst_term(f.lhs, mapping), _subst_term(f.rhs, mapping))
         if isinstance(f, Impl):
             return Impl(go(f.ante, mapping), go(f.cons, mapping))
         if isinstance(f, Forall):
@@ -258,20 +243,17 @@ def canon(A: Formula) -> Formula:
     iff their canonical forms are structurally equal."""
     counter = itertools.count()
 
-    def go(f: Formula, env: dict[str, str]) -> Formula:
+    def go(f: Formula, env: dict[str, Var]) -> Formula:
         if isinstance(f, Neq):
             if env:
-                keys = list(env)
-                vals = [Var(env[k]) for k in keys]
-                return Neq(subst_term(f.lhs, keys, vals),
-                           subst_term(f.rhs, keys, vals))
+                return Neq(_subst_term(f.lhs, env), _subst_term(f.rhs, env))
             return f
         if isinstance(f, Impl):
             return Impl(go(f.ante, env), go(f.cons, env))
         if isinstance(f, Forall):
             new = f"!b{next(counter)}"  # '!' cannot appear in source identifiers
             env2 = dict(env)
-            env2[f.var] = new
+            env2[f.var] = Var(new)
             return Forall(new, go(f.body, env2))
         raise TypeError(f"not a formula: {f!r}")
 

@@ -33,8 +33,8 @@ from .formulas import (
     bot, decompose, eval_term_01, free_vars, recompose_inner, subst_formula,
 )
 from .lcterms import (
-    EMPTY, Gamma, LcTerm, Process, SPush, StackT, _closed, canon_process,
-    constraint_of, iter_tags, stack_of, stack_to_list,
+    App, EMPTY, Gamma, Kont, Lam, LcTerm, Process, SPush, StackT, _closed,
+    canon_process, constraint_of, stack_of, stack_to_list,
 )
 from .machine import step1
 
@@ -63,15 +63,25 @@ def _witnesses(d: Decomposition | InnerDecomposition,
 
 
 def _check_closed(p: Process) -> None:
-    """UsageError unless p's term, stack entries and instruction tags are
-    closed.  Checked once where p enters: the machine keeps terms closed,
-    and a premise is a stack entry facing tags with every variable a bit."""
+    """UsageError unless p's term, its stack entries, the entries of every
+    k[...] in p and every instruction tag in p are closed.  Checked once
+    where p enters: the machine keeps terms closed, and a premise is a
+    stack entry facing tags with every variable a bit.  One pre-order walk
+    finds the tags and the stack entries, p's own stack taken as a k[...]."""
     _closed(p.term, "process terms")
-    for t in stack_to_list(p.stack):
-        _closed(t, "stack entries")
-    for A in iter_tags(p):
-        if free_vars(A):
-            raise UsageError(f"open instruction tag: {A!r}")
+    todo = [Kont(p.stack), p.term]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, Gamma):
+            if free_vars(t.tag):
+                raise UsageError(f"open instruction tag: {t.tag!r}")
+        elif isinstance(t, App):
+            todo += (t.arg, t.fn)
+        elif isinstance(t, Lam):
+            todo.append(t.body)
+        elif isinstance(t, Kont):
+            todo += reversed([_closed(u, "stack entries")
+                              for u in stack_to_list(t.stack)])
 
 
 def in_pole(p: Process, k: int, cfg: PoleConfig) -> int | None:
@@ -152,11 +162,11 @@ def in_pole_limit(p: Process, cfg: PoleConfig | None = None) -> int | None:
 # Canonical falsity stacks and bounded realizability testing
 # --------------------------------------------------------------------------
 
-def _tail_pool(depth: int, pool_size: int = 3) -> list[StackT]:
+def _tail_pool(depth: int) -> list[StackT]:
+    """The empty stack and up to two g{_|_} entries over it, as depth
+    allows."""
     pool: list[StackT] = [EMPTY]
-    for _ in range(depth):
-        if len(pool) >= pool_size:
-            break
+    for _ in range(min(depth, 2)):
         pool.append(SPush(Gamma(bot()), pool[-1]))
     return pool
 

@@ -300,7 +300,7 @@ def criterion_10() -> CriterionResult:
             for i in range(level_size(n)):
                 alpha = elem(n, val(n, i))
                 sv = seq_check(alpha)
-                w = term_search(alpha, size_budget=5, work_rank=2)
+                w = term_search(alpha, size_budget=5)
                 if w is not None and sv.status == "not-sequentialisable":
                     return False, f"contradiction at rank {n}, index {i}"
         return True, "triple plus rank <= 1 consistency sweep"

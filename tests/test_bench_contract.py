@@ -1,15 +1,16 @@
 """The names and call shapes the benchmark harness in `perfbench/` relies on.
 
 `perfbench/tracer.py` rebinds package functions by name and builds pole
-configurations by keyword, so renaming or deleting any of them breaks the
-traced benchmark run without failing anything else.  This imports the
-tracer as it is and checks each of those names and shapes cheaply.
+configurations by keyword, and `perfbench/workloads.py` calls the package
+with fixed argument shapes, so renaming or deleting any of them breaks the
+benchmark run without failing anything else.  This imports the tracer as
+it is and checks each of those names and shapes cheaply.
 """
 
 import importlib.util
 from pathlib import Path
 
-from realizability import bamodels, lcterms, pole, syntax
+from realizability import bamodels, dinfty, lcterms, pole, syntax
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -34,9 +35,18 @@ def test_call_shapes_the_harness_uses():
     A = syntax.parse_formula("forall z. forall w. z /\\ w == w /\\ z")
     assert bamodels.valid_all_bas(A, bamodels.DEFAULT_FAMILY).is_valid
     assert bamodels.TheoryOracle(bamodels.DEFAULT_FAMILY).membership(A)
-    rep = pole.realizes_bounded(lcterms.Lam("x", lcterms.LVar("x")), A,
-                                pole.PoleConfig(k_max=4), depth=2)
+    ident = lcterms.Lam("x", lcterms.LVar("x"))
+    rep = pole.realizes_bounded(ident, A, pole.PoleConfig(k_max=4), depth=2)
     assert rep.clean
+    # the lattice handlers and their answer checks
+    alpha = dinfty.elem(1, dinfty.val(1, 1))
+    assert lcterms.lc_alpha_eq(dinfty.term_search(alpha, 6), ident)
+    sv = dinfty.seq_check(alpha, family=bamodels.DEFAULT_FAMILY)
+    assert sv.status == "sequentialisable"
+    assert dinfty.leq(alpha, dinfty.denote(sv.witness), 2)
+    text = syntax.print_formula(dinfty.theta(alpha))
+    back = dinfty.denote_formula(syntax.parse_formula(text))
+    assert dinfty.eq_at(back, alpha, 1)
 
 
 def test_traced_pole_counters_move():

@@ -160,16 +160,11 @@ SEVEN_FORALLS = ("forall a. forall b. forall c. forall d. forall e. "
     (("pole-member", "(\\x. g{z != 0}) * []"), 64, "open instruction tag"),
     (("pole-member", "g{0 != 1 -> 0 != 0} * g{z != 0} . []"), 64,
      "open instruction tag"),
+    (("denote", "cc", "--cc-trunc", "0"), 64, "unrecognized arguments"),
 ])
 def test_crash_exit_codes(capsys, argv, code, message):
     assert main(list(argv)) == code
     assert message in capsys.readouterr().err
-
-
-def test_bad_rank_cap_is_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv("REALIZ_RANK_CAP", "abc")
-    assert main(["denote", "\\x. x", "--rank", "1"]) == 64
-    assert "REALIZ_RANK_CAP" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -184,7 +179,7 @@ def test_bad_rank_cap_is_usage_error(monkeypatch, capsys):
     ("lattice", "--rank", "-1"),
     ("denote", "\\x. x", "--rank", "-2"),
     ("seq-check", "--rank", "2", "--element", "3", "--search-budget", "-2"),
-    ("denote", "\\x. x", "--cc-trunc", "-1"),
+    ("theta", "--rank", "-1", "--element", "0"),
 ])
 def test_out_of_range_numbers_are_usage_errors(capsys, argv):
     assert main(list(argv)) == 64

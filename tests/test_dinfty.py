@@ -1,7 +1,6 @@
 import functools
 import itertools
 import math
-import os
 import random
 
 import pytest
@@ -9,7 +8,7 @@ import pytest
 from realizability.dinfty import (
     DElem, RankCapError, app, arrow, bottom, cc_elem, denote, denote_formula,
     elem, eq_at, idx_join, idx_leq, idx_of, join, lam, leq, level,
-    level_size, phi_tbl, psi_tbl, rank_cap, seq_check, tbl_join,
+    level_size, phi_tbl, psi_tbl, seq_check, tbl_join,
     term_search, theta, top, val,
 )
 from realizability.bamodels import valid_all_bas
@@ -159,16 +158,16 @@ def test_lam_app_roundtrip():
 
 
 def test_cc_nontrivial_and_monotone():
-    c0 = cc_elem(0)
+    c0 = cc_elem()
     assert not eq_at(c0, bottom(), 1)
     assert c0.tag == "cc-truncated"
 
 
-def test_rank_cap(monkeypatch):
-    monkeypatch.setenv("REALIZ_RANK_CAP", "1")
-    assert rank_cap() == 1
-    with pytest.raises(RankCapError):
-        elem(0, 0).component(2)
+def test_rank_cap():
+    with pytest.raises(RankCapError, match="rank cap 3"):
+        elem(0, 0).component(4)
+    with pytest.raises(RankCapError, match="enumeration cap 3"):
+        level(4)
 
 
 def test_denote_identity_and_omega():
@@ -294,7 +293,7 @@ def test_theta_matches_reference():
 
 
 def test_term_search_finds_identity():
-    t = term_search(arrow(top(), top()), size_budget=4, work_rank=1)
+    t = term_search(arrow(top(), top()), size_budget=4)
     assert t is not None
 
 

@@ -11,7 +11,7 @@ from realizability.formulas import (
     And, Forall, HornKind, Impl, Neq, Not, ONE, Or, UsageError, Var, ZERO,
     alpha_eq, bot, canon, classify_horn, conj, conj_many, decompose, disj,
     eq, eval_formula_01, eval_term_01, exists, free_vars, recompose,
-    subst_formula, table_term, tbool_axioms, term_vars,
+    rows_term, subst_formula, tbool_axioms, term_vars,
 )
 
 
@@ -64,8 +64,7 @@ def test_bitwise_eval_matches_each_assignment(n, depth, seed):
 
 
 def test_table_term_matches_function():
-    f = lambda bits: bits[0] ^ bits[1]
-    t = table_term(f, ("z", "w"))
+    t = rows_term([0, 1, 1, 0], ("z", "w"))  # z xor w
     for a in (0, 1):
         for b in (0, 1):
             assert eval_term_01(t, {"z": a, "w": b}) == a ^ b
@@ -99,7 +98,7 @@ def test_table_term_matches_reference(rows):
     r = len(rows).bit_length() - 1
     us = [f"x{k}" for k in range(r)]
     table = dict(zip(itertools.product((0, 1), repeat=r), rows))
-    t = table_term(table, us)
+    t = rows_term(rows, us)
     assert t == _reference_table_term(table.__getitem__, us)
     for bits, b in table.items():
         assert eval_term_01(t, dict(zip(us, bits))) == b
@@ -109,7 +108,7 @@ def test_table_term_matches_reference(rows):
 @pytest.mark.parametrize("r", range(9))
 def test_table_term_shares_minterm_prefixes(r):
     # the unshared tree of the all-ones table has (r - 1) * 2^r conjunctions
-    t = table_term(lambda bits: 1, [f"x{k}" for k in range(r)])
+    t = rows_term([1] * (1 << r), [f"x{k}" for k in range(r)])
     assert _distinct_ands(t) <= 1 << (r + 1)
 
 

@@ -300,3 +300,15 @@ def test_in_pole_checks_closedness_at_entry():
         in_pole_limit(Process(x, EMPTY))
     with pytest.raises(UsageError, match="stack entries must be closed"):
         in_pole_limit(Process(CC, stack_of(x)))
+    # an open entry of a k[...] under a binder: the term itself is closed
+    open_kont = Lam("x", Kont(stack_of(x)))
+    with pytest.raises(UsageError, match="stack entries must be closed"):
+        in_pole_limit(Process(App(open_kont, CC), stack_of(Gamma(bot()))))
+    with pytest.raises(UsageError, match="stack entries must be closed"):
+        in_pole_limit(Process(CC, stack_of(App(CC, open_kont))))
+    with pytest.raises(UsageError, match="stack entries must be closed"):
+        realizes_bounded(App(open_kont, CC), bot())
+    # and one nested a level deeper, inside a closed k[...]
+    nested = Kont(stack_of(Kont(stack_of(x))))
+    with pytest.raises(UsageError, match="stack entries must be closed"):
+        in_pole_limit(Process(CC, stack_of(nested)))
