@@ -26,7 +26,7 @@ from enum import Enum
 from typing import Sequence
 
 from .formulas import (
-    Formula, Forall, HornKind, Impl, Neq, UsageError, canon, classify_horn,
+    Formula, Forall, HornKind, Impl, Neq, UsageError, classify_horn,
     eval_formula_01, eval_term_01, free_vars, is_ground,
 )
 
@@ -210,15 +210,6 @@ class Verdict:
         return self.status == "refuted"
 
 
-def _strip_matrix(A: Formula) -> Formula:
-    """Drop every quantifier of the canonical form, keeping the matrix."""
-    if isinstance(A, Forall):
-        return _strip_matrix(A.body)
-    if isinstance(A, Impl):
-        return Impl(_strip_matrix(A.ante), _strip_matrix(A.cons))
-    return A
-
-
 def is_prop_tautology(A: Formula) -> bool:
     """Sound incomplete validity test: treat the inequation atoms of the
     quantifier-stripped matrix as independent propositional atoms and
@@ -226,26 +217,44 @@ def is_prop_tautology(A: Formula) -> bool:
     atoms can take in some algebra is among those enumerated, so a
     tautology here is true in every Boolean algebra.
 
+    Two inequation occurrences are the same atom when their sides are
+    equal terms and each of their variables is bound by the same
+    quantifier occurrence, or free in both.  Quantifier occurrences are
+    numbered in walk order, as `canon` numbers its fresh names, so this is
+    equality of the occurrences in `canon(A)` with its quantifiers
+    stripped: a quantifier binds one name, so renaming each bound variable
+    after its binder is one-to-one.  The nesting depth of the binder is
+    not enough: in ((forall x. x != 0) -> 0 != 0) -> forall x. (x != 0 ->
+    0 != 0) both x are bound at depth 0, by different quantifiers, and the
+    sentence, false in {0,1}, would read as the tautology
+    (p -> _|_) -> (p -> _|_).
+
     Atoms true or false in every algebra are pinned; the others are
     numbered 0..n-1 in order of first occurrence, left to right.  The
     truth table is an int of 2^n bits: bit b holds the matrix's value
     under the assignment that makes atom i true exactly when bit i of b
     is 1."""
-    matrix = _strip_matrix(canon(A))
-    index: dict[Neq, int] = {}  # distinct atoms, in order of first occurrence
+    binders = itertools.count()
+    index: dict[tuple, int] = {}  # distinct atoms, in order of first occurrence
+    pins: list[bool | None] = []  # each distinct atom's pinned truth value
     leaves: list[int] = []  # each leaf's atom, left to right
 
-    def collect(f: Formula):
+    def collect(f: Formula, env: dict[str, int]):
         if isinstance(f, Impl):
-            collect(f.ante)
-            collect(f.cons)
+            collect(f.ante, env)
+            collect(f.cons, env)
+        elif isinstance(f, Forall):
+            collect(f.body, {**env, f.var: next(binders)})
         else:
-            leaves.append(index.setdefault(f, len(index)))
+            names = sorted(free_vars(f))
+            i = index.setdefault((f.lhs, f.rhs, *map(env.get, names)),
+                                 len(index))
+            if i == len(pins):
+                pins.append(False if f.lhs == f.rhs
+                            else None if names else eval_formula_01(f))
+            leaves.append(i)
 
-    collect(matrix)
-    pins = [False if f.lhs == f.rhs
-            else eval_formula_01(f, {}) == 1 if is_ground(f) else None
-            for f in index]
+    collect(A, {})
     n = pins.count(None)
     if n > MAX_PROP_ATOMS:
         return False
@@ -263,9 +272,11 @@ def is_prop_tautology(A: Formula) -> bool:
     def table(f: Formula) -> int:
         if isinstance(f, Neq):
             return next(column)
+        if isinstance(f, Forall):
+            return table(f.body)
         return (ones ^ table(f.ante)) | table(f.cons)
 
-    return table(matrix) == ones
+    return table(A) == ones
 
 
 def valid_all_bas(A: Formula, family: Sequence[BASpec] = DEFAULT_FAMILY, *,

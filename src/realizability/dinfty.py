@@ -34,7 +34,7 @@ from typing import Callable
 from .bamodels import DEFAULT_FAMILY, Verdict, valid_all_bas
 from .formulas import (
     Formula, Forall, Impl, Neq, ONE, UsageError, ZERO, eval_term_01,
-    forall_many, free_vars, rows_term, subst_formula,
+    forall_many, free_vars, rows_term,
 )
 from .lcterms import (
     App, CC, Cc, Eta, Gamma, Kont, LVar, Lam, LcTerm, Zeta, stack_to_list,
@@ -357,18 +357,24 @@ def denote(t: LcTerm) -> DElem:
 def denote_formula(A: Formula) -> DElem:
     """Denotation of a closed formula: a true inequation is bottom and a
     false one top; implication is the step function; a quantifier is the
-    join of its two instances."""
+    join of its two instances.  Closedness is checked here once, and an
+    instance is the body read with its variable bound to a bit in env, so
+    no term is rebuilt."""
     if free_vars(A):
         raise UsageError("denote_formula needs a closed formula")
-    if isinstance(A, Neq):
-        truth = eval_term_01(A.lhs, {}) != eval_term_01(A.rhs, {})
-        return bottom() if truth else top()
-    if isinstance(A, Impl):
-        return arrow(denote_formula(A.ante), denote_formula(A.cons))
-    if isinstance(A, Forall):
-        return join(denote_formula(subst_formula(A.body, [A.var], [ZERO])),
-                    denote_formula(subst_formula(A.body, [A.var], [ONE])))
-    raise TypeError(f"not a formula: {A!r}")
+
+    def go(f: Formula, env: dict[str, int]) -> DElem:
+        if isinstance(f, Neq):
+            truth = eval_term_01(f.lhs, env) != eval_term_01(f.rhs, env)
+            return bottom() if truth else top()
+        if isinstance(f, Impl):
+            return arrow(go(f.ante, env), go(f.cons, env))
+        if isinstance(f, Forall):
+            return join(go(f.body, {**env, f.var: 0}),
+                        go(f.body, {**env, f.var: 1}))
+        raise TypeError(f"not a formula: {f!r}")
+
+    return go(A, {})
 
 
 def _famcode(n: int, fam: list, us: tuple[str, ...], fresh) -> Formula:

@@ -177,13 +177,38 @@ class Forall(Formula):
 
 
 def free_vars(A: Formula) -> frozenset[str]:
-    if isinstance(A, Neq):
-        return term_vars(A.lhs) | term_vars(A.rhs)
-    if isinstance(A, Impl):
-        return free_vars(A.ante) | free_vars(A.cons)
-    if isinstance(A, Forall):
-        return free_vars(A.body) - {A.var}
-    raise TypeError(f"not a formula: {A!r}")
+    """The variables that occur free in A.  One walk carries the names
+    bound so far and adds each free occurrence to one set, so a closed
+    formula adds nothing and builds a set only at its quantifiers."""
+    free: set[str] = set()
+    _add_free(A, frozenset(), free)
+    return frozenset(free)
+
+
+def _add_free(f: Formula, bound: frozenset[str], free: set[str]) -> None:
+    if isinstance(f, Neq):
+        _add_free_term(f.lhs, bound, free)
+        _add_free_term(f.rhs, bound, free)
+    elif isinstance(f, Impl):
+        _add_free(f.ante, bound, free)
+        _add_free(f.cons, bound, free)
+    elif isinstance(f, Forall):
+        _add_free(f.body, bound | {f.var}, free)
+    else:
+        raise TypeError(f"not a formula: {f!r}")
+
+
+def _add_free_term(a: BTerm, bound: frozenset[str], free: set[str]) -> None:
+    if isinstance(a, Var):
+        if a.name not in bound:
+            free.add(a.name)
+    elif isinstance(a, (Or, And)):
+        _add_free_term(a.lhs, bound, free)
+        _add_free_term(a.rhs, bound, free)
+    elif isinstance(a, Not):
+        _add_free_term(a.arg, bound, free)
+    elif not isinstance(a, (Zero, One)):
+        raise TypeError(f"not a term: {a!r}")
 
 
 def height(A: Formula) -> int:
@@ -385,22 +410,22 @@ def _as_equality(A: Formula) -> tuple[BTerm, BTerm] | None:
 def classify_horn(A: Formula) -> HornKind:
     """A closed formula is a Horn clause if it is a chain of equality
     premises under a universal prefix, ending in an equality (definite
-    clause) or an inequation (goal clause)."""
-    if free_vars(A):
-        return HornKind.NOT_HORN
+    clause) or an inequation (goal clause).  The shape is checked first,
+    because it is cheap, and closedness only for a Horn shape."""
     cur = A
     while isinstance(cur, Forall):
         cur = cur.body
     while True:
         if isinstance(cur, Neq):
-            return HornKind.GOAL
-        pair = _as_equality(cur)
-        if pair is not None:
-            return HornKind.DEFINITE
-        if isinstance(cur, Impl) and _as_equality(cur.ante) is not None:
+            kind = HornKind.GOAL
+        elif _as_equality(cur) is not None:
+            kind = HornKind.DEFINITE
+        elif isinstance(cur, Impl) and _as_equality(cur.ante) is not None:
             cur = cur.cons
             continue
-        return HornKind.NOT_HORN
+        else:
+            return HornKind.NOT_HORN
+        return HornKind.NOT_HORN if free_vars(A) else kind
 
 
 # --------------------------------------------------------------------------

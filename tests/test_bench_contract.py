@@ -62,3 +62,21 @@ def test_traced_pole_counters_move():
     summary = tracer.summary()
     assert summary["counts"]["pole.in_pole.calls"] > 0
     assert summary["memo_lookups"] > 0
+
+
+def test_traced_validity_spans_move():
+    # the traced run's bamodels.* layer metrics read these spans, so
+    # valid_all_bas must keep calling its parts by these names
+    A = dinfty.theta(dinfty.elem(3, dinfty.val(3, 33481)))
+    B = syntax.parse_formula("forall z. (z != 0 -> z \\/ ~z != 0)")
+    for sentence, status in ((A, "unknown"), (B, "unknown")):
+        tracer = _tracer().Tracer()
+        tracer.install()
+        try:
+            assert bamodels.valid_all_bas(sentence).status == status
+        finally:
+            tracer.uninstall()
+        calls = tracer.summary()["calls"]
+        for name in ("bamodels.valid_all_bas", "bamodels.is_prop_tautology",
+                     "bamodels.model_check.finite"):
+            assert calls.get(name, 0) > 0, name

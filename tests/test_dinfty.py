@@ -12,11 +12,13 @@ from realizability.dinfty import (
     term_search, theta, top, val,
 )
 from realizability.bamodels import valid_all_bas
+from realizability.corpus import formula_corpus
 from realizability.formulas import (
-    And, Impl, Neq, Not, ONE, Or, Var, ZERO, forall_many,
+    And, Impl, Neq, Not, ONE, Or, Var, ZERO, eval_formula_01, forall_many,
+    subst_formula,
 )
 from realizability.lcterms import CC, Lam, LVar, App
-from realizability.syntax import parse_lcterm, print_formula
+from realizability.syntax import parse_formula, parse_lcterm, print_formula
 
 
 def test_level_sizes():
@@ -230,6 +232,28 @@ def test_denote_formula_shapes():
     assert eq_at(denote_formula(Neq(ZERO, ZERO)), top(), 1)
     a = denote_formula(Forall("z", Neq(Var("z"), ZERO)))
     assert eq_at(a, top(), 1)
+
+
+def _reference_denote_formula(A):
+    # the substitution-based denotation that reading instances in an
+    # environment of bits replaced
+    if isinstance(A, Neq):
+        return bottom() if eval_formula_01(A) else top()
+    if isinstance(A, Impl):
+        return arrow(_reference_denote_formula(A.ante),
+                     _reference_denote_formula(A.cons))
+    return join(*(_reference_denote_formula(subst_formula(A.body, [A.var], [b]))
+                  for b in (ZERO, ONE)))
+
+
+def test_denote_formula_matches_substitution_reference():
+    sentences = formula_corpus(150, seed=3, height=3)
+    # an inner binder shadows an outer one of the same name
+    sentences.append(parse_formula(
+        "forall z. (z != 0 -> forall z. ~z != 0) -> forall w. z /\\ w != 0"))
+    for A in sentences:
+        assert eq_at(denote_formula(A), _reference_denote_formula(A), 2), \
+            print_formula(A)
 
 
 def test_theta_roundtrip_rank_1():

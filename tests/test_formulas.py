@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from realizability.bamodels import _column
-from realizability.corpus import random_bterm
+from realizability.corpus import formula_corpus, random_bterm, random_formula
 from realizability.formulas import (
     And, Forall, HornKind, Impl, Neq, Not, ONE, Or, UsageError, Var, ZERO,
     alpha_eq, bot, canon, classify_horn, conj, conj_many, decompose, disj,
@@ -141,6 +141,33 @@ def test_free_vars_and_shadowing():
     assert free_vars(A) == {"w"}
 
 
+def _reference_free_vars(A):
+    # the set-per-node recursion that the one-set walk replaced
+    if isinstance(A, Neq):
+        return term_vars(A.lhs) | term_vars(A.rhs)
+    if isinstance(A, Impl):
+        return _reference_free_vars(A.ante) | _reference_free_vars(A.cons)
+    return _reference_free_vars(A.body) - {A.var}
+
+
+def test_free_vars_matches_reference():
+    rng = random.Random(5)
+    closed = formula_corpus(300, seed=21, height=4)
+    # the same generator with names already in scope leaves them free
+    loose = [random_formula(rng, height=3, vars=vs)
+             for vs in (("z",), ("z", "w")) for _ in range(150)]
+    answers = [free_vars(a) for a in closed + loose]
+    assert answers == [_reference_free_vars(a) for a in closed + loose]
+    assert not any(answers[:len(closed)]) and any(answers[len(closed):])
+    A = Forall("z", Impl(Neq(Var("z"), Var("w")), Forall("w", Neq(Var("w"), ZERO))))
+    assert free_vars(A) == {"w"}
+    assert free_vars(Forall("w", A)) == frozenset()
+    with pytest.raises(TypeError):
+        free_vars(Impl(Neq(ZERO, ONE), "z"))
+    with pytest.raises(TypeError):
+        free_vars(Neq(Or(Var("z"), "w"), ZERO))
+
+
 def test_subst_capture_avoiding():
     A = Forall("z", Neq(Var("z"), Var("w")))
     B = subst_formula(A, ["w"], [Var("z")])
@@ -171,8 +198,11 @@ def test_classify_horn():
     assert classify_horn(Forall("z", Impl(eq(Var("z"), ONE), bot()))) == HornKind.GOAL
     A = Forall("z", disj(eq(Var("z"), ZERO), eq(Var("z"), ONE)))
     assert classify_horn(A) == HornKind.NOT_HORN
-    # open formulas are never Horn
+    # open formulas are never Horn, whatever their shape
     assert classify_horn(eq(Var("z"), Var("z"))) == HornKind.NOT_HORN
+    assert classify_horn(Impl(bot(), Neq(Var("z"), ZERO))) == HornKind.NOT_HORN
+    assert classify_horn(Forall("z", Impl(eq(Var("z"), ONE), Neq(Var("w"), ZERO)))) \
+        == HornKind.NOT_HORN
 
 
 def test_decompose_recompose():

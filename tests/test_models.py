@@ -1,18 +1,22 @@
 import itertools
 import math
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from realizability.bamodels import (
     Atomless, DEFAULT_FAMILY, GuardExceeded, Justification, MAX_PROP_ATOMS,
-    PowerFinite, TheoryOracle, _splits, _strip_matrix, brute_check,
-    is_prop_tautology, model_check, valid_all_bas,
+    PowerFinite, TheoryOracle, _splits, brute_check, is_prop_tautology,
+    model_check, valid_all_bas,
 )
+from realizability import formulas
 from realizability.corpus import formula_corpus, horn_corpus
-from realizability.dinfty import elem, level_size, theta, val
+from realizability.dinfty import denote_formula, elem, level_size, theta, val
 from realizability.formulas import (
-    Forall, Impl, Neq, Not, ONE, Or, Var, ZERO, And, bot, canon, conj, eq,
-    eval_formula_01, eval_term_01, exists, is_ground,
+    Forall, HornKind, Impl, Neq, Not, ONE, Or, UsageError, Var, ZERO, And,
+    bot, canon, classify_horn, conj, eq, eval_formula_01, eval_term_01, exists,
+    is_ground,
 )
 from realizability.syntax import parse_formula
 
@@ -145,6 +149,28 @@ def test_model_check_matches_per_cell_reference():
     assert 0 < sum(answers) < len(answers)
 
 
+@pytest.mark.parametrize("text", [
+    "x != 0",
+    # the free x sits in a branch that evaluation skips
+    "(0 != 0) -> (x != 0)",
+    "forall z. (z != 0 -> forall y. x /\\ y != z)",
+])
+def test_open_formulas_are_refused(text):
+    A = parse_formula(text)
+    for call, message in [
+            (lambda: model_check(A, PowerFinite(1)),
+             "model_check needs a closed formula, free: ['x']"),
+            (lambda: model_check(A, Atomless()),
+             "model_check needs a closed formula, free: ['x']"),
+            (lambda: valid_all_bas(A), "valid_all_bas needs a closed formula"),
+            (lambda: brute_check(A, 1), "brute_check needs a closed formula"),
+            (lambda: denote_formula(A), "denote_formula needs a closed formula")]:
+        with pytest.raises(UsageError) as err:
+            call()
+        assert str(err.value) == message
+    assert classify_horn(A) == HornKind.NOT_HORN
+
+
 def test_valid_ground():
     v = valid_all_bas(parse_formula("0 != 1"))
     assert v.is_valid and v.justification == Justification.GROUND
@@ -195,8 +221,18 @@ def test_is_prop_tautology():
     assert not is_prop_tautology(parse_formula("z != 0 -> w != 0"))
 
 
+def _strip_matrix(A):
+    # drop every quantifier of the canonical form, keeping the matrix
+    if isinstance(A, Forall):
+        return _strip_matrix(A.body)
+    if isinstance(A, Impl):
+        return Impl(_strip_matrix(A.ante), _strip_matrix(A.cons))
+    return A
+
+
 def _reference_prop_tautology(A):
-    # the per-assignment evaluator that the one-pass truth table replaced
+    # the per-assignment evaluator over canon's atoms that the one-pass
+    # truth table keyed by binder occurrence replaced
     matrix = _strip_matrix(canon(A))
     atoms, fixed = [], {}
 
@@ -251,6 +287,66 @@ def test_prop_tautology_atom_cap():
 
     assert is_prop_tautology(chain(MAX_PROP_ATOMS))
     assert not is_prop_tautology(chain(MAX_PROP_ATOMS + 1))
+
+
+def test_atoms_are_told_apart_by_binder_occurrence():
+    # both x are bound at depth 0, by different quantifiers, so the two
+    # x != 0 are different atoms; identifying them by depth would call
+    # this sentence, false in {0,1}, a tautology
+    A = parse_formula(
+        "((forall x. x != 0) -> 0 != 0) -> forall x. (x != 0 -> 0 != 0)")
+    assert not is_prop_tautology(A)
+    v = valid_all_bas(A)
+    assert v.is_refuted and v.witness == PowerFinite(1)
+    assert not brute_check(A, 1)
+    B = parse_formula("(forall x. x != 0) -> forall x. x != 0")
+    assert not is_prop_tautology(B)
+    assert valid_all_bas(B).status == "unknown"
+    # a binder that the atom does not use does not split it
+    C = parse_formula("forall x. (x != 0 -> forall y. x != 0)")
+    v = valid_all_bas(C)
+    assert v.is_valid and v.justification == Justification.TAUTOLOGY
+
+
+# Atoms from a small pool over two names, under quantifiers that bind the
+# same two names: repeated atoms, shadowing and sibling binders of one
+# name are common, and formulas may be open.
+_NAMES = ("x", "y")
+_sides = st.sampled_from([Var("x"), Var("y"), ZERO, ONE,
+                          And(Var("x"), Var("y"))])
+_binder_formulas = st.recursive(
+    st.builds(Neq, _sides, st.sampled_from([ZERO, Var("x")])),
+    lambda sub: st.one_of(st.builds(Impl, sub, sub),
+                          st.builds(Forall, st.sampled_from(_NAMES), sub)),
+    max_leaves=8)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_binder_formulas)
+def test_prop_tautology_matches_reference_under_shadowing(A):
+    assert is_prop_tautology(A) == _reference_prop_tautology(A)
+
+
+def test_validity_front_end_rebuilds_no_terms(monkeypatch):
+    # a rank-3 θ reaches the depth guard without a renamed or substituted
+    # copy of its terms, wherever the package binds those functions
+    thetas = [theta(elem(3, val(3, i))) for i in (0, 33481, 120548)]
+
+    def rebuilt(*args, **kwargs):
+        raise AssertionError("the validity front end rebuilt a term")
+
+    for original in (formulas._subst_term, formulas.canon):
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] != "realizability":
+                continue
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, rebuilt)
+    with pytest.raises(AssertionError):
+        formulas.alpha_eq(thetas[0], thetas[0])
+    for A in thetas:
+        assert valid_all_bas(A).detail == (
+            "guard: quantifier depth 7 exceeds the guard of 6")
 
 
 def test_oracle_caches_and_answers():
