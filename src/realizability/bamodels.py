@@ -4,12 +4,16 @@ Two families of algebras are supported: the finite powerset algebras
 {0,1}^k and the countable atomless algebra.  The model checker keeps a
 partition of the unit into minterm cells of the quantified variables and
 records only the size of each cell (an exact count for the finite
-algebras, zero-or-infinite for the atomless one).  A term then denotes an
-int with one bit per cell, set for the cells inside its value; an
-inequation holds when the two sides' xor sets the bit of a cell of
-nonzero size, and a universal quantifier ranges over all splits of every
-cell.  Sizes determine the isomorphism type of the partition, so
-this is complete for the supported algebras.
+algebras, zero-or-infinite for the atomless one).  Under d quantifiers
+cell m, for 0 <= m < 2^d, lies inside the i-th bound variable iff bit i
+of m is 1.  A term then denotes an int whose bit m is set iff cell m lies
+inside its value; an inequation holds when the two sides' xor sets the
+bit of a cell of nonzero size, and a universal quantifier ranges over all
+splits of every cell.  Sizes determine the isomorphism type of the
+partition, so this is complete for the supported algebras.  The value of
+an inequation occurrence depends only on the binders above it, so
+`model_check` compiles the formula once per call and evaluates each
+occurrence's terms once, whatever the number of splits.
 
 On top sits a three-valued validity layer for "true in every Boolean
 algebra with at least two elements": complete fragments (ground sentences,
@@ -85,54 +89,78 @@ def _column(i: int, ones: int) -> int:
 
 def model_check(A: Formula, spec: BASpec, *,
                 trace: list[str] | None = None) -> bool:
-    """Truth of a closed formula in the denoted algebra.  A cell is a
-    bitmask whose bit i is 1 inside the i-th quantified variable, in binding
-    order, and 0 outside it; `sizes` maps each of the 2^depth cells to its
-    size, and a term's value sets bit m for each cell m inside it."""
-    if free_vars(A):
-        raise UsageError(f"model_check needs a closed formula, free: {sorted(free_vars(A))}")
+    """Truth of a closed formula in the denoted algebra.
+
+    One walk compiles the formula into a closure per occurrence of Neq,
+    Impl and Forall.  Under d quantifiers each closure takes `sizes`, the
+    tuple of the 2^d cell sizes indexed by cell, and `live`, the int whose
+    bit m is set iff cell m is nonempty.  A Neq computes the xor of its
+    sides' cell bitsets on its first visit and keeps it for every later
+    split; it holds iff that xor meets `live`.  A Forall nested under
+    MAX_DEPTH others compiles, body unseen, to a closure that raises
+    GuardExceeded, so the guard fires only if evaluation reaches it.
+
+    The trace shows the cell sizes of a failing inequation as the dict a
+    split builds, cells m then m | 2^(d-1) for m ascending, and a failing
+    split as {m: (size outside, size inside)} for m ascending."""
+    free = free_vars(A)
+    if free:
+        raise UsageError(f"model_check needs a closed formula, free: {sorted(free)}")
     atomless = isinstance(spec, Atomless)
     if isinstance(spec, PowerFinite) and spec.atoms > MAX_ATOMS:
         raise GuardExceeded(f"{spec.atoms} atoms exceeds the guard of {MAX_ATOMS}")
 
-    def go(f: Formula, env: dict[str, int], sizes: dict[int, object],
-           depth: int) -> bool:
+    def compile_(f: Formula, env: dict[str, int], depth: int):
         if isinstance(f, Neq):
-            ones = (1 << len(sizes)) - 1
-            cols = {name: _column(pos, ones) for name, pos in env.items()}
-            diff = (eval_term_01(f.lhs, cols, ones)
-                    ^ eval_term_01(f.rhs, cols, ones))
-            hit = any(sizes[m] for m in sizes if diff >> m & 1)
-            if not hit and trace is not None:
-                trace.append(f"inequation fails on cell sizes {sizes}")
-            return hit
+            diff = None
+
+            def neq(sizes, live):
+                nonlocal diff
+                if diff is None:
+                    ones = (1 << (1 << depth)) - 1
+                    cols = {name: _column(pos, ones)
+                            for name, pos in env.items()}
+                    diff = (eval_term_01(f.lhs, cols, ones)
+                            ^ eval_term_01(f.rhs, cols, ones))
+                if diff & live:
+                    return True
+                if trace is not None:
+                    half = len(sizes) // 2
+                    shown = {i: sizes[i] for m in range(max(half, 1))
+                             for i in (m, m + half)}
+                    trace.append(f"inequation fails on cell sizes {shown}")
+                return False
+            return neq
         if isinstance(f, Impl):
-            return ((not go(f.ante, env, sizes, depth))
-                    or go(f.cons, env, sizes, depth))
+            ante = compile_(f.ante, env, depth)
+            cons = compile_(f.cons, env, depth)
+            return lambda sizes, live: (not ante(sizes, live)
+                                        or cons(sizes, live))
         if isinstance(f, Forall):
-            if depth + 1 > MAX_DEPTH:
-                raise GuardExceeded(
-                    f"quantifier depth {depth + 1} exceeds the guard of {MAX_DEPTH}")
-            env2 = dict(env)
-            env2[f.var] = depth
-            masks = sorted(sizes)
-            options = [_splits(sizes[m], atomless) for m in masks]
-            for combo in itertools.product(*options):
-                sub = {}
-                for m, (s0, s1) in zip(masks, combo):
-                    sub[m] = s0
-                    sub[m | (1 << depth)] = s1
-                if not go(f.body, env2, sub, depth + 1):
-                    if trace is not None:
-                        picked = {m: combo[i] for i, m in enumerate(masks)}
-                        trace.append(
-                            f"forall {f.var}: failing split {picked}")
-                    return False
-            return True
+            if depth == MAX_DEPTH:
+                def too_deep(sizes, live):
+                    raise GuardExceeded(
+                        f"quantifier depth {depth + 1} exceeds the guard of {MAX_DEPTH}")
+                return too_deep
+            body = compile_(f.body, {**env, f.var: depth}, depth + 1)
+
+            def forall(sizes, live):
+                options = [_splits(size, atomless) for size in sizes]
+                for combo in itertools.product(*options):
+                    outside, inside = zip(*combo)
+                    sub = outside + inside
+                    if not body(sub, sum(1 << m for m, s in enumerate(sub)
+                                         if s)):
+                        if trace is not None:
+                            trace.append(f"forall {f.var}: failing split "
+                                         f"{dict(enumerate(combo))}")
+                        return False
+                return True
+            return forall
         raise TypeError(f"not a formula: {f!r}")
 
     unit = math.inf if atomless else spec.atoms
-    return go(A, {}, {0: unit}, 0)
+    return compile_(A, {}, 0)((unit,), 1)
 
 
 def brute_check(A: Formula, k: int, *, max_k: int = 3) -> bool:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import sys
 
 import pytest
@@ -10,13 +11,13 @@ from realizability.bamodels import (
     PowerFinite, TheoryOracle, _splits, brute_check, is_prop_tautology,
     model_check, valid_all_bas,
 )
-from realizability import formulas
-from realizability.corpus import formula_corpus, horn_corpus
+from realizability import bamodels, formulas
+from realizability.corpus import formula_corpus, horn_corpus, random_bterm
 from realizability.dinfty import denote_formula, elem, level_size, theta, val
 from realizability.formulas import (
     Forall, HornKind, Impl, Neq, Not, ONE, Or, UsageError, Var, ZERO, And,
     bot, canon, classify_horn, conj, eq, eval_formula_01, eval_term_01, exists,
-    is_ground,
+    forall_many, is_ground, term_vars,
 )
 from realizability.syntax import parse_formula
 
@@ -28,7 +29,8 @@ def test_model_check_simple():
 
 
 def test_model_check_vs_brute_corpus():
-    for a in formula_corpus(120, seed=9, height=3, max_qdepth=2):
+    inputs = formula_corpus(120, seed=9, height=3, max_qdepth=2)
+    for a in inputs + _shared_neq_formulas():
         for k in (1, 2, 3):
             assert model_check(a, PowerFinite(k)) == brute_check(a, k)
 
@@ -62,6 +64,12 @@ def test_guards():
         "forall z6. forall z7. z1 != 0")
     with pytest.raises(GuardExceeded):
         model_check(deep, PowerFinite(1))
+    # the depth guard fires only where evaluation reaches the 7th quantifier
+    for spec in (PowerFinite(1), Atomless()):
+        assert model_check(Impl(Neq(ZERO, ZERO), deep), spec)
+        with pytest.raises(GuardExceeded) as err:
+            model_check(Impl(Neq(ZERO, ONE), deep), spec)
+        assert str(err.value) == "quantifier depth 7 exceeds the guard of 6"
 
 
 def test_trace_on_failure():
@@ -139,14 +147,64 @@ def _reference_model_check(A, spec, trace):
 def test_model_check_matches_per_cell_reference():
     specs = [PowerFinite(k) for k in (1, 2, 3, 4, 6)] + [Atomless()]
     answers = []
-    for seed in (1, 2, 3, 4):
-        for a in formula_corpus(200, seed=seed, height=4):
-            for spec in specs:
-                got, want = [], []
-                answers.append(model_check(a, spec, trace=got))
-                assert answers[-1] == _reference_model_check(a, spec, want)
-                assert got == want
+    inputs = [a for seed in (1, 2, 3, 4)
+              for a in formula_corpus(200, seed=seed, height=4)]
+    inputs += _sweep_sentences(5, 2, 12) + _sweep_sentences(6, 3, 4)
+    inputs += [theta(elem(n, val(n, i)))
+               for n in (0, 1, 2) for i in range(level_size(n))]
+    inputs += _shared_neq_formulas()
+    for a in inputs:
+        for spec in specs:
+            got, want = [], []
+            answers.append(model_check(a, spec, trace=got))
+            assert answers[-1] == _reference_model_check(a, spec, want)
+            assert got == want
     assert 0 < sum(answers) < len(answers)
+
+
+def _sweep_sentences(seed, depth, n):
+    # forall z0..z<depth-1>. c != t -> t != c, the shape of the decide
+    # workload's family sweeps, with t a seeded term that is not ground
+    rng = random.Random(seed)
+    zs = [f"z{i}" for i in range(depth)]
+    out = []
+    while len(out) < n:
+        c = rng.choice((ZERO, ONE))
+        t = random_bterm(rng, zs, 3)
+        if term_vars(t):
+            out.append(forall_many(zs, Impl(Neq(c, t), Neq(t, c))))
+    return out
+
+
+def _shared_neq_formulas():
+    # one Neq object under both binder orders; its cells differ between the
+    # two occurrences, so a value cached per object would be wrong in one
+    x, y = Var("x"), Var("y")
+    out = []
+    for P in (Neq(And(x, Not(y)), ZERO), Neq(Or(x, Not(y)), y),
+              Neq(Or(x, Not(x)), And(y, Not(y)))):
+        xy = Forall("x", Forall("y", P))
+        yx = Forall("y", Forall("x", P))
+        out += [Impl(xy, yx), Impl(Impl(xy, bot()), yx),
+                Forall("x", Impl(Neq(x, ZERO), Impl(Forall("y", P), yx)))]
+    return out
+
+
+def test_model_check_evaluates_each_inequation_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return eval_term_01(*args)
+
+    monkeypatch.setattr(bamodels, "eval_term_01", counted)
+    z0, z1, z2 = Var("z0"), Var("z1"), Var("z2")
+    t = Or(And(z0, Not(z1)), And(z2, Or(z1, Not(z0))))
+    A = forall_many(["z0", "z1", "z2"], Impl(Neq(ZERO, t), Neq(t, ZERO)))
+    for spec in (PowerFinite(4), Atomless()):
+        calls.clear()
+        assert model_check(A, spec)
+        assert len(calls) <= 2 * 2   # two sides of each of two Neqs
 
 
 @pytest.mark.parametrize("text", [
