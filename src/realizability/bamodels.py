@@ -15,6 +15,9 @@ an inequation occurrence depends only on the binders above it, so
 `model_check` compiles the formula once per call and evaluates each
 occurrence's terms once, whatever the number of splits.
 
+The public functions refuse an open formula at entry: `valid_all_bas` and
+`brute_check` by a `free_vars` walk, `model_check` as it compiles.
+
 On top sits a three-valued validity layer for "true in every Boolean
 algebra with at least two elements": complete fragments (ground sentences,
 Horn clauses, propositional tautologies over inequation atoms) plus a
@@ -95,33 +98,30 @@ def model_check(A: Formula, spec: BASpec, *,
     Impl and Forall.  Under d quantifiers each closure takes `sizes`, the
     tuple of the 2^d cell sizes indexed by cell, and `live`, the int whose
     bit m is set iff cell m is nonempty.  A Neq computes the xor of its
-    sides' cell bitsets on its first visit and keeps it for every later
-    split; it holds iff that xor meets `live`.  A Forall nested under
-    MAX_DEPTH others compiles, body unseen, to a closure that raises
-    GuardExceeded, so the guard fires only if evaluation reaches it.
+    sides' cell bitsets as it compiles, since its binders are known then;
+    it holds iff that xor meets `live`.  A Forall nested under MAX_DEPTH
+    others compiles, body unseen, to a closure that raises GuardExceeded,
+    so the guard fires only if evaluation reaches it.
+
+    Compiling checks closedness with no walk of its own: a free variable
+    is unbound where its Neq compiles, and the unseen body of a Forall
+    past the guard gets a `free_vars` walk.
 
     The trace shows the cell sizes of a failing inequation as the dict a
     split builds, cells m then m | 2^(d-1) for m ascending, and a failing
     split as {m: (size outside, size inside)} for m ascending."""
-    free = free_vars(A)
-    if free:
-        raise UsageError(f"model_check needs a closed formula, free: {sorted(free)}")
     atomless = isinstance(spec, Atomless)
     if isinstance(spec, PowerFinite) and spec.atoms > MAX_ATOMS:
         raise GuardExceeded(f"{spec.atoms} atoms exceeds the guard of {MAX_ATOMS}")
 
     def compile_(f: Formula, env: dict[str, int], depth: int):
         if isinstance(f, Neq):
-            diff = None
+            ones = (1 << (1 << depth)) - 1
+            cols = {name: _column(pos, ones) for name, pos in env.items()}
+            diff = (eval_term_01(f.lhs, cols, ones)
+                    ^ eval_term_01(f.rhs, cols, ones))
 
             def neq(sizes, live):
-                nonlocal diff
-                if diff is None:
-                    ones = (1 << (1 << depth)) - 1
-                    cols = {name: _column(pos, ones)
-                            for name, pos in env.items()}
-                    diff = (eval_term_01(f.lhs, cols, ones)
-                            ^ eval_term_01(f.rhs, cols, ones))
                 if diff & live:
                     return True
                 if trace is not None:
@@ -138,6 +138,9 @@ def model_check(A: Formula, spec: BASpec, *,
                                         or cons(sizes, live))
         if isinstance(f, Forall):
             if depth == MAX_DEPTH:
+                if free_vars(f) - env.keys():
+                    raise UsageError("unbound variable under the guard")
+
                 def too_deep(sizes, live):
                     raise GuardExceeded(
                         f"quantifier depth {depth + 1} exceeds the guard of {MAX_DEPTH}")
@@ -159,16 +162,21 @@ def model_check(A: Formula, spec: BASpec, *,
             return forall
         raise TypeError(f"not a formula: {f!r}")
 
+    try:
+        check = compile_(A, {}, 0)
+    except UsageError:  # eval_term_01 or the guard met a free variable
+        raise UsageError(f"model_check needs a closed formula, "
+                         f"free: {sorted(free_vars(A))}") from None
     unit = math.inf if atomless else spec.atoms
-    return compile_(A, {}, 0)((unit,), 1)
+    return check((unit,), 1)
 
 
-def brute_check(A: Formula, k: int, *, max_k: int = 3) -> bool:
+def brute_check(A: Formula, k: int) -> bool:
     """Truth in {0,1}^k by direct enumeration; elements are k-bit masks."""
     if free_vars(A):
         raise UsageError("brute_check needs a closed formula")
-    if not 1 <= k <= max_k:
-        raise UsageError(f"brute_check supports 1 <= k <= {max_k}, got {k}")
+    if not 1 <= k <= 3:
+        raise UsageError(f"brute_check supports 1 <= k <= 3, got {k}")
     full = (1 << k) - 1
 
     def term(a, env: dict[str, int]) -> int:
@@ -323,7 +331,10 @@ def valid_all_bas(A: Formula, family: Sequence[BASpec] = DEFAULT_FAMILY, *,
         if eval_formula_01(A):
             return Verdict("valid", just)
         tr: list[str] = []
-        model_check(A, PowerFinite(1), trace=tr)
+        try:  # only fills the trace: {0,1} has refuted A already
+            model_check(A, PowerFinite(1), trace=tr)
+        except GuardExceeded:
+            pass
         return Verdict("refuted", witness=PowerFinite(1), trace=tuple(tr))
     if is_prop_tautology(A):
         return Verdict("valid", Justification.TAUTOLOGY)

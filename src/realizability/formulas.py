@@ -433,39 +433,19 @@ def classify_horn(A: Formula) -> HornKind:
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class InnerDecomposition:
-    """Single-level decomposition of a premise: quantifier blocks with the
-    undecomposed subformulas, trailing quantifiers and an inequation head."""
-    blocks: tuple[tuple[tuple[str, ...], Formula], ...]
-    tail_vars: tuple[str, ...]
-    head_lhs: BTerm
-    head_rhs: BTerm
-
-    @property
-    def all_vars(self) -> tuple[str, ...]:
-        out: list[str] = []
-        for vs, _ in self.blocks:
-            out.extend(vs)
-        out.extend(self.tail_vars)
-        return tuple(out)
-
-
-@dataclass(frozen=True)
 class Decomposition:
-    """Two-level normal form: outer blocks pair quantifier lists with the
-    inner decomposition of each premise."""
-    blocks: tuple[tuple[tuple[str, ...], InnerDecomposition], ...]
+    """Quantifier blocks, each with the premise it guards, then trailing
+    quantifiers and an inequation head.  In the two-level normal form each
+    outer premise is itself decomposed one level, and its premises stay
+    undecomposed formulas."""
+    blocks: tuple[tuple[tuple[str, ...], Formula | Decomposition], ...]
     tail_vars: tuple[str, ...]
     head_lhs: BTerm
     head_rhs: BTerm
 
     @property
     def all_vars(self) -> tuple[str, ...]:
-        out: list[str] = []
-        for vs, _ in self.blocks:
-            out.extend(vs)
-        out.extend(self.tail_vars)
-        return tuple(out)
+        return tuple(v for vs, _ in self.blocks for v in vs) + self.tail_vars
 
 
 def _split_one_level(A: Formula, fresh) -> tuple[
@@ -494,23 +474,16 @@ def decompose(A: Formula) -> Decomposition:
     blocks = []
     for vs, premise in outer:
         iblocks, itail, ilhs, irhs = _split_one_level(premise, fresh)
-        blocks.append((vs, InnerDecomposition(tuple(iblocks), itail, ilhs, irhs)))
+        blocks.append((vs, Decomposition(tuple(iblocks), itail, ilhs, irhs)))
     return Decomposition(tuple(blocks), tail, lhs, rhs)
 
 
-def recompose_inner(d: InnerDecomposition) -> Formula:
-    body: Formula = Neq(d.head_lhs, d.head_rhs)
-    body = forall_many(d.tail_vars, body)
-    for vs, sub in reversed(d.blocks):
-        body = forall_many(vs, Impl(sub, body))
-    return body
-
-
 def recompose(d: Decomposition) -> Formula:
-    body: Formula = Neq(d.head_lhs, d.head_rhs)
-    body = forall_many(d.tail_vars, body)
-    for vs, inner in reversed(d.blocks):
-        body = forall_many(vs, Impl(recompose_inner(inner), body))
+    body = forall_many(d.tail_vars, Neq(d.head_lhs, d.head_rhs))
+    for vs, sub in reversed(d.blocks):
+        if isinstance(sub, Decomposition):
+            sub = recompose(sub)
+        body = forall_many(vs, Impl(sub, body))
     return body
 
 

@@ -19,6 +19,11 @@ semi-decided up to k_max.
 
 The pole consults no theory: a tag's witness bits are checked by
 evaluating its head equality in {0,1}.
+
+Closedness is checked once where a process, term or formula comes in
+(in_pole, realizes_bounded, canonical_falsity_stacks) and relied on
+below: the machine keeps processes closed, and every tag the pole builds
+has each variable replaced by a bit.
 """
 
 from __future__ import annotations
@@ -29,11 +34,11 @@ from typing import Generator, Iterator
 
 from .bamodels import Verdict, valid_all_bas
 from .formulas import (
-    Decomposition, Formula, Impl, InnerDecomposition, ONE, UsageError, ZERO,
-    bot, decompose, eval_term_01, free_vars, recompose_inner, subst_formula,
+    Decomposition, Formula, Impl, ONE, UsageError, ZERO, bot, decompose,
+    eval_term_01, free_vars, recompose, subst_formula,
 )
 from .lcterms import (
-    App, EMPTY, Gamma, Kont, Lam, LcTerm, Process, SPush, StackT, _closed,
+    App, EMPTY, Gamma, Kont, LVar, Lam, LcTerm, Process, SPush, StackT,
     canon_process, constraint_of, stack_of, stack_to_list,
 )
 from .machine import step1
@@ -50,7 +55,7 @@ def _subst_bits(A: Formula, env: dict[str, int]) -> Formula:
     return subst_formula(A, names, [ONE if env[n] else ZERO for n in names])
 
 
-def _witnesses(d: Decomposition | InnerDecomposition,
+def _witnesses(d: Decomposition,
                env: dict[str, int] | None = None) -> Iterator[dict[str, int]]:
     """Each extension of env by bits for d's quantified variables under
     which d's head equality holds in {0,1}."""
@@ -64,31 +69,42 @@ def _witnesses(d: Decomposition | InnerDecomposition,
 
 def _check_closed(p: Process) -> None:
     """UsageError unless p's term, its stack entries, the entries of every
-    k[...] in p and every instruction tag in p are closed.  Checked once
-    where p enters: the machine keeps terms closed, and a premise is a
-    stack entry facing tags with every variable a bit.  One pre-order walk
-    finds the tags and the stack entries, p's own stack taken as a k[...]."""
-    _closed(p.term, "process terms")
-    todo = [Kont(p.stack), p.term]
-    while todo:
-        t = todo.pop()
-        if isinstance(t, Gamma):
-            if free_vars(t.tag):
-                raise UsageError(f"open instruction tag: {t.tag!r}")
-        elif isinstance(t, App):
-            todo += (t.arg, t.fn)
-        elif isinstance(t, Lam):
-            todo.append(t.body)
-        elif isinstance(t, Kont):
-            todo += reversed([_closed(u, "stack entries")
-                              for u in stack_to_list(t.stack)])
+    k[...] in p and every instruction tag in p are closed.  One pre-order
+    walk carries the bound lambda names of each root: p's term, then each
+    stack entry, in p's stack or in a k[...] met on the way.  A free
+    lambda variable is reported before an open tag."""
+    roots = [(p.term, "process terms"),
+             *((u, "stack entries") for u in stack_to_list(p.stack))]
+    open_tag = None
+    for root, what in roots:  # grows by the entries of each k[...]
+        todo = [(root, frozenset())]
+        while todo:
+            t, bound = todo.pop()
+            if isinstance(t, LVar):
+                if t.name not in bound:
+                    raise UsageError(f"{what} must be closed: {root!r}")
+            elif isinstance(t, App):
+                todo += ((t.arg, bound), (t.fn, bound))
+            elif isinstance(t, Lam):
+                todo.append((t.body, bound | {t.var}))
+            elif isinstance(t, Kont):
+                roots += ((u, "stack entries") for u in stack_to_list(t.stack))
+            elif isinstance(t, Gamma) and open_tag is None:
+                open_tag = t.tag if free_vars(t.tag) else None
+    if open_tag is not None:
+        raise UsageError(f"open instruction tag: {open_tag!r}")
 
 
 def in_pole(p: Process, k: int, cfg: PoleConfig) -> int | None:
     """The least level ≤ k at which p enters the pole, or None: truthy
-    exactly when p ∈ ⫫_k.  Premise questions nest about as deep as the
-    budget, so they wait on an explicit stack rather than Python's."""
+    exactly when p ∈ ⫫_k."""
     _check_closed(p)
+    return _in_pole(p, k, cfg)
+
+
+def _in_pole(p: Process, k: int, cfg: PoleConfig) -> int | None:
+    """in_pole for a closed p.  Premise questions nest about as deep as
+    the budget, so they wait on an explicit stack rather than Python's."""
     pending, answer = [_least_level(p, k, cfg)], None
     while pending:
         try:
@@ -181,7 +197,7 @@ def canonical_falsity_stacks(A: Formula, depth: int = 2) -> list[StackT]:
     seen = set()
     out: list[StackT] = []
     for env in _witnesses(d):
-        tags = tuple(_subst_bits(recompose_inner(inner), env)
+        tags = tuple(_subst_bits(recompose(inner), env)
                      for _, inner in d.blocks)
         if tags in seen:
             continue
@@ -209,20 +225,19 @@ class TestReport:
 def realizes_bounded(t: LcTerm, A: Formula, cfg: PoleConfig | None = None,
                      depth: int = 2) -> TestReport:
     """Evidence (not proof) of realizability: t must enter the pole against
-    every canonical falsity stack of A."""
+    every canonical falsity stack of A.  t is checked here and A by
+    canonical_falsity_stacks, once each; the stacks hold only tags with
+    every variable a bit, so each process goes to the pole unchecked."""
     _check_closed(Process(t, EMPTY))
     cfg = cfg or PoleConfig()
-    results = []
-    for pi in canonical_falsity_stacks(A, depth):
-        results.append((pi, in_pole_limit(Process(t, pi), cfg)))
+    results = [(pi, _in_pole(Process(t, pi), cfg.k_max, cfg))
+               for pi in canonical_falsity_stacks(A, depth)]
     return TestReport(t, A, results)
 
 
-def constraint_check(p: Process, cfg: PoleConfig | None = None) -> Verdict:
+def constraint_check(p: Process) -> Verdict:
     """Soundness cross-check: membership of p in the pole implies the
     negation of the conjunction of its instruction tags holds in every
-    Boolean algebra with at least two elements."""
-    A = constraint_of(p)
-    if free_vars(A):
-        raise UsageError("constraint_check needs closed instruction tags")
-    return valid_all_bas(Impl(A, bot()))
+    Boolean algebra with at least two elements.  valid_all_bas refuses
+    open tags."""
+    return valid_all_bas(Impl(constraint_of(p), bot()))

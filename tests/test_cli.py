@@ -48,6 +48,11 @@ def test_validity_exit_codes(capsys):
     assert run(capsys, "validity", hard)[0] == 2
     code, _ = run(capsys, "validity", hard, "--family-complete")
     assert code == 0
+    # {0,1} refutes these before model_check reaches the depth guard
+    for matrix in ("a == 0", "0 != 0"):
+        text = "".join(f"forall {v}. " for v in "abcdefg") + matrix
+        code, out = run(capsys, "validity", text)
+        assert code == 1 and out.strip() == "refuted witness PowerFinite(1)"
 
 
 def test_validity_horn_example(capsys):
@@ -161,6 +166,11 @@ SEVEN_FORALLS = ("forall a. forall b. forall c. forall d. forall e. "
     (("pole-member", "g{0 != 1 -> 0 != 0} * g{z != 0} . []"), 64,
      "open instruction tag"),
     (("denote", "cc", "--cc-trunc", "0"), 64, "unrecognized arguments"),
+    (("validity", "x != 0"), 64, "valid_all_bas needs a closed formula"),
+    (("theory", "--contains", "x != 0"), 64,
+     "model_check needs a closed formula, free: ['x']"),
+    (("realizes", "\\x. x", "x != 0"), 64,
+     "canonical_falsity_stacks needs a closed formula"),
 ])
 def test_crash_exit_codes(capsys, argv, code, message):
     assert main(list(argv)) == code

@@ -212,6 +212,8 @@ def test_model_check_evaluates_each_inequation_once(monkeypatch):
     # the free x sits in a branch that evaluation skips
     "(0 != 0) -> (x != 0)",
     "forall z. (z != 0 -> forall y. x /\\ y != z)",
+    # and one under the depth guard, whose body model_check never compiles
+    "(0 != 0) -> " + "".join(f"forall z{i}. " for i in range(1, 8)) + "x != 0",
 ])
 def test_open_formulas_are_refused(text):
     A = parse_formula(text)
@@ -227,6 +229,32 @@ def test_open_formulas_are_refused(text):
             call()
         assert str(err.value) == message
     assert classify_horn(A) == HornKind.NOT_HORN
+
+
+def test_model_check_walks_no_free_vars(monkeypatch):
+    # closedness is checked as the formula compiles, with no walk of its own
+    calls = []
+    monkeypatch.setattr(bamodels, "free_vars",
+                        lambda A: calls.append(A) or formulas.free_vars(A))
+    for A in [a for a in formula_corpus(200, seed=3, height=3, max_qdepth=3)
+              if not formulas.free_vars(a)]:
+        for spec in (PowerFinite(2), Atomless()):
+            model_check(A, spec)
+    assert calls == []
+
+
+SEVEN_FORALLS = "".join(f"forall {v}. " for v in "abcdefg")
+
+
+@pytest.mark.parametrize("matrix", ["a == 0", "0 != 0"])
+def test_refutation_past_the_guard(matrix):
+    # {0,1} refutes these; filling the trace must not hit the depth guard
+    A = parse_formula(SEVEN_FORALLS + matrix)
+    assert is_ground(A) or classify_horn(A) is not HornKind.NOT_HORN
+    v = valid_all_bas(A)
+    assert v.is_refuted and v.witness == PowerFinite(1)
+    with pytest.raises(GuardExceeded):
+        model_check(A, PowerFinite(1))
 
 
 def test_valid_ground():

@@ -15,10 +15,12 @@ from realizability.lcterms import (
     constraint_of, free_lvars, is_proof_like, iter_tags, stack_of,
     stack_to_list,
 )
+from realizability import pole
 from realizability.machine import evaluate, step1
 from realizability.pole import (
-    PoleConfig, _premises, _witnesses, canonical_falsity_stacks,
-    constraint_check, in_pole, in_pole_limit, realizes_bounded,
+    PoleConfig, _check_closed as check_closed, _premises, _witnesses,
+    canonical_falsity_stacks, constraint_check, in_pole, in_pole_limit,
+    realizes_bounded,
 )
 from realizability.syntax import parse_formula, parse_lcterm, parse_process
 
@@ -123,6 +125,8 @@ def test_constraint_check():
     assert ok.status in ("valid", "unknown")
     bad = constraint_check(parse_process("g{0 != 1} * []"))
     assert bad.is_refuted
+    with pytest.raises(UsageError, match="valid_all_bas needs a closed"):
+        constraint_check(parse_process("g{z != 0} * []"))
     assert constraint_of(parse_process("cc * []")) is not None
 
 
@@ -281,6 +285,8 @@ def test_premises_are_closed():
     for a in corpus:
         d = decompose(a)
         for pi in canonical_falsity_stacks(a):
+            assert _open_parts(pi) == [], (a, pi)
+            assert not any(map(free_vars, iter_tags(pi))), (a, pi)
             ts = stack_to_list(pi)[:len(d.blocks)]
             rest = pi
             for _ in ts:
@@ -312,3 +318,20 @@ def test_in_pole_checks_closedness_at_entry():
     nested = Kont(stack_of(Kont(stack_of(x))))
     with pytest.raises(UsageError, match="stack entries must be closed"):
         in_pole_limit(Process(CC, stack_of(nested)))
+    # a free lambda variable is reported before an open tag
+    open_tag = Gamma(parse_formula("z != 0"))
+    with pytest.raises(UsageError, match="process terms must be closed"):
+        in_pole_limit(Process(App(Lam("y", open_tag), x), EMPTY))
+    with pytest.raises(UsageError, match="open instruction tag"):
+        in_pole_limit(Process(CC, stack_of(Kont(stack_of(open_tag)))))
+
+
+def test_realizes_bounded_checks_once(monkeypatch):
+    # t and A are checked at entry; the falsity stacks are closed by
+    # construction, so none of them is checked again
+    calls = []
+    monkeypatch.setattr(pole, "_check_closed",
+                        lambda p: calls.append(p) or check_closed(p))
+    A = parse_formula("forall z. forall w. z /\\ w == w /\\ z")
+    rep = realizes_bounded(Lam("x", LVar("x")), A, PoleConfig(k_max=8))
+    assert len(rep.results) > 1 and len(calls) == 1
