@@ -318,9 +318,12 @@ def is_prop_tautology(A: Formula) -> bool:
 def valid_all_bas(A: Formula, family: Sequence[BASpec] = DEFAULT_FAMILY, *,
                   family_complete: bool = False) -> Verdict:
     """Three-valued verdict on truth in every Boolean algebra with at
-    least two elements."""
+    least two elements.  An empty family would pass every formula, so it
+    is refused."""
     if free_vars(A):
         raise UsageError("valid_all_bas needs a closed formula")
+    if not family:
+        raise UsageError("valid_all_bas needs a nonempty family")
     # Ground terms land in the two-element subalgebra {0,1}, which embeds
     # in every algebra with at least two elements; Horn clauses transfer
     # between {0,1} and every algebra >= 2.  Either way {0,1} decides.

@@ -4,8 +4,10 @@ Primitives are inequation, implication and universal quantification; the
 other connectives (falsum, equality, conjunction, disjunction, existential)
 are provided as encodings.  Also contains: simultaneous capture-avoiding
 substitution, evaluation in the two-element algebra, Horn-clause
-classification, truth-table terms, and the two-level decomposition of a
-formula into quantifier blocks, premises and an inequation head.
+classification, truth-table terms, and the one-level decomposition of a
+formula's spine into quantifier blocks, premises and an inequation head,
+read in place under the formula's own binder names (the pole applies it
+twice for the paper's two-level normal form).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 
 class UsageError(ValueError):
@@ -222,17 +224,6 @@ def height(A: Formula) -> int:
     raise TypeError(f"not a formula: {A!r}")
 
 
-def _fresh_stream(avoid: Iterable[str], prefix: str = "_v"):
-    avoid = set(avoid)
-    i = 0
-    while True:
-        name = f"{prefix}{i}"
-        i += 1
-        if name not in avoid:
-            avoid.add(name)
-            yield name
-
-
 def subst_formula(A: Formula, zs: Sequence[str], bs: Sequence[BTerm]) -> Formula:
     """Simultaneous capture-avoiding substitution in a formula."""
     if len(zs) != len(bs):
@@ -254,7 +245,8 @@ def subst_formula(A: Formula, zs: Sequence[str], bs: Sequence[BTerm]) -> Formula
             clash = set().union(*(term_vars(v) for v in inner.values()))
             if f.var in clash:
                 avoid = clash | free_vars(f.body) | set(inner)
-                new = next(_fresh_stream(avoid, prefix=f.var + "_"))
+                new = next(n for i in itertools.count()
+                           if (n := f"{f.var}_{i}") not in avoid)
                 body = go(f.body, {f.var: Var(new)})
                 return Forall(new, go(body, inner))
             return Forall(f.var, go(f.body, inner))
@@ -429,62 +421,41 @@ def classify_horn(A: Formula) -> HornKind:
 
 
 # --------------------------------------------------------------------------
-# Two-level decomposition
+# One-level decomposition
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Quantifier blocks, each with the premise it guards, then trailing
-    quantifiers and an inequation head.  In the two-level normal form each
-    outer premise is itself decomposed one level, and its premises stay
-    undecomposed formulas."""
-    blocks: tuple[tuple[tuple[str, ...], Formula | Decomposition], ...]
+    """A formula's spine read in place: quantifier blocks, each with the
+    premise it guards, then trailing quantifiers and an inequation head.
+    Names, premises and head are the formula's own.  Scoping: a premise
+    sees its own block's variables and every earlier block's, the head
+    sees them all, and where a name is bound twice the later binder
+    shadows the earlier."""
+    blocks: tuple[tuple[tuple[str, ...], Formula], ...]
     tail_vars: tuple[str, ...]
-    head_lhs: BTerm
-    head_rhs: BTerm
-
-    @property
-    def all_vars(self) -> tuple[str, ...]:
-        return tuple(v for vs, _ in self.blocks for v in vs) + self.tail_vars
-
-
-def _split_one_level(A: Formula, fresh) -> tuple[
-        list[tuple[tuple[str, ...], Formula]], tuple[str, ...], BTerm, BTerm]:
-    blocks: list[tuple[tuple[str, ...], Formula]] = []
-    cur = A
-    while True:
-        vs: list[str] = []
-        while isinstance(cur, Forall):
-            new = next(fresh)
-            vs.append(new)
-            cur = subst_formula(cur.body, [cur.var], [Var(new)])
-        if isinstance(cur, Neq):
-            return blocks, tuple(vs), cur.lhs, cur.rhs
-        assert isinstance(cur, Impl)
-        blocks.append((tuple(vs), cur.ante))
-        cur = cur.cons
+    head: Neq
 
 
 def decompose(A: Formula) -> Decomposition:
-    """Unique (up to renaming) two-level normal form.  All bound variable
-    lists are freshened to a reserved namespace, pairwise distinct and
-    disjoint from the free variables of A."""
-    fresh = _fresh_stream(free_vars(A), prefix="_d")
-    outer, tail, lhs, rhs = _split_one_level(A, fresh)
-    blocks = []
-    for vs, premise in outer:
-        iblocks, itail, ilhs, irhs = _split_one_level(premise, fresh)
-        blocks.append((vs, Decomposition(tuple(iblocks), itail, ilhs, irhs)))
-    return Decomposition(tuple(blocks), tail, lhs, rhs)
-
-
-def recompose(d: Decomposition) -> Formula:
-    body = forall_many(d.tail_vars, Neq(d.head_lhs, d.head_rhs))
-    for vs, sub in reversed(d.blocks):
-        if isinstance(sub, Decomposition):
-            sub = recompose(sub)
-        body = forall_many(vs, Impl(sub, body))
-    return body
+    """A's spine: A = forall vs_1. (P_1 -> ... forall vs_n. (P_n ->
+    forall tail. head)), read under A's own binder names with nothing
+    renamed or rebuilt.  The pole's two-level normal form applies this
+    once to a tag and once more to each premise."""
+    blocks: list[tuple[tuple[str, ...], Formula]] = []
+    vs: list[str] = []
+    cur = A
+    while True:
+        if isinstance(cur, Forall):
+            vs.append(cur.var)
+            cur = cur.body
+        elif isinstance(cur, Impl):
+            blocks.append((tuple(vs), cur.ante))
+            vs, cur = [], cur.cons
+        elif isinstance(cur, Neq):
+            return Decomposition(tuple(blocks), tuple(vs), cur)
+        else:
+            raise TypeError(f"not a formula: {cur!r}")
 
 
 def is_ground(A: Formula) -> bool:

@@ -20,6 +20,12 @@ semi-decided up to k_max.
 The pole consults no theory: a tag's witness bits are checked by
 evaluating its head equality in {0,1}.
 
+The two-level decomposition is formulas.decompose applied twice by
+_witnesses: once to the tag, then once to each premise under the bits in
+scope at its block.  Both reads keep the formula's own binder names.
+Every variable the pole reads gets a bit, and a bit cannot be captured,
+so nothing is renamed.
+
 Closedness is checked once where a process, term or formula comes in
 (in_pole, realizes_bounded, canonical_falsity_stacks) and relied on
 below: the machine keeps processes closed, and every tag the pole builds
@@ -34,8 +40,8 @@ from typing import Generator, Iterator
 
 from .bamodels import Verdict, valid_all_bas
 from .formulas import (
-    Decomposition, Formula, Impl, ONE, UsageError, ZERO, bot, decompose,
-    eval_term_01, free_vars, recompose, subst_formula,
+    Formula, Impl, ONE, UsageError, ZERO, bot, decompose, eval_term_01,
+    free_vars, subst_formula,
 )
 from .lcterms import (
     App, EMPTY, Gamma, Kont, LVar, Lam, LcTerm, Process, SPush, StackT,
@@ -55,16 +61,24 @@ def _subst_bits(A: Formula, env: dict[str, int]) -> Formula:
     return subst_formula(A, names, [ONE if env[n] else ZERO for n in names])
 
 
-def _witnesses(d: Decomposition,
-               env: dict[str, int] | None = None) -> Iterator[dict[str, int]]:
-    """Each extension of env by bits for d's quantified variables under
-    which d's head equality holds in {0,1}."""
-    names = d.all_vars
+def _witnesses(A: Formula, env: dict[str, int] | None = None
+               ) -> Iterator[list[tuple[Formula, dict[str, int]]]]:
+    """For each choice of bits for A's spine variables under which A's
+    head equality holds in {0,1}, env giving A's free variables: A's
+    premises, each with the bits in scope at its block.  Choices come in
+    itertools.product order, the first variable most significant; a name
+    bound twice takes the later binder's bit from that binder on."""
+    d, env = decompose(A), env or {}
+    names = [v for vs, _ in d.blocks for v in vs] + list(d.tail_vars)
     for bits in itertools.product((0, 1), repeat=len(names)):
-        ext = dict(env or {})
-        ext.update(zip(names, bits))
-        if eval_term_01(d.head_lhs, ext) == eval_term_01(d.head_rhs, ext):
-            yield ext
+        scope = {**env, **dict(zip(names, bits))}
+        if eval_term_01(d.head.lhs, scope) != eval_term_01(d.head.rhs, scope):
+            continue
+        scope, rest, premises = env, iter(bits), []
+        for vs, premise in d.blocks:
+            scope = {**scope, **dict(zip(vs, rest))}  # takes len(vs) bits
+            premises.append((premise, scope))
+        yield premises
 
 
 def _check_closed(p: Process) -> None:
@@ -135,17 +149,16 @@ def _least_level(p: Process, k: int, cfg: PoleConfig) -> Generator:
 def _tag_level(p: Process, k: int) -> Generator:
     """The least level ≤ k of a tagged instruction facing a stack, or 0;
     it asks its premise questions as _least_level does."""
-    d = decompose(p.term.tag)
-    ts, pi = [], p.stack
-    for _ in d.blocks:
-        if not isinstance(pi, SPush):
-            return 0
-        ts.append(pi.head)
-        pi = pi.tail
     best = 0
-    for beta in _witnesses(d):
+    for premises in _witnesses(p.term.tag):
+        ts, pi = [], p.stack
+        for _ in premises:
+            if not isinstance(pi, SPush):
+                return 0
+            ts.append(pi.head)
+            pi = pi.tail
         worst = 1
-        for q in _premises(d, beta, ts, pi):
+        for q in _premises(premises, ts, pi):
             level = yield q, k - 1
             if not level:
                 break
@@ -157,13 +170,14 @@ def _tag_level(p: Process, k: int) -> Generator:
     return best
 
 
-def _premises(d: Decomposition, beta: dict[str, int], ts: list[LcTerm],
-              pi: StackT) -> Iterator[Process]:
-    """The processes that witness bits beta oblige to enter the pole: each
-    stack entry facing the sub-tags of every true-head premise instance."""
-    for t, (_, inner) in zip(ts, d.blocks):
-        for delta in _witnesses(inner, beta):
-            tags = (Gamma(_subst_bits(sub, delta)) for _, sub in inner.blocks)
+def _premises(premises: list[tuple[Formula, dict[str, int]]],
+              ts: list[LcTerm], pi: StackT) -> Iterator[Process]:
+    """The processes that one witness obliges to enter the pole: each
+    stack entry facing the sub-tags of every true-head instance of its
+    premise."""
+    for t, (premise, scope) in zip(ts, premises):
+        for subs in _witnesses(premise, scope):
+            tags = (Gamma(_subst_bits(sub, env)) for sub, env in subs)
             yield Process(t, stack_of(*tags, tail=pi))
 
 
@@ -193,12 +207,10 @@ def canonical_falsity_stacks(A: Formula, depth: int = 2) -> list[StackT]:
     pushed as tagged instructions over a small pool of continuations."""
     if free_vars(A):
         raise UsageError("canonical_falsity_stacks needs a closed formula")
-    d = decompose(A)
     seen = set()
     out: list[StackT] = []
-    for env in _witnesses(d):
-        tags = tuple(_subst_bits(recompose(inner), env)
-                     for _, inner in d.blocks)
+    for premises in _witnesses(A):
+        tags = tuple(_subst_bits(premise, env) for premise, env in premises)
         if tags in seen:
             continue
         seen.add(tags)

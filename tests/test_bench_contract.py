@@ -50,17 +50,22 @@ def test_call_shapes_the_harness_uses():
 
 
 def test_traced_pole_counters_move():
-    # the traced run's pole.* layer metrics read these counters; a pole
-    # that stopped calling in_pole or the memo would report them as 0
+    # the traced run's pole.* and formulas.* layer metrics read these
+    # counters; a pole that stopped calling in_pole, the memo, decompose
+    # or subst_formula would report them as 0
     tracer = _tracer().Tracer()
     tracer.install()
     try:
-        p = syntax.parse_process("g{_|_ -> _|_} * g{_|_} . []")
-        assert pole.in_pole_limit(p, tracer.pole_config(k_max=4)) == 2
+        for text in ("g{_|_ -> _|_} * g{_|_} . []",
+                     "g{forall z. ((z != 0 -> _|_) -> _|_)} * g{_|_} . []"):
+            p = syntax.parse_process(text)
+            assert pole.in_pole_limit(p, tracer.pole_config(k_max=4)) == 2
     finally:
         tracer.uninstall()
     summary = tracer.summary()
-    assert summary["counts"]["pole.in_pole.calls"] > 0
+    for name in ("pole.in_pole.calls", "formulas.decompose.calls",
+                 "formulas.subst_formula.calls"):
+        assert summary["counts"][name] > 0, name
     assert summary["memo_lookups"] > 0
 
 

@@ -78,6 +78,19 @@ def test_realizes(capsys):
     assert code == 0
 
 
+def test_realizes_prints_premises_as_written(capsys):
+    # the falsity stacks push the premise under the user's own binder name
+    code, out = run(capsys, "realizes", "\\x. x",
+                    "forall z. ((forall w. w != z) -> z != 1)")
+    assert code == 0
+    assert out.splitlines() == [
+        "ok k=2: g{forall w. w != 1} . []",
+        "ok k=2: g{forall w. w != 1} . g{0 != 0} . []",
+        "ok k=2: g{forall w. w != 1} . g{0 != 0} . g{0 != 0} . []",
+        "clean over 3 stacks",
+    ]
+
+
 def test_lattice(capsys):
     code, out = run(capsys, "lattice", "--rank", "1", "--list")
     assert code == 0

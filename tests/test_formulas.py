@@ -5,13 +5,13 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from realizability import formulas
 from realizability.bamodels import _column
 from realizability.corpus import formula_corpus, random_bterm, random_formula
 from realizability.formulas import (
     And, Forall, HornKind, Impl, Neq, Not, ONE, Or, UsageError, Var, ZERO,
     alpha_eq, bot, canon, classify_horn, conj, conj_many, decompose, disj,
-    eq, eval_formula_01, eval_term_01, exists, free_vars, recompose,
-    rows_term, subst_formula, tbool_axioms, term_vars,
+    eq, eval_formula_01, eval_term_01, exists, free_vars, rows_term, subst_formula, tbool_axioms, term_vars,
 )
 
 
@@ -205,18 +205,31 @@ def test_classify_horn():
         == HornKind.NOT_HORN
 
 
-def test_decompose_recompose():
-    A = Forall("z", Impl(Forall("w", Neq(Var("w"), Var("z"))),
-                         Neq(Var("z"), ONE)))
+def test_decompose_reads_in_place(monkeypatch):
+    # the spine is read under A's own names: premises and head are A's
+    # own objects, and nothing is walked or rebuilt
+    calls = []
+    for name in ("free_vars", "subst_formula"):
+        monkeypatch.setattr(formulas, name, lambda *a, name=name:
+                            calls.append(name))
+    premise = Forall("w", Neq(Var("w"), Var("z")))
+    second = eq(Var("z"), ZERO)
+    head = Neq(Var("z"), ONE)
+    A = Forall("z", Impl(premise, Forall("w", Forall("z", Impl(second, head)))))
     d = decompose(A)
-    assert alpha_eq(recompose(d), A)
-    assert len(d.blocks) == 1
+    assert d.blocks == ((("z",), premise), (("w", "z"), second))
+    assert d.blocks[0][1] is premise and d.blocks[1][1] is second
+    assert d.head is head and d.tail_vars == ()
+    B = Forall("z", Impl(premise, Forall("v", head)))
+    assert decompose(B).tail_vars == ("v",)
+    assert decompose(B).blocks[0][1] is premise
+    assert calls == []
 
 
 def test_decompose_plain_inequation():
     d = decompose(Neq(ZERO, ONE))
-    assert d.blocks == ()
-    assert d.head_lhs == ZERO and d.head_rhs == ONE
+    assert d.blocks == () and d.tail_vars == ()
+    assert d.head == Neq(ZERO, ONE)
 
 
 def test_eval_rejects_missing_var():

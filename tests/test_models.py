@@ -12,12 +12,14 @@ from realizability.bamodels import (
     model_check, valid_all_bas,
 )
 from realizability import bamodels, formulas
-from realizability.corpus import formula_corpus, horn_corpus, random_bterm
+from realizability.corpus import (
+    exhaustive_formulas_height2, formula_corpus, horn_corpus, random_bterm,
+)
 from realizability.dinfty import denote_formula, elem, level_size, theta, val
 from realizability.formulas import (
-    Forall, HornKind, Impl, Neq, Not, ONE, Or, UsageError, Var, ZERO, And,
-    bot, canon, classify_horn, conj, eq, eval_formula_01, eval_term_01, exists,
-    forall_many, is_ground, term_vars,
+    And, Forall, HornKind, Impl, Neq, Not, ONE, One, Or, UsageError, Var, ZERO,
+    Zero, bot, canon, classify_horn, conj, disj, eq, eval_formula_01,
+    eval_term_01, exists, forall_many, free_vars, is_ground, term_vars,
 )
 from realizability.syntax import parse_formula
 
@@ -56,6 +58,98 @@ def test_size_sentence_separates_finite_algebras():
     assert not model_check(A, PowerFinite(2))
     assert model_check(A, PowerFinite(3))
     assert model_check(A, Atomless())
+
+
+# An independent check of Atomless answers.  The countable atomless algebra
+# is the algebra of finite unions of dyadic intervals of [0,1).  For a
+# sentence of quantifier depth q, an element is a 2^q-bit mask, and a
+# quantifier at nesting depth i ranges only over the masks constant on
+# blocks of 2^(q-i-1) bits, the unions of intervals of length 2^-(i+1).
+# That is exact: in an atomless algebra the type of a tuple depends only
+# on which of its cells are nonempty, and at depth i each nonempty cell of
+# the earlier variables is a union of blocks that each split in two, so
+# the new variable can meet a cell inside, outside or both (a
+# back-and-forth argument).  The evaluator here is its own; it shares
+# nothing with eval_term_01, _column, _splits or model_check.
+
+def _qdepth(A):
+    if isinstance(A, Neq):
+        return 0
+    if isinstance(A, Impl):
+        return max(_qdepth(A.ante), _qdepth(A.cons))
+    return 1 + _qdepth(A.body)
+
+
+def dyadic_truth(A, blocks=True):
+    """Truth of the closed A in the dyadic interval algebra; blocks=False
+    lets every quantifier range over all masks, which is {0,1}^(2^q)."""
+    q = _qdepth(A)
+    width = 1 << q
+    full = (1 << width) - 1
+    ranges = []
+    for i in range(q):
+        size = width >> (i + 1) if blocks else 1
+        block = (1 << size) - 1
+        n = width // size
+        ranges.append([sum(block << b * size for b in range(n) if c >> b & 1)
+                       for c in range(1 << n)])
+
+    def term(a, env):
+        if isinstance(a, Var):
+            return env[a.name]
+        if isinstance(a, Zero):
+            return 0
+        if isinstance(a, One):
+            return full
+        if isinstance(a, Not):
+            return full ^ term(a.arg, env)
+        if isinstance(a, Or):
+            return term(a.lhs, env) | term(a.rhs, env)
+        return term(a.lhs, env) & term(a.rhs, env)
+
+    def holds(f, env, i):
+        if isinstance(f, Neq):
+            return term(f.lhs, env) != term(f.rhs, env)
+        if isinstance(f, Impl):
+            return not holds(f.ante, env, i) or holds(f.cons, env, i)
+        return all(holds(f.body, {**env, f.var: m}, i + 1) for m in ranges[i])
+
+    return holds(A, {}, 0)
+
+
+def _separating_sentences():
+    """Depth-2 sentences on which Atomless differs from every finite
+    algebra: below each nonzero element sits a smaller nonzero one; some
+    element is an atom."""
+    z, w = Var("z"), Var("w")
+    atom = exists("z", conj(Neq(z, ZERO), Forall("w", disj(
+        eq(And(w, z), ZERO), eq(And(w, z), z)))))
+    return [parse_formula("forall z. z != 0 -> "
+                          "(forall w. (w /\\ z == w -> w != 0 -> w == z)) -> _|_"),
+            atom]
+
+
+def _dyadic_corpus():
+    sample = [a for seed in range(8)
+              for a in formula_corpus(200, seed=seed, height=4)]
+    return [a for a in _separating_sentences() + exhaustive_formulas_height2()
+            + sample if not free_vars(a) and _qdepth(a) <= 3]
+
+
+def test_dyadic_oracle_matches_atomless_model_check():
+    corpus = _dyadic_corpus()
+    assert len(corpus) > 2000 and sum(_qdepth(a) == 3 for a in corpus) > 100
+    for a in corpus:
+        assert dyadic_truth(a) == model_check(a, Atomless()), a
+
+
+def test_dyadic_oracle_separates_the_mutants():
+    # atomless answered as PowerFinite(1), and masks left unrestricted,
+    # which is PowerFinite(2^q): each disagrees with the oracle somewhere
+    for a in _separating_sentences():
+        assert dyadic_truth(a) != model_check(a, PowerFinite(1))
+        assert dyadic_truth(a) != dyadic_truth(a, blocks=False)
+        assert dyadic_truth(a, blocks=False) == model_check(a, PowerFinite(4))
 
 
 def test_guards():
@@ -300,6 +394,18 @@ def test_family_passed_is_unknown_by_default():
     assert v.status == "unknown"
     w = valid_all_bas(A, family_complete=True)
     assert w.is_valid and w.justification == Justification.FAMILY
+
+
+def test_empty_family_is_refused():
+    # no algebra to refute it: {0,1} does, so "valid (family-complete)"
+    # would be wrong, and "unknown (family-passed)" checked nothing
+    A = parse_formula("forall z. (z != 0 -> z != 1)")
+    assert not brute_check(A, 1)
+    for complete in (False, True):
+        with pytest.raises(UsageError, match="nonempty family"):
+            valid_all_bas(A, family=(), family_complete=complete)
+    with pytest.raises(UsageError, match="nonempty family"):
+        TheoryOracle(())
 
 
 def test_is_prop_tautology():

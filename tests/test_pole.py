@@ -7,7 +7,7 @@ from realizability.corpus import (
     exhaustive_formulas_height2, formula_corpus, process_corpus,
 )
 from realizability.formulas import (
-    Impl, Neq, ONE, UsageError, ZERO, bot, decompose, eval_term_01,
+    Forall, Impl, Neq, ONE, UsageError, Var, ZERO, bot, eval_term_01,
     free_vars, subst_formula,
 )
 from realizability.lcterms import (
@@ -132,13 +132,30 @@ def test_constraint_check():
 
 # The per-k ladder that in_pole's least-level recursion replaced, kept as
 # an independent reference: it decides p ∈ ⫫_k from the definition for
-# k = 1, 2, ... and memoises every machine step under (process, k).
+# k = 1, 2, ... and memoises every machine step under (process, k).  It
+# reads a tag's spine on its own, renaming each spine quantifier apart to
+# a name the parser cannot produce, so no binder shadows another.
 
-def _ladder_bits(d, env):
-    names = d.all_vars
+def _ladder_spine(A, fresh):
+    """Blocks of (renamed variables, premise), all renamed variables, and
+    the head of A's spine."""
+    blocks, names = [], []
+    while True:
+        vs = []
+        while isinstance(A, Forall):
+            vs.append(f"!l{next(fresh)}")
+            A = subst_formula(A.body, [A.var], [Var(vs[-1])])
+        names += vs
+        if isinstance(A, Neq):
+            return blocks, names, A
+        blocks.append((vs, A.ante))
+        A = A.cons
+
+
+def _ladder_bits(names, head, env):
     for bits in itertools.product((0, 1), repeat=len(names)):
         ext = {**env, **dict(zip(names, bits))}
-        if eval_term_01(d.head_lhs, ext) == eval_term_01(d.head_rhs, ext):
+        if eval_term_01(head.lhs, ext) == eval_term_01(head.rhs, ext):
             yield ext
 
 
@@ -157,12 +174,14 @@ def _ladder_raw(p, k, memo):
         return True
     if not isinstance(p.term, Gamma):
         return False
-    d = decompose(p.term.tag)
+    fresh = itertools.count()
+    blocks, names, head = _ladder_spine(p.term.tag, fresh)
+    inner = [_ladder_spine(A, fresh) for _, A in blocks]
     entries = stack_to_list(p.stack)
-    if len(entries) < len(d.blocks):
+    if len(entries) < len(blocks):
         return False
     pi = p.stack
-    for _ in d.blocks:
+    for _ in blocks:
         pi = pi.tail
 
     def premise(t, sub_tags, env):
@@ -170,11 +189,11 @@ def _ladder_raw(p, k, memo):
                                              for n in env]) for A in sub_tags]
         return Process(t, stack_of(*map(Gamma, tags), tail=pi))
 
-    return any(all(_ladder_in_pole(premise(t, [A for _, A in inner.blocks],
+    return any(all(_ladder_in_pole(premise(t, [A for _, A in iblocks],
                                            delta), k - 1, memo)
-                   for t, (_, inner) in zip(entries, d.blocks)
-                   for delta in _ladder_bits(inner, beta))
-               for beta in _ladder_bits(d, {}))
+                   for t, (iblocks, inames, ihead) in zip(entries, inner)
+                   for delta in _ladder_bits(inames, ihead, beta))
+               for beta in _ladder_bits(names, head, {}))
 
 
 def ladder_limit(p, k_max, memo):
@@ -190,10 +209,21 @@ def test_least_level_matches_ladder_on_corpus(seed, k_max):
         assert in_pole_limit(p, cfg) == ladder_limit(p, k_max, memo), p
 
 
+# closed tags whose spine rebinds a name that an earlier premise reads
+SHADOWING_TAGS = [
+    "forall z. (z == 0 -> forall z. z != 1)",
+    "forall z. ((forall w. w != z) -> forall z. (z == 1 -> forall w. w != z))",
+    "forall z. (z != 0 -> forall z. (z != 1 -> z != 0))",
+    "forall z. ((z == 1 -> forall z. z != 0) -> forall z. z != 1)",
+    "forall z. ((forall z. (z == 0 -> z != 1)) -> z != 0)",
+]
+
+
 @pytest.mark.parametrize("k_max", [1, 2, 3, 32])
 def test_realizes_bounded_matches_ladder(k_max):
     cfg, memo = PoleConfig(k_max=k_max), {}
-    for A in exhaustive_formulas_height2():
+    shadowing = [parse_formula(src) for src in SHADOWING_TAGS]
+    for A in exhaustive_formulas_height2() + shadowing:
         for pi, k in realizes_bounded(Gamma(A), A, cfg).results:
             assert k == ladder_limit(Process(Gamma(A), pi), k_max, memo), A
 
@@ -281,18 +311,18 @@ def test_premises_are_closed():
     corpus = exhaustive_formulas_height2()
     corpus += [a for a in formula_corpus(130, seed=43, height=3, max_qdepth=3)
                if not free_vars(a)][:100]
+    corpus += [parse_formula(src) for src in SHADOWING_TAGS]
     premises = 0
     for a in corpus:
-        d = decompose(a)
         for pi in canonical_falsity_stacks(a):
             assert _open_parts(pi) == [], (a, pi)
             assert not any(map(free_vars, iter_tags(pi))), (a, pi)
-            ts = stack_to_list(pi)[:len(d.blocks)]
-            rest = pi
-            for _ in ts:
-                rest = rest.tail
-            for beta in _witnesses(d):
-                for q in _premises(d, beta, ts, rest):
+            for witness in _witnesses(a):
+                ts = stack_to_list(pi)[:len(witness)]
+                rest = pi
+                for _ in ts:
+                    rest = rest.tail
+                for q in _premises(witness, ts, rest):
                     assert _open_parts(q) == [], (a, q)
                     assert not any(map(free_vars, iter_tags(q))), (a, q)
                     premises += 1
