@@ -130,18 +130,17 @@ def _atoms(vars: tuple[str, ...]) -> list[Formula]:
     return [Neq(a, b) for a in pool for b in pool]
 
 
-def exhaustive_formulas_height2(var: str = "z") -> list[Formula]:
+def exhaustive_formulas_height2() -> list[Formula]:
     """All closed formulas of height <= 2 whose terms are drawn from
     {0, 1, z}, deduplicated."""
     closed0 = _atoms(())
-    open0 = _atoms((var,
-))
+    open0 = _atoms(("z",))
     closed1 = closed0 + [Impl(a, b) for a in closed0 for b in closed0] \
-        + [Forall(var, a) for a in open0]
+        + [Forall("z", a) for a in open0]
     open1 = open0 + [Impl(a, b) for a in open0 for b in open0] \
-        + [Forall(var, a) for a in open0]
+        + [Forall("z", a) for a in open0]
     closed2 = closed1 + [Impl(a, b) for a in closed1 for b in closed1] \
-        + [Forall(var, a) for a in open1]
+        + [Forall("z", a) for a in open1]
     seen = set()
     out = []
     for f in closed2:

@@ -12,10 +12,15 @@ the tables already sorted.  The order and the join of each rank are
 cached functions of enumeration indices (`idx_leq`, `idx_join`); the
 table forms `tbl_leq` and `tbl_join` lift them entrywise.
 
+The projection pair between ranks n and n+1 is cached the same way, as
+maps of enumeration indices (`phi_idx`, `psi_idx`), and the table forms
+`phi_tbl` and `psi_tbl` read them entrywise.
+
 Elements of the limit are families of per-rank components coherent under
-the downward projections; they are built lazily and memoised.  MAX_RANK
-(3) bounds both the enumerated ranks and the components that can be
-materialised, so rank-4 components are never built.
+the downward projections; they are built lazily and memoised, and carry
+no tag beyond their home rank.  MAX_RANK (3) bounds both the enumerated
+ranks and the components that can be materialised, so rank-4 components
+are never built.
 
 On top: step functions (arrow), application and abstraction through the
 retraction, the truncated control-operator element, denotations of machine
@@ -137,25 +142,26 @@ def phi_tbl(n: int, a):
     """The rank-raising half: D_n -> D_{n+1}."""
     if n == 0:
         return (a, a)  # the constant map
-    out = []
-    for i in range(level_size(n)):
-        f = val(n, i)
-        x = psi_tbl(n - 1, f)
-        e = a[idx_of(n - 1, x)]
-        out.append(idx_of(n, phi_tbl(n - 1, val(n - 1, e))))
-    return tuple(out)
+    return tuple(phi_idx(n - 1, a[psi_idx(n - 1, i)])
+                 for i in range(level_size(n)))
 
 
 def psi_tbl(n: int, f):
     """The rank-lowering half: D_{n+1} -> D_n."""
     if n == 0:
         return f[0]  # evaluate at bottom
-    out = []
-    for i in range(level_size(n - 1)):
-        x = val(n - 1, i)
-        k = idx_of(n, phi_tbl(n - 1, x))
-        out.append(idx_of(n - 1, psi_tbl(n - 1, val(n, f[k]))))
-    return tuple(out)
+    return tuple(psi_idx(n - 1, f[phi_idx(n - 1, i)])
+                 for i in range(level_size(n - 1)))
+
+
+@lru_cache(maxsize=None)
+def phi_idx(n: int, i: int) -> int:
+    return idx_of(n + 1, phi_tbl(n, val(n, i)))
+
+
+@lru_cache(maxsize=None)
+def psi_idx(n: int, i: int) -> int:
+    return idx_of(n, psi_tbl(n, val(n + 1, i)))
 
 
 # --------------------------------------------------------------------------
@@ -166,18 +172,13 @@ class DElem:
     """A lazily materialised family of per-rank components.
 
     ``fn(n)`` supplies the component at ranks >= home; below home the
-    component is the downward projection of the one above.  ``tag`` is
-    "exact" for elements whose family is coherent by construction and
-    "cc-truncated" for elements built from the truncated control-operator
-    join, where comparisons are at-rank evidence only.
+    component is the downward projection of the one above.
     """
 
-    __slots__ = ("home", "tag", "_fn", "_memo")
+    __slots__ = ("home", "_fn", "_memo")
 
-    def __init__(self, home: int, fn: Callable[[int], object],
-                 tag: str = "exact"):
+    def __init__(self, home: int, fn: Callable[[int], object]):
         self.home = home
-        self.tag = tag
         self._fn = fn
         self._memo: dict[int, object] = {}
 
@@ -195,7 +196,7 @@ class DElem:
 
     def __repr__(self):
         shown = {n: self._memo[n] for n in sorted(self._memo)}
-        return f"DElem(home={self.home}, tag={self.tag}, computed={shown})"
+        return f"DElem(home={self.home}, computed={shown})"
 
 
 def elem(home: int, v) -> DElem:
@@ -225,7 +226,6 @@ def join(*xs: DElem) -> DElem:
     finite joins."""
     if not xs:
         return bottom()
-    tag = "exact" if all(x.tag == "exact" for x in xs) else "cc-truncated"
     # keep the highest home so lower components come from projections
     home = max(x.home for x in xs)
 
@@ -235,12 +235,11 @@ def join(*xs: DElem) -> DElem:
             acc = tbl_join(n, acc, x.component(n))
         return acc
 
-    return DElem(home, fn, tag)
+    return DElem(home, fn)
 
 
 def leq(x: DElem, y: DElem, rank: int) -> bool:
-    """Order comparison of all components up to the given rank.  Sound
-    globally for exact elements; at-rank evidence for truncated ones."""
+    """Order comparison of all components up to the given rank."""
     return all(tbl_leq(n, x.component(n), y.component(n))
                for n in range(rank + 1))
 
@@ -253,8 +252,6 @@ def arrow(x: DElem, y: DElem) -> DElem:
     """The least element whose applicative behaviour sends x above y: at
     each rank above its home it is the step table v |-> y if v >= x,
     bottom otherwise."""
-    if x.tag != "exact" or y.tag != "exact":
-        raise UsageError("arrow needs exact arguments")
     h = max(x.home, y.home) + 1
 
     def fn(n: int):
@@ -264,22 +261,20 @@ def arrow(x: DElem, y: DElem) -> DElem:
             yi if tbl_leq(n - 1, xc, val(n - 1, i)) else 0
             for i in range(level_size(n - 1)))
 
-    return DElem(h, fn, "exact")
+    return DElem(h, fn)
 
 
 def app(f: DElem, a: DElem) -> DElem:
     """Application through the retraction: the rank-n component reads the
     rank-(n+1) table of f at the rank-n component of a."""
-    tag = "exact" if f.tag == a.tag == "exact" else "cc-truncated"
-
     def fn(n: int):
         ft = f.component(n + 1)
         return val(n, ft[idx_of(n, a.component(n))])
 
-    return DElem(0, fn, tag)
+    return DElem(0, fn)
 
 
-def lam(body: Callable[[DElem], DElem], tag: str = "exact") -> DElem:
+def lam(body: Callable[[DElem], DElem]) -> DElem:
     """Abstraction through the retraction: the rank-(n+1) table maps each
     rank-n value v to the rank-n component of body at the embedding of v.
     The body must be monotone at the ranks used (checked)."""
@@ -297,7 +292,7 @@ def lam(body: Callable[[DElem], DElem], tag: str = "exact") -> DElem:
                     raise UsageError("non-monotone abstraction body")
         return tbl
 
-    return DElem(0, fn, tag)
+    return DElem(0, fn)
 
 
 def cc_elem() -> DElem:
@@ -307,9 +302,8 @@ def cc_elem() -> DElem:
     can be built.  The full element joins over the whole limit, so this
     is a lower bound."""
     rank0 = (bottom(), top())
-    out = join(*(arrow(arrow(arrow(b, c), b), b) for b in rank0 for c in rank0))
-    out.tag = "cc-truncated"
-    return out
+    return join(*(arrow(arrow(arrow(b, c), b), b)
+                  for b in rank0 for c in rank0))
 
 
 # --------------------------------------------------------------------------
@@ -404,9 +398,8 @@ def _famcode(n: int, fam: list, us: tuple[str, ...], fresh) -> Formula:
 
 
 def theta(alpha: DElem) -> Formula:
-    """A closed formula whose denotation is the given exact element."""
-    if alpha.tag != "exact":
-        raise UsageError("theta needs an exact element")
+    """A closed formula whose denotation agrees with alpha at and below
+    alpha's home rank."""
     n = alpha.home
     v = alpha.component(n)
     if n == 0:
@@ -421,35 +414,23 @@ def theta(alpha: DElem) -> Formula:
 # --------------------------------------------------------------------------
 
 def _debruijn_terms(size: int, depth: int, allow_cc: bool):
-    """Closed term skeletons of exactly the given size; variables cost 1,
-    abstraction and application cost 1 plus their parts."""
+    """Terms of exactly the given size, closed under `depth` enclosing
+    binders x0 .. x<depth-1>; variables cost 1, abstraction and
+    application cost 1 plus their parts."""
     if size <= 0:
         return
     if size == 1:
         for i in range(depth):
-            yield ("v", i)
+            yield LVar(f"x{depth - 1 - i}")
         if allow_cc:
-            yield ("cc",
-)
+            yield CC
     if size >= 2:
         for b in _debruijn_terms(size - 1, depth + 1, allow_cc):
-            yield ("l", b)
+            yield Lam(f"x{depth}", b)
     for left in range(1, size - 1):
         for f in _debruijn_terms(left, depth, allow_cc):
             for a in _debruijn_terms(size - 1 - left, depth, allow_cc):
-                yield ("a", f, a)
-
-
-def _skeleton_to_term(sk) -> LcTerm:
-    def go(sk, depth: int) -> LcTerm:
-        if sk[0] == "v":
-            return LVar(f"x{depth - 1 - sk[1]}")
-        if sk[0] == "cc":
-            return CC
-        if sk[0] == "l":
-            return Lam(f"x{depth}", go(sk[1], depth + 1))
-        return App(go(sk[1], depth), go(sk[2], depth))
-    return go(sk, 0)
+                yield App(f, a)
 
 
 def term_search(alpha: DElem, size_budget: int = 5) -> LcTerm | None:
@@ -458,10 +439,9 @@ def term_search(alpha: DElem, size_budget: int = 5) -> LcTerm | None:
     the control operator are tried first at every size."""
     for allow_cc in (False, True):
         for size in range(1, size_budget + 1):
-            for sk in _debruijn_terms(size, 0, allow_cc):
-                if allow_cc and not _uses_cc(sk):
+            for t in _debruijn_terms(size, 0, allow_cc):
+                if allow_cc and not _uses_cc(t):
                     continue  # already tried in the pure pass
-                t = _skeleton_to_term(sk)
                 try:
                     if leq(alpha, denote(t), 2):
                         return t
@@ -470,13 +450,13 @@ def term_search(alpha: DElem, size_budget: int = 5) -> LcTerm | None:
     return None
 
 
-def _uses_cc(sk) -> bool:
-    if sk[0] == "cc":
+def _uses_cc(t: LcTerm) -> bool:
+    if isinstance(t, Cc):
         return True
-    if sk[0] == "l":
-        return _uses_cc(sk[1])
-    if sk[0] == "a":
-        return _uses_cc(sk[1]) or _uses_cc(sk[2])
+    if isinstance(t, Lam):
+        return _uses_cc(t.body)
+    if isinstance(t, App):
+        return _uses_cc(t.fn) or _uses_cc(t.arg)
     return False
 
 

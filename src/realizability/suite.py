@@ -12,18 +12,19 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from .bamodels import Atomless, PowerFinite, model_check
+from .bamodels import Atomless, PowerFinite, brute_check, model_check
 from .corpus import (
     exhaustive_formulas_height2, formula_corpus, horn_corpus, process_corpus,
     random_bterm,
 )
 from .dinfty import (
-    arrow, bottom, denote, denote_formula, elem, eq_at,     leq, level_size, phi_tbl, psi_tbl, tbl_join, tbl_leq, term_search,
-    theta, top, val, seq_check,
+    arrow, bottom, denote, denote_formula, elem, eq_at, leq, level_size,
+    phi_tbl, psi_tbl, seq_check, tbl_join, tbl_leq, term_search, theta, top,
+    val,
 )
 from .formulas import (
-    Forall, Impl, Neq, ONE, ZERO, bot, classify_horn, eval_formula_01,
-    forall_many, free_vars, HornKind, tbool_equations,
+    Forall, HornKind, Impl, Neq, ONE, Or, Var, ZERO, bot, classify_horn,
+    eval_formula_01, forall_many, free_vars, tbool_equations,
 )
 from .lcterms import (
     App, CC, Gamma, Kont, LVar, Lam, Process, SEmpty, SPush, lc_alpha_eq,
@@ -129,7 +130,6 @@ def criterion_2() -> CriterionResult:
 
 def criterion_3() -> CriterionResult:
     def run():
-        from .bamodels import brute_check
         formulas = formula_corpus(200, seed=37, height=3, max_qdepth=3)
         for a in formulas:
             for k in (1, 2, 3):
@@ -176,19 +176,17 @@ def _criterion_5_run(collect: list[Process] | None):
     for a in corpus:
         rep = realizes_bounded(Gamma(a), a, cfg)
         if not rep.clean:
-            return False, f"gamma does not realize {a!r}", None
+            return False, f"gamma does not realize {a!r}"
         for pi, k in rep.results:
             n_stacks += 1
             if collect is not None and k is not None:
                 collect.append(Process(Gamma(a), pi))
-    return True, f"{len(corpus)} formulas, {n_stacks} stacks, all clean", corpus
+    return True, f"{len(corpus)} formulas, {n_stacks} stacks, all clean"
 
 
 def criterion_5(collect: list[Process] | None = None) -> CriterionResult:
-    def run():
-        ok, detail, _ = _criterion_5_run(collect)
-        return ok, detail
-    return _timed(5, "tagged-instruction realizability", run)
+    return _timed(5, "tagged-instruction realizability",
+                  lambda: _criterion_5_run(collect))
 
 
 def criterion_6(certified: list[Process] | None = None) -> CriterionResult:
@@ -196,7 +194,7 @@ def criterion_6(certified: list[Process] | None = None) -> CriterionResult:
         procs = certified
         if procs is None:
             procs = []
-            ok, detail, _ = _criterion_5_run(procs)
+            ok, detail = _criterion_5_run(procs)
             if not ok:
                 return False, f"prerequisite failed: {detail}"
         for p in procs:
@@ -341,20 +339,19 @@ def criterion_12() -> CriterionResult:
         base = Derivation("Axiom", (), Judgement(
             (("y", Neq(ONE, ZERO)),
 ), LVar("y"), Neq(ONE, ZERO)))
-        from .formulas import Or, Var as FVar
         lemma = eq_elim_derivation(base, "z", ONE, Or(ONE, ZERO),
-                                   Neq(FVar("z"), ZERO))
+                                   Neq(Var("z"), ZERO))
         check_derivation(lemma)
         bad = Derivation(
             "ForallIntro",
             (Derivation("Axiom", (), Judgement(
-                (("y", Neq(FVar("z"), ZERO)),
+                (("y", Neq(Var("z"), ZERO)),
 ), LVar("y"),
-                Neq(FVar("z"), ZERO))),
+                Neq(Var("z"), ZERO))),
 ),
-            Judgement((("y", Neq(FVar("z"), ZERO)),
+            Judgement((("y", Neq(Var("z"), ZERO)),
 ), LVar("y"),
-                      Forall("z", Neq(FVar("z"), ZERO))))
+                      Forall("z", Neq(Var("z"), ZERO))))
         try:
             check_derivation(bad)
             return False, "freshness violation was accepted"

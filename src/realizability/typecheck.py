@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from .formulas import (
-    BTerm, Formula, Forall, Impl, Neq, UsageError, ZERO, alpha_eq,
-    canon, free_vars, subst_formula, term_vars,
+    BTerm, Formula, Forall, Impl, Neq, UsageError, ZERO, alpha_eq, canon,
+    eq, free_vars, subst_formula, term_vars,
 )
 from .lcterms import (
     App, CC, Cc, LVar, Lam, LcTerm, free_lvars, lc_alpha_eq,
@@ -250,10 +250,6 @@ def eq_elim_macro(x: str, t: LcTerm, k: str = "k") -> LcTerm:
     return App(CC, Lam(k, App(LVar(x), App(LVar(k), t))))
 
 
-def _eq(a: BTerm, b: BTerm) -> Formula:
-    return Impl(Neq(a, b), Neq(ZERO, ZERO))
-
-
 def eq_elim_derivation(d: Derivation, z: str, a: BTerm, b: BTerm,
                        A: Formula) -> Derivation:
     """Derivation of Gamma, x : a=b |- cc (\\k. x (k t)) : A[z := b] from
@@ -287,7 +283,7 @@ def eq_elim_derivation(d: Derivation, z: str, a: BTerm, b: BTerm,
     x = fresh("x")
     k = fresh("k")
 
-    eq_ab = _eq(a, b)
+    eq_ab = eq(a, b)
     hyp_a = Impl(a_inst, Neq(a, b))     # the k-hypothesis at the a-instance
     hyp_tmpl = Impl(A, Neq(a, b))       # its template in z
     hyp_b = Impl(b_inst, Neq(a, b))
