@@ -13,7 +13,7 @@ from .lcterms import (
     free_lvars, is_proof_like, lc_alpha_eq, proc_alpha_eq,
     stack_of, stack_to_list, subst_lc,
 )
-from .machine import Trace, evaluate, step, step1
+from .machine import Trace, evaluate, step
 from .syntax import (
     ParseError, parse_bterm, parse_formula, parse_lcterm, parse_process,
     parse_stack, print_bterm, print_formula, print_lcterm, print_process,

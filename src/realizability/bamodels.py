@@ -226,7 +226,6 @@ class Justification(Enum):
     GROUND = "ground"
     HORN = "horn"
     TAUTOLOGY = "tautology"
-    FAMILY = "family-complete"
 
 
 @dataclass(frozen=True)
@@ -315,8 +314,8 @@ def is_prop_tautology(A: Formula) -> bool:
     return table(A) == ones
 
 
-def valid_all_bas(A: Formula, family: Sequence[BASpec] = DEFAULT_FAMILY, *,
-                  family_complete: bool = False) -> Verdict:
+def valid_all_bas(A: Formula,
+                  family: Sequence[BASpec] = DEFAULT_FAMILY) -> Verdict:
     """Three-valued verdict on truth in every Boolean algebra with at
     least two elements.  An empty family would pass every formula, so it
     is refused."""
@@ -349,8 +348,6 @@ def valid_all_bas(A: Formula, family: Sequence[BASpec] = DEFAULT_FAMILY, *,
             return Verdict("unknown", detail=f"guard: {e}")
         if not ok:
             return Verdict("refuted", witness=spec, trace=tuple(tr))
-    if family_complete:
-        return Verdict("valid", Justification.FAMILY)
     return Verdict("unknown", detail="family-passed")
 
 

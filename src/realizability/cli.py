@@ -3,8 +3,7 @@
 Exit codes: 0 success/true/valid, 1 false/refuted, 2 unknown or
 inconclusive (a model-checking guard, a rank above 3, too deep nesting),
 64 usage error, 65 parse error.  With --json, every result
-is one JSON object per line; flags can also come from a `key = value`
-config file via --config.
+is one JSON object per line.
 """
 
 from __future__ import annotations
@@ -118,8 +117,7 @@ def cmd_typecheck(args) -> int:
 
 
 def cmd_validity(args) -> int:
-    v = valid_all_bas(parse_formula(args.formula), args.family,
-                      family_complete=args.family_complete)
+    v = valid_all_bas(parse_formula(args.formula), args.family)
     just = f" ({v.justification.value})" if v.justification else ""
     wit = f" witness {v.witness}" if v.witness else ""
     tr = "".join(f"\n  {line}" for line in v.trace)
@@ -190,8 +188,7 @@ def cmd_theta(args) -> int:
 
 def cmd_seq_check(args) -> int:
     alpha = _element(args)
-    sv = seq_check(alpha, family=args.family,
-                   search_budget=args.search_budget)
+    sv = seq_check(alpha, family=args.family)
     wit = print_lcterm(sv.witness) if sv.witness is not None else None
     _emit(args, {"status": sv.status, "witness": wit, "detail": sv.detail},
           f"{sv.status}" + (f" witness {wit}" if wit else "")
@@ -223,21 +220,9 @@ def cmd_suite(args) -> int:
     return EX_OK if ok else EX_FALSE
 
 
-def _load_config(path: str) -> dict[str, str]:
-    out = {}
-    for line in _read(path).splitlines():
-        line = line.strip()
-        if not line or line.startswith("#") or "=" not in line:
-            continue
-        k, v = line.split("=", 1)
-        out[k.strip().replace("-", "_")] = v.strip()
-    return out
-
-
 def _check_naturals(args) -> None:
-    """Reject negative counts, from the command line or the config."""
-    for key in ("k", "k_max", "depth", "fuel", "size", "rank",
-                "search_budget"):
+    """Reject negative counts."""
+    for key in ("k", "k_max", "depth", "fuel", "size", "rank"):
         value = getattr(args, key, None)
         if value is not None and value < 0:
             raise UsageError(f"--{key.replace('_', '-')} must not be "
@@ -251,9 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "over Boolean-algebra theories.")
     ap.add_argument("--json", action="store_true",
                     help="one JSON object per result line")
-    ap.add_argument("--config", help="key = value defaults file")
     sub = ap.add_subparsers(dest="cmd", required=True)
-    ap.commands = sub.choices   # name -> subparser, for --config defaults
 
     def fam(p):
         p.add_argument("--family", type=parse_family, default=DEFAULT_FAMILY,
@@ -276,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validity", help="truth in all Boolean algebras >= 2")
     p.add_argument("formula")
-    p.add_argument("--family-complete", action="store_true")
     fam(p)
     p.set_defaults(fn=cmd_validity)
 
@@ -315,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("seq-check", help="sequentialisability of an element")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--element", type=int, required=True)
-    p.add_argument("--search-budget", type=int, default=5)
     fam(p)
     p.set_defaults(fn=cmd_seq_check)
 
@@ -332,27 +313,10 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _config_defaults(parser: argparse.ArgumentParser,
-                     config: dict[str, str]) -> None:
-    """Make the config values the defaults of parser's own arguments.
-    argparse passes a string default through the argument's type=, so a
-    flag given on the command line wins and a bad number is a usage error."""
-    for action in parser._actions:
-        value = config.get(action.dest)
-        if value is not None:
-            action.default = (value.lower() in ("1", "true", "yes")
-                              if isinstance(action.default, bool) else value)
-
-
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
-        if args.config:
-            config = _load_config(args.config)
-            for parser in (ap, ap.commands[args.cmd]):
-                _config_defaults(parser, config)
-            args = ap.parse_args(argv)
         _check_naturals(args)
         return args.fn(args)
     except SystemExit as e:

@@ -52,9 +52,8 @@ def random_formula(rng: random.Random, *, height: int = 3,
 )))
 
 
-def random_horn_clause(rng: random.Random, max_vars: int = 3) -> Formula:
-    nv = rng.randrange(max_vars + 1)
-    vars = VARS[:nv]
+def random_horn_clause(rng: random.Random) -> Formula:
+    vars = VARS[:rng.randrange(len(VARS) + 1)]
     body: Formula
     if rng.random() < 0.5:
         body = Neq(random_bterm(rng, vars), random_bterm(rng, vars))  # goal

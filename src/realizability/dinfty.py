@@ -202,14 +202,12 @@ class DElem:
 def elem(home: int, v) -> DElem:
     """The coherent family through a single rank-`home` value, raised by
     phi above and projected by psi below."""
-    e = DElem(home, None)
-
     def fn(n: int):
         if n == home:
             return v
         return phi_tbl(n - 1, e.component(n - 1))
 
-    e._fn = fn
+    e = DElem(home, fn)
     return e
 
 
@@ -468,8 +466,7 @@ class SeqVerdict:
     detail: str = ""
 
 
-def seq_check(alpha: DElem, *, family=DEFAULT_FAMILY,
-              search_budget: int = 5) -> SeqVerdict:
+def seq_check(alpha: DElem, *, family=DEFAULT_FAMILY) -> SeqVerdict:
     """Is some closed machine term denoted at or above alpha?  Equivalent
     to truth of the synthesized formula in every Boolean algebra with at
     least two elements, which is decided as far as the validity layer
@@ -481,7 +478,7 @@ def seq_check(alpha: DElem, *, family=DEFAULT_FAMILY,
     if v.is_refuted:
         return SeqVerdict("not-sequentialisable", validity=v)
     if v.is_valid:
-        w = term_search(alpha, search_budget)
+        w = term_search(alpha)
         if w is None and _cc_dominates(alpha):
             w = CC
         return SeqVerdict("sequentialisable", witness=w, validity=v,
@@ -490,7 +487,7 @@ def seq_check(alpha: DElem, *, family=DEFAULT_FAMILY,
     if _cc_dominates(alpha):
         return SeqVerdict("sequentialisable", witness=CC, validity=v,
                           detail="dominated by the truncated control element")
-    w = term_search(alpha, search_budget)
+    w = term_search(alpha)
     if w is not None:
         return SeqVerdict("sequentialisable", witness=w, validity=v,
                           detail="search witness; validity layer undecided")
@@ -498,7 +495,5 @@ def seq_check(alpha: DElem, *, family=DEFAULT_FAMILY,
 
 
 def _cc_dominates(alpha: DElem) -> bool:
-    try:
-        return leq(alpha, cc_elem(), min(alpha.home, MAX_RANK))
-    except RankCapError:
-        return False
+    """alpha's home is at most MAX_RANK: seq_check has built theta(alpha)."""
+    return leq(alpha, cc_elem(), alpha.home)

@@ -213,17 +213,6 @@ def _add_free_term(a: BTerm, bound: frozenset[str], free: set[str]) -> None:
         raise TypeError(f"not a term: {a!r}")
 
 
-def height(A: Formula) -> int:
-    """Tree height with inequation leaves at 0."""
-    if isinstance(A, Neq):
-        return 0
-    if isinstance(A, Impl):
-        return 1 + max(height(A.ante), height(A.cons))
-    if isinstance(A, Forall):
-        return 1 + height(A.body)
-    raise TypeError(f"not a formula: {A!r}")
-
-
 def subst_formula(A: Formula, zs: Sequence[str], bs: Sequence[BTerm]) -> Formula:
     """Simultaneous capture-avoiding substitution in a formula."""
     if len(zs) != len(bs):

@@ -42,25 +42,11 @@ def step(p: Process) -> tuple[Process, str] | None:
     return None
 
 
-def step1(p: Process) -> Process | None:
-    """Just the successor process."""
-    s = step(p)
-    return None if s is None else s[0]
-
-
 @dataclass
 class Trace:
     steps: list[tuple[Process, str]]   # (state, rule applied to it)
     final: Process
     stuck: bool                        # no rule applies to final
-
-    @property
-    def states(self) -> list[Process]:
-        return [p for p, _ in self.steps] + [self.final]
-
-    @property
-    def exhausted(self) -> bool:
-        return not self.stuck
 
 
 def evaluate(p: Process, fuel: int = 1000) -> Trace:

@@ -47,7 +47,7 @@ from .lcterms import (
     App, EMPTY, Gamma, Kont, LVar, Lam, LcTerm, Process, SPush, StackT,
     canon_process, constraint_of, stack_of, stack_to_list,
 )
-from .machine import step1
+from .machine import step
 
 
 @dataclass
@@ -140,9 +140,10 @@ def _least_level(p: Process, k: int, cfg: PoleConfig) -> Generator:
             if level is None:
                 level = cfg.memo[key] = yield from _tag_level(p, k - steps)
             return steps + level if level else None
-        p = step1(p)
-        if p is None:
+        s = step(p)
+        if s is None:
             return None
+        p = s[0]
     return None
 
 
@@ -193,10 +194,9 @@ def in_pole_limit(p: Process, cfg: PoleConfig | None = None) -> int | None:
 # --------------------------------------------------------------------------
 
 def _tail_pool(depth: int) -> list[StackT]:
-    """The empty stack and up to two g{_|_} entries over it, as depth
-    allows."""
+    """The stacks of 0 to depth g{_|_} entries over the empty stack."""
     pool: list[StackT] = [EMPTY]
-    for _ in range(min(depth, 2)):
+    for _ in range(depth):
         pool.append(SPush(Gamma(bot()), pool[-1]))
     return pool
 
@@ -204,7 +204,10 @@ def _tail_pool(depth: int) -> list[StackT]:
 def canonical_falsity_stacks(A: Formula, depth: int = 2) -> list[StackT]:
     """Stacks guaranteed to oppose any realizer of A: for every choice of
     outer bits making the head equality true, the premise instances are
-    pushed as tagged instructions over a small pool of continuations."""
+    pushed as tagged instructions over a pool of continuations, the empty
+    stack and up to `depth` g{_|_} entries over it, 0 <= depth <= 2."""
+    if not 0 <= depth <= 2:
+        raise UsageError(f"depth must be in 0..2, got {depth}")
     if free_vars(A):
         raise UsageError("canonical_falsity_stacks needs a closed formula")
     seen = set()

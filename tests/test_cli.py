@@ -1,5 +1,7 @@
 import hashlib
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -46,8 +48,8 @@ def test_validity_exit_codes(capsys):
     assert run(capsys, "validity", "forall z. z != 0")[0] == 1
     hard = "forall z. (z != 0 -> z \\/ ~z != 0)"
     assert run(capsys, "validity", hard)[0] == 2
-    code, _ = run(capsys, "validity", hard, "--family-complete")
-    assert code == 0
+    # a family that passes is no proof of validity, so no flag claims it
+    assert run(capsys, "validity", hard, "--family-complete")[0] == 64
     # {0,1} refutes these before model_check reaches the depth guard
     for matrix in ("a == 0", "0 != 0"):
         text = "".join(f"forall {v}. " for v in "abcdefg") + matrix
@@ -138,28 +140,6 @@ def test_json_mode(capsys):
     assert rec["status"] == "valid"
 
 
-def test_config_file(tmp_path, capsys):
-    cfg = tmp_path / "realiz.cfg"
-    cfg.write_text("family = pf1\nk = 2\n")
-    code, out = run(capsys, "--config", str(cfg),
-                    "pole-member", "g{_|_} * []")
-    assert code == 0
-
-
-def test_flags_beat_config(tmp_path, capsys):
-    cfg = tmp_path / "realiz.cfg"
-    cfg.write_text("k = 0\nfuel = 1\n")
-    code, out = run(capsys, "--config", str(cfg),
-                    "pole-member", "g{_|_} * []", "--k", "5")
-    assert code == 0 and out.strip() == "k=1"
-    code, out = run(capsys, "--config", str(cfg),
-                    "pole-member", "g{_|_} * []")
-    assert code == 1 and "up to k=0" in out
-    _, out = run(capsys, "--config", str(cfg),
-                 "eval", "(\\x. x) cc * []", "--fuel", "10")
-    assert "stuck" in out.splitlines()[-1]
-
-
 SEVEN_FORALLS = ("forall a. forall b. forall c. forall d. forall e. "
                  "forall f. forall g. a != 0")
 
@@ -184,6 +164,9 @@ SEVEN_FORALLS = ("forall a. forall b. forall c. forall d. forall e. "
      "model_check needs a closed formula, free: ['x']"),
     (("realizes", "\\x. x", "x != 0"), 64,
      "canonical_falsity_stacks needs a closed formula"),
+    # the falsity stacks' continuations hold at most two g{_|_} entries
+    (("realizes", "\\x. x", "forall z. ((forall w. w != z) -> z != 1)",
+      "--depth", "3"), 64, "depth must be in 0..2"),
 ])
 def test_crash_exit_codes(capsys, argv, code, message):
     assert main(list(argv)) == code
@@ -201,12 +184,30 @@ def test_crash_exit_codes(capsys, argv, code, message):
     ("corpus", "formulas", "--size", "-1"),
     ("lattice", "--rank", "-1"),
     ("denote", "\\x. x", "--rank", "-2"),
-    ("seq-check", "--rank", "2", "--element", "3", "--search-budget", "-2"),
     ("theta", "--rank", "-1", "--element", "0"),
 ])
 def test_out_of_range_numbers_are_usage_errors(capsys, argv):
     assert main(list(argv)) == 64
     assert capsys.readouterr().out == ""
+
+
+def _readme_command_lines() -> list[list[str]]:
+    """The argument vectors of the `realiz ...` lines in README's
+    "Command line" block."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.split("```", 1)[0].splitlines()
+            if line.startswith("realiz ")]
+
+
+def test_readme_command_lines_run(capsys):
+    # typecheck needs a file; test_acceptance runs the suite
+    argvs = [a for a in _readme_command_lines()
+             if a[0] not in ("typecheck", "suite")]
+    assert len(argvs) >= 9
+    codes = [(argv, main(argv)) for argv in argvs]
+    assert [c for c in codes if c[1] not in (0, 1)] == []
 
 
 @pytest.mark.parametrize("text", [
@@ -229,13 +230,6 @@ def test_malformed_derivation_is_usage_error(tmp_path, capsys, text):
 def test_deep_nesting_is_unknown(capsys, argv):
     assert main(list(argv)) == 2
     assert "nests too deeply" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("text", ["k = -3\n", "k = abc\n"])
-def test_bad_config_number_is_usage_error(tmp_path, text):
-    cfg = tmp_path / "realiz.cfg"
-    cfg.write_text(text)
-    assert main(["--config", str(cfg), "pole-member", "g{_|_} * []"]) == 64
 
 
 def test_family_flag_only_where_read():

@@ -1,7 +1,9 @@
 from realizability.corpus import (
     exhaustive_formulas_height2, formula_corpus, horn_corpus, process_corpus,
 )
-from realizability.formulas import HornKind, classify_horn, free_vars, height
+from realizability.formulas import (
+    Forall, HornKind, Impl, Neq, classify_horn, free_vars,
+)
 
 
 def test_same_seed_same_corpus():
@@ -19,6 +21,16 @@ def test_formula_corpus_mixes_horn_kinds():
 def test_horn_corpus_is_horn():
     for a in horn_corpus(100, seed=12):
         assert classify_horn(a) != HornKind.NOT_HORN
+
+
+def height(A) -> int:
+    """Tree height with inequation leaves at 0."""
+    if isinstance(A, Neq):
+        return 0
+    if isinstance(A, Impl):
+        return 1 + max(height(A.ante), height(A.cons))
+    assert isinstance(A, Forall)
+    return 1 + height(A.body)
 
 
 def test_exhaustive_height2_bounded():

@@ -261,13 +261,14 @@ def _proc_den(p):
 def test_denote_machine_compatibility():
     # control-free machine steps preserve denotation at the bottom rank
     from realizability.corpus import process_corpus
-    from realizability.machine import step1
+    from realizability.machine import step
     from realizability.lcterms import stack_to_list
     from realizability.syntax import print_process
 
     checked = 0
     for p in process_corpus(250, seed=21):
-        q = step1(p)
+        s = step(p)
+        q = s[0] if s else None
         parts = [p.term] + stack_to_list(p.stack)
         if q is None or not all(_control_free(t) for t in parts):
             continue

@@ -8,7 +8,7 @@ from realizability.lcterms import (
     free_lvars, stack_of, subst_lc,
 )
 from realizability.formulas import bot
-from realizability.machine import evaluate, step, step1
+from realizability.machine import evaluate, step
 from realizability.syntax import parse_process, print_process
 
 
@@ -49,22 +49,17 @@ def test_stuck_states():
     assert step(Process(CC, EMPTY)) is None
 
 
-def test_step1_matches_step():
-    p = parse_process("(\\x. x x) (\\x. x x) * []")
-    assert step1(p) == step(p)[0]
-
-
 def test_evaluate_trace():
     tr = evaluate(parse_process("(\\x. x) cc * []"))
     assert [r for _, r in tr.steps] == ["Push", "Grab"]
-    assert tr.stuck and not tr.exhausted
+    assert tr.stuck
     assert print_process(tr.final) == "cc * []"
 
 
 def test_fuel_exhaustion():
     omega = parse_process("(\\x. x x) (\\x. x x) * []")
     tr = evaluate(omega, fuel=7)
-    assert tr.exhausted and not tr.stuck
+    assert not tr.stuck
     assert len(tr.steps) == 7
 
 

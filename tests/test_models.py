@@ -392,18 +392,15 @@ def test_family_passed_is_unknown_by_default():
     A = parse_formula("forall z. (z != 0 -> z \\/ ~z != 0)")
     v = valid_all_bas(A)
     assert v.status == "unknown"
-    w = valid_all_bas(A, family_complete=True)
-    assert w.is_valid and w.justification == Justification.FAMILY
 
 
 def test_empty_family_is_refused():
-    # no algebra to refute it: {0,1} does, so "valid (family-complete)"
-    # would be wrong, and "unknown (family-passed)" checked nothing
+    # no algebra to refute it: {0,1} does, so "unknown (family-passed)"
+    # would have checked nothing
     A = parse_formula("forall z. (z != 0 -> z != 1)")
     assert not brute_check(A, 1)
-    for complete in (False, True):
-        with pytest.raises(UsageError, match="nonempty family"):
-            valid_all_bas(A, family=(), family_complete=complete)
+    with pytest.raises(UsageError, match="nonempty family"):
+        valid_all_bas(A, family=())
     with pytest.raises(UsageError, match="nonempty family"):
         TheoryOracle(())
 

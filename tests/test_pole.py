@@ -16,7 +16,7 @@ from realizability.lcterms import (
     stack_to_list,
 )
 from realizability import pole
-from realizability.machine import evaluate, step1
+from realizability.machine import evaluate, step
 from realizability.pole import (
     PoleConfig, _check_closed as check_closed, _premises, _witnesses,
     canonical_falsity_stacks, constraint_check, in_pole, in_pole_limit,
@@ -100,6 +100,15 @@ def test_canonical_falsity_stacks_shapes():
     assert canonical_falsity_stacks(A_true_forall, depth=2) == []
 
 
+def test_falsity_stack_counts_by_depth():
+    A = parse_formula("forall z. ((forall w. w != z) -> z != 1)")
+    counts = [len(canonical_falsity_stacks(A, d)) for d in (0, 1, 2)]
+    assert counts == [1, 2, 3]
+    for depth in (-1, 3):
+        with pytest.raises(UsageError, match="0..2"):
+            canonical_falsity_stacks(A, depth)
+
+
 def test_identity_realizes_commutativity(cfg):
     A = parse_formula("forall z. forall w. z /\\ w == w /\\ z")
     rep = realizes_bounded(parse_lcterm("\\x. x"), A, cfg)
@@ -169,7 +178,8 @@ def _ladder_in_pole(p, k, memo):
 
 
 def _ladder_raw(p, k, memo):
-    q = step1(p)
+    s = step(p)
+    q = s[0] if s else None
     if q is not None and _ladder_in_pole(q, k - 1, memo):
         return True
     if not isinstance(p.term, Gamma):
@@ -300,7 +310,8 @@ def test_machine_keeps_processes_closed(seed):
         chain(n) for chain in (_identity_chain, _cc_chain) for n in (1, 10, 60)]
     steps = 0
     for p in procs:
-        for q in evaluate(p, fuel=300).states:
+        tr = evaluate(p, fuel=300)
+        for q in [q for q, _ in tr.steps] + [tr.final]:
             assert _open_parts(q) == [], (p, q)
             steps += 1
     assert steps > 1000
