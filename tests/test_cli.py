@@ -184,6 +184,7 @@ def test_crash_exit_codes(capsys, argv, code, message):
     ("corpus", "formulas", "--size", "-1"),
     ("lattice", "--rank", "-1"),
     ("denote", "\\x. x", "--rank", "-2"),
+    ("seq-check", "--rank", "-1", "--element", "0"),
     ("theta", "--rank", "-1", "--element", "0"),
 ])
 def test_out_of_range_numbers_are_usage_errors(capsys, argv):
