@@ -33,8 +33,9 @@ from enum import Enum
 from typing import Sequence
 
 from .formulas import (
-    Formula, Forall, HornKind, Impl, Neq, UsageError, classify_horn,
-    eval_formula_01, eval_term_01, free_vars, is_ground,
+    And, Formula, Forall, HornKind, Impl, Neq, Not, One, Or, UsageError,
+    Var, Zero, classify_horn, eval_formula_01, eval_term_01, free_vars,
+    is_ground,
 )
 
 
@@ -180,7 +181,6 @@ def brute_check(A: Formula, k: int) -> bool:
     full = (1 << k) - 1
 
     def term(a, env: dict[str, int]) -> int:
-        from .formulas import And, Not, One, Or, Var, Zero
         if isinstance(a, Var):
             return env[a.name]
         if isinstance(a, Zero):

@@ -212,6 +212,8 @@ def cmd_suite(args) -> int:
     if args.only:
         results = [r for r in results if str(r.index) == args.only
                    or args.only in r.name]
+        if not results:
+            raise UsageError(f"no criterion matches {args.only!r}")
     ok = all(r.ok for r in results)
     for r in results:
         _emit(args, {"index": r.index, "name": r.name, "ok": r.ok,

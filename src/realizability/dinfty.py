@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-from .bamodels import DEFAULT_FAMILY, Verdict, valid_all_bas
+from .bamodels import DEFAULT_FAMILY, valid_all_bas
 from .formulas import (
     Formula, Forall, Impl, Neq, ONE, UsageError, ZERO, eval_term_01,
     forall_many, free_vars, rows_term,
@@ -462,7 +462,6 @@ def _uses_cc(t: LcTerm) -> bool:
 class SeqVerdict:
     status: str                 # "sequentialisable" | "not-sequentialisable" | "unknown"
     witness: LcTerm | None = None
-    validity: Verdict | None = None
     detail: str = ""
 
 
@@ -476,22 +475,22 @@ def seq_check(alpha: DElem, *, family=DEFAULT_FAMILY) -> SeqVerdict:
     A = theta(alpha)
     v = valid_all_bas(A, family)
     if v.is_refuted:
-        return SeqVerdict("not-sequentialisable", validity=v)
+        return SeqVerdict("not-sequentialisable")
     if v.is_valid:
         w = term_search(alpha)
         if w is None and _cc_dominates(alpha):
             w = CC
-        return SeqVerdict("sequentialisable", witness=w, validity=v,
+        return SeqVerdict("sequentialisable", witness=w,
                           detail="" if w else "no witness within budget")
     # Validity undecided: a dominance witness still settles the question.
     if _cc_dominates(alpha):
-        return SeqVerdict("sequentialisable", witness=CC, validity=v,
+        return SeqVerdict("sequentialisable", witness=CC,
                           detail="dominated by the truncated control element")
     w = term_search(alpha)
     if w is not None:
-        return SeqVerdict("sequentialisable", witness=w, validity=v,
+        return SeqVerdict("sequentialisable", witness=w,
                           detail="search witness; validity layer undecided")
-    return SeqVerdict("unknown", validity=v, detail=v.detail)
+    return SeqVerdict("unknown", detail=v.detail)
 
 
 def _cc_dominates(alpha: DElem) -> bool:

@@ -1,8 +1,8 @@
 """Lambda calculus with call/cc, stack constants and tagged instructions.
 
 Terms, stacks and processes; substitution of a closed term for a lambda
-variable; proof-likeness; and the conjunction of all instruction tags
-occurring in a term, stack or process.
+variable; the conjunction of all instruction tags occurring in a term,
+stack or process; and canonical keys for alpha-equivalence.
 
 First-order variables (inside tags) and lambda variables are disjoint
 sorts: `subst_lc` never descends into tags.
@@ -150,46 +150,29 @@ def subst_lc(t: LcTerm, x: str, u: LcTerm) -> LcTerm:
 
 def iter_tags(x) -> Iterable[Formula]:
     """All instruction tags in deterministic pre-order (term before stack,
-    function before argument, head before tail)."""
-    if isinstance(x, Process):
-        yield from iter_tags(x.term)
-        yield from iter_tags(x.stack)
-    elif isinstance(x, SPush):
-        yield from iter_tags(x.head)
-        yield from iter_tags(x.tail)
-    elif isinstance(x, Gamma):
-        yield x.tag
-    elif isinstance(x, App):
-        yield from iter_tags(x.fn)
-        yield from iter_tags(x.arg)
-    elif isinstance(x, Lam):
-        yield from iter_tags(x.body)
-    elif isinstance(x, Kont):
-        yield from iter_tags(x.stack)
+    function before argument, head before tail).  The walk keeps its own
+    to-do list, so a long stack costs no Python recursion."""
+    todo = [x]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, Process):
+            todo += (x.stack, x.term)
+        elif isinstance(x, SPush):
+            todo += (x.tail, x.head)
+        elif isinstance(x, Gamma):
+            yield x.tag
+        elif isinstance(x, App):
+            todo += (x.arg, x.fn)
+        elif isinstance(x, Lam):
+            todo.append(x.body)
+        elif isinstance(x, Kont):
+            todo.append(x.stack)
 
 
 def constraint_of(x) -> Formula:
     """Right-nested conjunction of all instruction tags in x; the empty
     conjunction is 0 != 1."""
     return conj_many(list(iter_tags(x)))
-
-
-def is_proof_like(t: LcTerm) -> bool:
-    """Closed and free of stack constants.  Tagged instructions are allowed:
-    the pole consults no theory, so none of them is restricted."""
-    if free_lvars(t):
-        return False
-
-    def ok(t: LcTerm) -> bool:
-        if isinstance(t, (Kont, Eta)):
-            return False
-        if isinstance(t, App):
-            return ok(t.fn) and ok(t.arg)
-        if isinstance(t, Lam):
-            return ok(t.body)
-        return True
-
-    return ok(t)
 
 
 # --------------------------------------------------------------------------
@@ -227,13 +210,15 @@ def canon_term(t: LcTerm, env: dict[str, int] | None = None,
 
 
 def canon_stack(pi: StackT, counter=None) -> tuple:
+    """("stack", key of each entry, head to tail); the entries' binders
+    are numbered in that order.  A loop, so a long stack costs no Python
+    recursion."""
     counter = counter if counter is not None else itertools.count()
-    if isinstance(pi, SEmpty):
-        return ("omega",
-)
-    assert isinstance(pi, SPush)
-    return ("push", canon_term(pi.head, None, counter),
-            canon_stack(pi.tail, counter))
+    key = ["stack"]
+    while isinstance(pi, SPush):
+        key.append(canon_term(pi.head, None, counter))
+        pi = pi.tail
+    return tuple(key)
 
 
 def canon_process(p: Process) -> tuple:

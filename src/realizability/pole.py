@@ -224,8 +224,6 @@ def canonical_falsity_stacks(A: Formula, depth: int = 2) -> list[StackT]:
 
 @dataclass
 class TestReport:
-    term: LcTerm
-    formula: Formula
     results: list[tuple[StackT, int | None]]
 
     @property
@@ -247,7 +245,7 @@ def realizes_bounded(t: LcTerm, A: Formula, cfg: PoleConfig | None = None,
     cfg = cfg or PoleConfig()
     results = [(pi, _in_pole(Process(t, pi), cfg.k_max, cfg))
                for pi in canonical_falsity_stacks(A, depth)]
-    return TestReport(t, A, results)
+    return TestReport(results)
 
 
 def constraint_check(p: Process) -> Verdict:

@@ -21,9 +21,8 @@ from .formulas import (
 from .lcterms import (
     App, CC, Cc, LVar, Lam, LcTerm, free_lvars, lc_alpha_eq,
 )
+from .syntax import parse_bterm, parse_formula, parse_lcterm
 
-RULES = ("Abs", "App", "ForallIntro", "ForallElim", "Axiom", "Peirce",
-         "NeqSubst", "NeqElim")
 _ARITY = {"Abs": 1, "App": 2, "ForallIntro": 1, "ForallElim": 1,
           "Axiom": 0, "Peirce": 0, "NeqSubst": 1, "NeqElim": 1}
 
@@ -59,7 +58,7 @@ class Derivation:
     rule_data: object = None
 
     def __post_init__(self):
-        if self.rule not in RULES:
+        if self.rule not in _ARITY:
             raise UsageError(f"unknown rule {self.rule!r}")
         if len(self.premises) != _ARITY[self.rule]:
             raise UsageError(
@@ -370,8 +369,6 @@ def _read_back(tok, toks):
 
 
 def parse_derivation(src: str) -> Derivation:
-    from .syntax import parse_bterm, parse_formula, parse_lcterm
-
     def items(form, what: str, n: int | None = None) -> list:
         if not isinstance(form, list) or n not in (None, len(form)):
             raise UsageError(f"malformed {what} in derivation text")

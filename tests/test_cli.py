@@ -93,6 +93,16 @@ def test_realizes_prints_premises_as_written(capsys):
     ]
 
 
+@pytest.mark.parametrize("n, level", [(3, 138), (5, 12504)])
+def test_pole_member_on_a_machine_grown_long_stack(capsys, n, level):
+    # n^n cc entries pile up on the stack before g{_|_} runs
+    church = "\\s. \\z. " + "s (" * (n - 1) + "s z" + ")" * (n - 1)
+    code, out = run(capsys, "pole-member",
+                    f"({church}) ({church}) (\\h. h cc) g{{_|_}} * []",
+                    "--k", "20000")
+    assert (code, out.strip()) == (0, f"k={level}")
+
+
 def test_lattice(capsys):
     code, out = run(capsys, "lattice", "--rank", "1", "--list")
     assert code == 0
@@ -108,6 +118,13 @@ def test_theta_and_seq(capsys):
     code, out = run(capsys, "theta", "--rank", "1", "--element", "1")
     assert code == 0 and "->" in out
     assert run(capsys, "seq-check", "--rank", "0", "--element", "1")[0] == 1
+
+
+def test_seq_check_unknown_exit_code(capsys):
+    code, out = run(capsys, "seq-check", "--rank", "3", "--element", "111706")
+    assert code == 2
+    assert out.strip() == ("unknown (guard: quantifier depth 7 exceeds the "
+                           "guard of 6)")
 
 
 # sha256 of `theta --rank 3 --element i` as printed before the row-table
@@ -231,6 +248,13 @@ def test_malformed_derivation_is_usage_error(tmp_path, capsys, text):
 def test_deep_nesting_is_unknown(capsys, argv):
     assert main(list(argv)) == 2
     assert "nests too deeply" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("only", ["99", "xyz"])
+def test_suite_filter_matching_nothing_is_usage_error(capsys, only):
+    assert main(["suite", only]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == "" and repr(only) in captured.err
 
 
 def test_family_flag_only_where_read():

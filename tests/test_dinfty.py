@@ -469,3 +469,13 @@ def test_seq_check_triple():
     s3 = seq_check(peirce)
     assert s3.status == "sequentialisable"
     assert s3.witness == CC
+
+
+def test_rank3_seq_check_unknown_past_the_guard():
+    # theta is true in {0,1} and no searched term dominates at rank 2, so
+    # only the validity layer could answer, and its depth guard refuses
+    alpha = elem(3, val(3, 111706))
+    assert eval_formula_01(theta(alpha))
+    sv = seq_check(alpha)
+    assert (sv.status, sv.witness, sv.detail) == (
+        "unknown", None, "guard: quantifier depth 7 exceeds the guard of 6")

@@ -12,8 +12,7 @@ from realizability.formulas import (
 )
 from realizability.lcterms import (
     CC, EMPTY, Gamma, Kont, Lam, LVar, App, Process, SPush, canon_process,
-    constraint_of, free_lvars, is_proof_like, iter_tags, stack_of,
-    stack_to_list,
+    constraint_of, free_lvars, iter_tags, stack_of, stack_to_list,
 )
 from realizability import pole
 from realizability.machine import evaluate, step
@@ -83,13 +82,6 @@ def test_forall_tag_obligations(cfg):
     assert in_pole_limit(q, cfg) == 1
 
 
-def test_is_proof_like():
-    assert is_proof_like(parse_lcterm("\\x. x cc"))
-    assert is_proof_like(parse_lcterm("g{_|_}"))
-    assert not is_proof_like(parse_lcterm("k[]"))
-    assert not is_proof_like(LVar("x"))
-
-
 def test_canonical_falsity_stacks_shapes():
     stacks = canonical_falsity_stacks(parse_formula("_|_"), depth=2)
     assert stacks
@@ -127,6 +119,23 @@ def test_gamma_of_formula_realizes_it(cfg):
         A = parse_formula(src)
         rep = realizes_bounded(Gamma(A), A, cfg)
         assert rep.clean, (src, rep.failures)
+
+
+def test_long_stacks_cost_no_recursion():
+    # the machine grows stacks of thousands of entries from short inputs
+    tags = [Neq(ZERO, ONE), bot(), Neq(ONE, ONE)]
+    entries = [Gamma(tags[0]), Lam("x", App(LVar("x"), Gamma(tags[1]))),
+               Kont(stack_of(Gamma(tags[2])))]
+    p = Process(CC, stack_of(*[CC] * 5000, *entries))
+    assert list(iter_tags(p)) == tags
+
+    def identities(name, n):
+        return Process(CC, stack_of(*[Lam(name, LVar(name))] * n))
+
+    assert canon_process(identities("x", 5000)) == \
+        canon_process(identities("y", 5000))
+    assert canon_process(identities("x", 5000)) != \
+        canon_process(identities("x", 4999))
 
 
 def test_constraint_check():
