@@ -18,12 +18,13 @@ from .bamodels import (
 )
 from .corpus import formula_corpus, lcterm_corpus
 from .dinfty import (
-    DElem, RankCapError, denote, elem, level_size, seq_check, theta, val,
+    DElem, RankCapError, denote, elem, level_size, seq_check, tables, theta,
+    val,
 )
 from .formulas import UsageError
 from .machine import evaluate
 from .pole import PoleConfig, in_pole_limit, realizes_bounded
-from .suite import run_all
+from .suite import NAMES, run_all
 from .syntax import (
     ParseError, parse_bterm, parse_formula, parse_lcterm, parse_process,
     parse_stack, print_bterm, print_formula, print_lcterm, print_process,
@@ -164,8 +165,8 @@ def cmd_lattice(args) -> int:
     size = level_size(n)
     _emit(args, {"rank": n, "size": size}, f"|rank {n}| = {size}")
     if args.list:
-        for i in range(size):
-            _emit(args, {"index": i, "value": val(n, i)}, f"{i}: {val(n, i)}")
+        for i, v in enumerate(tables(n)):
+            _emit(args, {"index": i, "value": v}, f"{i}: {v}")
     return EX_OK
 
 
@@ -208,12 +209,11 @@ def cmd_corpus(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    results = run_all()
-    if args.only:
-        results = [r for r in results if str(r.index) == args.only
-                   or args.only in r.name]
-        if not results:
-            raise UsageError(f"no criterion matches {args.only!r}")
+    only = args.only or ""
+    indices = [i for i, name in NAMES.items() if str(i) == only or only in name]
+    if not indices:
+        raise UsageError(f"no criterion matches {args.only!r}")
+    results = run_all(indices)
     ok = all(r.ok for r in results)
     for r in results:
         _emit(args, {"index": r.index, "name": r.name, "ok": r.ok,

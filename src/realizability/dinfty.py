@@ -6,11 +6,18 @@ canonical tables: a rank-0 value is 0 or 1 (equal to its enumeration
 index), and a rank-(n+1) value is a tuple assigning to each enumeration
 index of rank n an enumeration index of rank n.  Enumeration is in
 lexicographic order, which is inductively a linear extension of the
-pointwise order, so index 0 is bottom and the last index is top.  The
-depth-first enumeration tries each entry in increasing order, so it emits
-the tables already sorted.  The order and the join of each rank are
-cached functions of enumeration indices (`idx_leq`, `idx_join`); the
-table forms `tbl_leq` and `tbl_join` lift them entrywise.
+pointwise order, so index 0 is bottom and the last index is top.  No rank
+is listed to find its size or a value: a table is built entry by entry,
+and the state after some entries are placed is the tuple of lower bounds
+they force on the rest (`_moves`).  The number of monotone completions of
+each state is memoised (`_count`; rank 3 has 417 states), so
+`level_size(n)` is the count of the empty state and `val(n, i)` unranks
+index i by walking the entries and subtracting completion counts.
+`tables(n)` streams the tables by a depth-first walk over the same states,
+in order, and `level(n)` keeps them; only ranks 1 and 2 are kept, for
+`idx_of`.  The order and the join of each rank are cached functions of
+enumeration indices (`idx_leq`, `idx_join`); the table forms `tbl_leq`
+and `tbl_join` lift them entrywise.
 
 The projection pair between ranks n and n+1 is cached the same way, as
 maps of enumeration indices (`phi_idx`, `psi_idx`), and the table forms
@@ -20,7 +27,7 @@ Elements of the limit are families of per-rank components coherent under
 the downward projections; they are built lazily and memoised, and carry
 no tag beyond their home rank.  MAX_RANK (3) bounds both the enumerated
 ranks and the components that can be materialised, so rank-4 components
-are never built.
+are never built.  The truncated control element is built once.
 
 On top: step functions (arrow), application and abstraction through the
 retraction, the truncated control-operator element, denotations of machine
@@ -57,48 +64,87 @@ MAX_RANK = 3  # rank-4 tables are astronomically many
 # Level enumeration and table algebra
 # --------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def level(n: int) -> tuple:
-    """All values of rank n, in lexicographic order."""
+def _check_rank(n: int) -> None:
     if n < 0:
         raise UsageError("negative rank")
     if n > MAX_RANK:
         raise RankCapError(f"rank {n} exceeds the enumeration cap {MAX_RANK}")
+
+
+def tables(n: int):
+    """The values of rank n in lexicographic order, one at a time: a
+    depth-first walk over the states of `_moves`, which lists each entry's
+    values in increasing order, so tables come out sorted."""
+    _check_rank(n)
     if n == 0:
-        return (0, 1)
-    m = len(level(n - 1))
-    # For assigned positions j < i with value(j) <= value(i) pointwise,
-    # monotonicity forces table[i] >= join of those entries; lexicographic
-    # index order is a linear extension, so no constraint points forward.
-    # Entries are tried in increasing order, so tables come out sorted.
-    out: list[tuple[int, ...]] = []
+        yield from (0, 1)
+        return
 
-    def dfs(prefix: list[int]):
-        i = len(prefix)
-        if i == m:
-            out.append(tuple(prefix))
+    def dfs(i: int, lows: tuple, prefix: tuple):
+        if not lows:
+            yield prefix
             return
-        lo = 0
-        for j in range(i):
-            if idx_leq(n - 1, j, i):
-                lo = idx_join(n - 1, lo, prefix[j])
-        for c in range(m):
-            if idx_leq(n - 1, lo, c):
-                prefix.append(c)
-                dfs(prefix)
-                prefix.pop()
+        for c, after in _moves(n, i, lows):
+            yield from dfs(i + 1, after, prefix + (c,))
 
-    dfs([])
+    yield from dfs(0, (0,) * level_size(n - 1), ())
+
+
+@lru_cache(maxsize=None)
+def level(n: int) -> tuple:
+    """All values of rank n, in lexicographic order."""
+    return tuple(tables(n))
+
+
+@lru_cache(maxsize=None)
+def _moves(n: int, i: int, lows: tuple) -> tuple:
+    """The values entry i of a rank-n table can take, in increasing order,
+    each paired with the state it leaves.  The state after entries 0..i-1
+    are placed is the tuple of lower bounds they force on entries i..: for
+    j < k with value(j) <= value(k) pointwise, monotonicity forces
+    table[k] >= table[j].  Lexicographic index order is a linear
+    extension, so each constraint bounds an entry by an earlier one, and
+    lower bounds are all a state needs."""
+    out = []
+    for c in range(i + len(lows)):
+        if idx_leq(n - 1, lows[0], c):
+            out.append((c, tuple(
+                idx_join(n - 1, lo, c) if idx_leq(n - 1, i, k) else lo
+                for k, lo in enumerate(lows[1:], i + 1))))
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _count(n: int, i: int, lows: tuple) -> int:
+    """The number of monotone completions of a state."""
+    if not lows:
+        return 1
+    return sum(_count(n, i + 1, after) for _, after in _moves(n, i, lows))
+
+
+@lru_cache(maxsize=None)
 def level_size(n: int) -> int:
-    return len(level(n))
+    _check_rank(n)
+    return 2 if n == 0 else _count(n, 0, (0,) * level_size(n - 1))
 
 
+@lru_cache(maxsize=None)
 def val(n: int, i: int):
-    """The rank-n value at enumeration index i."""
-    return i if n == 0 else level(n)[i]
+    """The rank-n value at enumeration index i, unranked without listing
+    the rank: each entry takes the value whose completions contain i."""
+    if not 0 <= i < level_size(n):
+        raise IndexError(f"index {i} out of range at rank {n}")
+    if n == 0:
+        return i
+    lows, out = (0,) * level_size(n - 1), []
+    for k in range(len(lows)):
+        for c, after in _moves(n, k, lows):
+            if i < _count(n, k + 1, after):
+                break
+            i -= _count(n, k + 1, after)
+        out.append(c)
+        lows = after
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -293,6 +339,7 @@ def lam(body: Callable[[DElem], DElem]) -> DElem:
     return DElem(0, fn)
 
 
+@lru_cache(maxsize=None)
 def cc_elem() -> DElem:
     """Truncated control-operator element: the join of the dominance
     pattern ((b -> c) -> b) -> b over all b, c of rank 0.  Over rank-n

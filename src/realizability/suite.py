@@ -1,8 +1,9 @@
 """The twelve acceptance checks, shared by the test suite and the CLI.
 
-Each criterion function returns a CriterionResult; run_all executes them
-in order, reusing the certified-process list that criterion 6 inherits
-from criterion 5.
+Each criterion function returns a CriterionResult; `NAMES` gives each
+index its name, so a caller can choose criteria before any of them runs.
+run_all executes the chosen ones in order, reusing the certified-process
+list that criterion 6 inherits from criterion 5.
 """
 
 from __future__ import annotations
@@ -54,13 +55,30 @@ class CriterionResult:
                 f"{self.detail} ({self.elapsed:.1f}s)")
 
 
-def _timed(index: int, name: str, fn: Callable) -> CriterionResult:
+NAMES = {
+    1: "machine rule table",
+    2: "Horn transfer",
+    3: "model checker oracle equivalence",
+    4: "background-theory realizability",
+    5: "tagged-instruction realizability",
+    6: "certified-process constraint soundness",
+    7: "hand-derived pole values",
+    8: "lattice sizes and laws",
+    9: "synthesis roundtrip",
+    10: "sequentialisability",
+    11: "solvability",
+    12: "typing",
+}
+
+
+def _timed(index: int, fn: Callable) -> CriterionResult:
     t0 = time.perf_counter()
     try:
         ok, detail = fn()
     except Exception as e:  # a crash is a failure, not an abort
         ok, detail = False, f"exception: {e!r}"
-    return CriterionResult(index, name, ok, detail, time.perf_counter() - t0)
+    return CriterionResult(index, NAMES[index], ok, detail,
+                           time.perf_counter() - t0)
 
 
 # -- 1: machine rule table and determinism ---------------------------------
@@ -107,7 +125,7 @@ def criterion_1() -> CriterionResult:
             if s is not None and s[1] != rules[0]:
                 return False, f"rule name mismatch on {p!r}"
         return True, "4 unit transitions, 500-process determinism"
-    return _timed(1, "machine rule table", run)
+    return _timed(1, run)
 
 
 # -- 2: Horn transfer ------------------------------------------------------
@@ -123,7 +141,7 @@ def criterion_2() -> CriterionResult:
                 if model_check(a, spec) != t01:
                     return False, f"transfer failed on {a!r} in {spec}"
         return True, "200 Horn clauses x 3 algebras, zero discrepancies"
-    return _timed(2, "Horn transfer", run)
+    return _timed(2, run)
 
 
 # -- 3: model checker vs brute force ---------------------------------------
@@ -136,7 +154,7 @@ def criterion_3() -> CriterionResult:
                 if model_check(a, PowerFinite(k)) != brute_check(a, k):
                     return False, f"disagreement on {a!r} at {k} atoms"
         return True, "200 formulas x 3 algebras, zero discrepancies"
-    return _timed(3, "model checker oracle equivalence", run)
+    return _timed(3, run)
 
 
 # -- 4: background-theory realizability ------------------------------------
@@ -162,7 +180,7 @@ def criterion_4() -> CriterionResult:
                 return False, f"nonempty falsity stacks for true inequation {a!r}"
         return True, (f"{len(tbool_equations())} axioms realized by the "
                       f"identity; {checked} true inequations with empty stacks")
-    return _timed(4, "background-theory realizability", run)
+    return _timed(4, run)
 
 
 # -- 5/6: tagged-instruction realizability and its soundness check ---------
@@ -185,8 +203,7 @@ def _criterion_5_run(collect: list[Process] | None):
 
 
 def criterion_5(collect: list[Process] | None = None) -> CriterionResult:
-    return _timed(5, "tagged-instruction realizability",
-                  lambda: _criterion_5_run(collect))
+    return _timed(5, lambda: _criterion_5_run(collect))
 
 
 def criterion_6(certified: list[Process] | None = None) -> CriterionResult:
@@ -202,7 +219,7 @@ def criterion_6(certified: list[Process] | None = None) -> CriterionResult:
             if v.is_refuted:
                 return False, f"refuted constraint for certified {p!r}"
         return True, f"{len(procs)} certified processes, none refuted"
-    return _timed(6, "certified-process constraint soundness", run)
+    return _timed(6, run)
 
 
 # -- 7: hand-derived pole values -------------------------------------------
@@ -227,7 +244,7 @@ def criterion_7() -> CriterionResult:
         if in_pole_limit(applied, cfg) != 3:
             return False, "push/grab/instruction chain does not enter at 3"
         return True, "entry levels 1, absent, 2, 3 as derived by hand"
-    return _timed(7, "hand-derived pole values", run)
+    return _timed(7, run)
 
 
 # -- 8: lattice sizes and laws ---------------------------------------------
@@ -260,7 +277,7 @@ def criterion_8() -> CriterionResult:
             if tbl_join(2, val(2, i), val(2, i)) != val(2, i):
                 return False, "join idempotence fails"
         return True, "sizes 2/3/10, projection pairs, lattice laws"
-    return _timed(8, "lattice sizes and laws", run)
+    return _timed(8, run)
 
 
 # -- 9: formula synthesis roundtrip ----------------------------------------
@@ -276,7 +293,7 @@ def criterion_9() -> CriterionResult:
                     return False, f"roundtrip fails at rank {n}, index {i}"
                 count += 1
         return True, f"{count} elements roundtrip exactly"
-    return _timed(9, "synthesis roundtrip", run)
+    return _timed(9, run)
 
 
 # -- 10: sequentialisability triple ----------------------------------------
@@ -302,7 +319,7 @@ def criterion_10() -> CriterionResult:
                 if w is not None and sv.status == "not-sequentialisable":
                     return False, f"contradiction at rank {n}, index {i}"
         return True, "triple plus rank <= 1 consistency sweep"
-    return _timed(10, "sequentialisability", run)
+    return _timed(10, run)
 
 
 # -- 11: solvability spot checks -------------------------------------------
@@ -317,7 +334,7 @@ def criterion_11() -> CriterionResult:
         if not eq_at(omega, bottom(), 2):
             return False, "the looping term does not denote bottom"
         return True, "identity > bottom, loop = bottom at ranks <= 2"
-    return _timed(11, "solvability", run)
+    return _timed(11, run)
 
 
 # -- 12: typing ------------------------------------------------------------
@@ -359,14 +376,15 @@ def criterion_12() -> CriterionResult:
             if "free in the context" not in str(e):
                 return False, f"wrong diagnostic: {e}"
         return True, "macro derivation, axioms accepted; freshness rejected"
-    return _timed(12, "typing", run)
+    return _timed(12, run)
 
 
-def run_all() -> list[CriterionResult]:
-    results = [criterion_1(), criterion_2(), criterion_3(), criterion_4()]
-    certified: list[Process] = []
-    results.append(criterion_5(certified))
-    results.append(criterion_6(certified))
-    results += [criterion_7(), criterion_8(), criterion_9(), criterion_10(),
-                criterion_11(), criterion_12()]
-    return results
+def run_all(indices=tuple(NAMES)) -> list[CriterionResult]:
+    """The given criteria in index order.  Criterion 6 reuses the
+    certified processes of criterion 5 when both run, and runs criterion
+    5's pass itself otherwise."""
+    certified: list[Process] | None = [] if 5 in indices else None
+    shared = {5: lambda: criterion_5(certified),
+              6: lambda: criterion_6(certified)}
+    return [shared[i]() if i in shared else globals()[f"criterion_{i}"]()
+            for i in sorted(indices)]

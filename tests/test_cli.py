@@ -1,10 +1,12 @@
 import hashlib
 import json
+import random
 import shlex
 from pathlib import Path
 
 import pytest
 
+from realizability import cli, dinfty, suite
 from realizability.cli import main, parse_family
 from realizability.bamodels import Atomless, PowerFinite
 
@@ -109,6 +111,23 @@ def test_lattice(capsys):
     assert "|rank 1| = 3" in out
 
 
+# sha256 and line count of `lattice --rank n --list` as printed when the
+# listing read a materialised rank, before the tables were streamed
+LATTICE_LIST_PINS = {
+    2: (11, "0a64976c583d33a9d4e714db808a6818c822e4743c0adb570877459154ed9179"),
+    3: (120_550,
+        "bab8c7585bf060a8768379b80644a1a2b319bd4d895f9d9f4f3f741e63bd8868"),
+}
+
+
+@pytest.mark.parametrize("rank", sorted(LATTICE_LIST_PINS))
+def test_lattice_list_is_pinned(capsys, rank):
+    code, out = run(capsys, "lattice", "--rank", str(rank), "--list")
+    assert code == 0
+    assert (out.count("\n"), hashlib.sha256(out.encode()).hexdigest()) == \
+        LATTICE_LIST_PINS[rank]
+
+
 def test_denote(capsys):
     code, out = run(capsys, "denote", "\\x. x", "--rank", "1")
     assert code == 0 and "component(1)" in out
@@ -142,6 +161,32 @@ def test_theta_rank_3_text_is_pinned(capsys, element):
     assert code == 0 and out.endswith("\n")
     digest = hashlib.sha256(out[:-1].encode()).hexdigest()
     assert digest == THETA_RANK3_SHA256[element]
+
+
+def test_rank_3_requests_list_no_rank_3_table(capsys, monkeypatch):
+    # answers computed first without the guard, then with every cache
+    # cleared and the rank-3 listing and index map made to raise
+    rank3 = [("lattice", "--rank", "3")]
+    rank3 += [("theta", "--rank", "3", "--element", str(i))
+              for i in random.Random(7).sample(range(120_549), 4)]
+    rank3 += [("seq-check", "--rank", "3", "--element", str(i))
+              for i in (2863, 33481)]
+    want = [run(capsys, *argv) for argv in rank3]
+    assert want[0] == (0, "|rank 3| = 120549\n")
+
+    def guard(fn):
+        def guarded(n):
+            if n == 3:
+                raise AssertionError(f"{fn.__name__}(3) called")
+            return fn(n)
+        return guarded
+
+    for value in vars(dinfty).values():
+        if callable(getattr(value, "cache_clear", None)):
+            value.cache_clear()
+    monkeypatch.setattr(dinfty, "level", guard(dinfty.level))
+    monkeypatch.setattr(dinfty, "_index_map", guard(dinfty._index_map))
+    assert [run(capsys, *argv) for argv in rank3] == want
 
 
 def test_corpus_reproducible(capsys):
@@ -255,6 +300,23 @@ def test_suite_filter_matching_nothing_is_usage_error(capsys, only):
     assert main(["suite", only]) == 64
     captured = capsys.readouterr()
     assert captured.out == "" and repr(only) in captured.err
+
+
+def test_suite_runs_only_the_matching_criteria(capsys, monkeypatch):
+    def fail():
+        raise AssertionError("an unselected criterion ran")
+
+    monkeypatch.setattr(suite, "criterion_1", fail)
+    monkeypatch.setattr(suite, "criterion_5", fail)
+    code, out = run(capsys, "suite", "7")
+    assert code == 0
+    assert out.startswith("[PASS] criterion  7 hand-derived pole values: ")
+    assert out.count("\n") == 1
+    # criterion 6 on its own runs criterion 5's pass, not criterion_5
+    code, out = run(capsys, "suite", "6")
+    assert code == 0 and "1986 certified processes" in out
+    monkeypatch.setattr(cli, "run_all", fail)
+    assert main(["suite", "99"]) == 64
 
 
 def test_family_flag_only_where_read():

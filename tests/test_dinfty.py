@@ -44,6 +44,67 @@ def test_level_3_is_strictly_increasing():
     assert all(a < b for a, b in zip(vs, vs[1:]))
 
 
+def _reference_level(n):
+    """The rank-n tables by a depth-first walk that joins each entry's lower
+    bound from the placed prefix, as the enumeration did before it counted
+    states."""
+    m = level_size(n - 1)
+    out, prefix = [], []
+
+    def dfs():
+        i = len(prefix)
+        if i == m:
+            out.append(tuple(prefix))
+            return
+        lo = 0
+        for j in range(i):
+            if idx_leq(n - 1, j, i):
+                lo = idx_join(n - 1, lo, prefix[j])
+        for c in range(m):
+            if idx_leq(n - 1, lo, c):
+                prefix.append(c)
+                dfs()
+                prefix.pop()
+
+    dfs()
+    return tuple(out)
+
+
+def test_level_3_matches_the_prefix_walk():
+    assert level(3) == _reference_level(3)
+
+
+def test_val_unranks_the_enumeration():
+    for n in (0, 1, 2):
+        assert tuple(val(n, i) for i in range(level_size(n))) == level(n)
+    vs = level(3)
+    for i in random.Random(1).sample(range(len(vs)), 2000):
+        assert val(3, i) == vs[i], i
+    with pytest.raises(IndexError):
+        val(3, len(vs))
+
+
+def test_level_size_3_is_counted_without_listing(monkeypatch):
+    def guard(fn):
+        def guarded(n):
+            if n == 3:
+                raise AssertionError(f"{fn.__name__}(3) called")
+            return fn(n)
+        return guarded
+
+    for f in (dinfty.level_size, dinfty._count, dinfty._moves):
+        f.cache_clear()
+    monkeypatch.setattr(dinfty, "level", guard(dinfty.level))
+    monkeypatch.setattr(dinfty, "tables", guard(dinfty.tables))
+    assert level_size(3) == 120_549
+
+
+def test_idx_of_inverts_val():
+    for n in (0, 1, 2):
+        for i in range(level_size(n)):
+            assert idx_of(n, val(n, i)) == i
+
+
 def test_levels_match_brute_force():
     for n in (1, 2):
         m = level_size(n - 1)
@@ -166,6 +227,7 @@ def test_rank_3_components_need_no_rank_3_index(monkeypatch):
     monkeypatch.setattr(dinfty, "_index_map", guarded)
     dinfty.phi_idx.cache_clear()
     dinfty.psi_idx.cache_clear()
+    dinfty.cc_elem.cache_clear()
     c = cc_elem()
     for v in level(2):
         leq(elem(2, v), c, 3)
