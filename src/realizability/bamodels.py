@@ -17,6 +17,9 @@ occurrence's terms once, whatever the number of splits.
 
 The public functions refuse an open formula at entry: `valid_all_bas` and
 `brute_check` by a `free_vars` walk, `model_check` as it compiles.
+`_valid_all_bas` is `valid_all_bas` without that walk, for formulas that
+are closed by construction; past the entry a formula is known closed, so
+a Horn shape is a Horn clause.
 
 On top sits a three-valued validity layer for "true in every Boolean
 algebra with at least two elements": complete fragments (ground sentences,
@@ -34,7 +37,7 @@ from typing import Sequence
 
 from .formulas import (
     And, Formula, Forall, HornKind, Impl, Neq, Not, One, Or, UsageError,
-    Var, Zero, classify_horn, eval_formula_01, eval_term_01, free_vars,
+    Var, Zero, eval_formula_01, eval_term_01, free_vars, horn_shape,
     is_ground,
 )
 
@@ -321,13 +324,19 @@ def valid_all_bas(A: Formula,
     is refused."""
     if free_vars(A):
         raise UsageError("valid_all_bas needs a closed formula")
+    return _valid_all_bas(A, family)
+
+
+def _valid_all_bas(A: Formula, family: Sequence[BASpec]) -> Verdict:
+    """valid_all_bas for an A that is closed by construction, such as a
+    synthesized formula, with no `free_vars` walk."""
     if not family:
         raise UsageError("valid_all_bas needs a nonempty family")
     # Ground terms land in the two-element subalgebra {0,1}, which embeds
     # in every algebra with at least two elements; Horn clauses transfer
     # between {0,1} and every algebra >= 2.  Either way {0,1} decides.
     just = (Justification.GROUND if is_ground(A)
-            else Justification.HORN if classify_horn(A) is not HornKind.NOT_HORN
+            else Justification.HORN if horn_shape(A) is not HornKind.NOT_HORN
             else None)
     if just is not None:
         if eval_formula_01(A):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 
@@ -132,23 +133,32 @@ def rows_term(rows: Sequence[int], us: Sequence[str]) -> BTerm:
     is bounded by 2^r.
     Minterms that share a prefix of literals share that prefix's
     conjunction, so the term is a DAG with at most 2^(r+1) conjunctions
-    that is `==` to the unshared tree.
+    that is `==` to the unshared tree.  The prefixes are built once per
+    process for each tuple of variables and shared by every call with the
+    same us.
     """
     if not us:
         return ONE if rows[0] else ZERO
-    prefixes: list = [None]  # one conjunction per row-number prefix
-    for u in us:
-        pos = Var(u)
-        lits = (Not(pos), pos)
-        prefixes = [lit if acc is None else And(acc, lit)
-                    for acc in prefixes for lit in lits]
-    minterms = [m for m, b in zip(prefixes, rows) if b]
+    minterms = [m for m, b in zip(_minterm_prefixes(tuple(us)), rows) if b]
     if not minterms:
         return ZERO
     acc = minterms[0]
     for m in minterms[1:]:
         acc = Or(acc, m)
     return acc
+
+
+@lru_cache(maxsize=None)
+def _minterm_prefixes(us: tuple[str, ...]) -> tuple[BTerm, ...]:
+    """rows_term's minterms over a nonempty us, one per row number.  A
+    tuple, so that no caller can change what the cache hands out."""
+    prefixes: list = [None]  # one conjunction per row-number prefix
+    for u in us:
+        pos = Var(u)
+        lits = (Not(pos), pos)
+        prefixes = [lit if acc is None else And(acc, lit)
+                    for acc in prefixes for lit in lits]
+    return tuple(prefixes)
 
 
 # --------------------------------------------------------------------------
@@ -389,24 +399,31 @@ def _as_equality(A: Formula) -> tuple[BTerm, BTerm] | None:
 
 
 def classify_horn(A: Formula) -> HornKind:
-    """A closed formula is a Horn clause if it is a chain of equality
+    """A closed formula is a Horn clause if it has a Horn shape
+    (`horn_shape`).  The shape is checked first, because it is cheap, and
+    closedness only for a Horn shape."""
+    kind = horn_shape(A)
+    if kind is not HornKind.NOT_HORN and free_vars(A):
+        return HornKind.NOT_HORN
+    return kind
+
+
+def horn_shape(A: Formula) -> HornKind:
+    """The Horn kind of A's shape, closed or not: a chain of equality
     premises under a universal prefix, ending in an equality (definite
-    clause) or an inequation (goal clause).  The shape is checked first,
-    because it is cheap, and closedness only for a Horn shape."""
+    clause) or an inequation (goal clause)."""
     cur = A
     while isinstance(cur, Forall):
         cur = cur.body
     while True:
         if isinstance(cur, Neq):
-            kind = HornKind.GOAL
-        elif _as_equality(cur) is not None:
-            kind = HornKind.DEFINITE
-        elif isinstance(cur, Impl) and _as_equality(cur.ante) is not None:
+            return HornKind.GOAL
+        if _as_equality(cur) is not None:
+            return HornKind.DEFINITE
+        if isinstance(cur, Impl) and _as_equality(cur.ante) is not None:
             cur = cur.cons
-            continue
         else:
             return HornKind.NOT_HORN
-        return HornKind.NOT_HORN if free_vars(A) else kind
 
 
 # --------------------------------------------------------------------------

@@ -219,14 +219,19 @@ class _Parser:
         raise ParseError(f"expected a machine term, found {val!r}", pos)
 
     def stack(self) -> StackT:
-        if self.peek()[1] == "[":
-            self.next()
-            self.eat("]")
-            return EMPTY
-        head = self.lcterm()
-        self.eat(".")
-        tail = self.stack()
-        return SPush(_closed(head, "stack entries"), tail)
+        """Entries are read in a loop, so a written stack has no length
+        limit.  Every syntax error comes before any closedness error, and
+        the entries are checked from the last to the first."""
+        entries = []
+        while self.peek()[1] != "[":
+            entries.append(self.lcterm())
+            self.eat(".")
+        self.next()
+        self.eat("]")
+        pi = EMPTY
+        for head in reversed(entries):
+            pi = SPush(_closed(head, "stack entries"), pi)
+        return pi
 
     def process(self) -> Process:
         t = self.lcterm()

@@ -1,25 +1,40 @@
 """The names and call shapes the benchmark harness in `perfbench/` relies on.
 
 `perfbench/tracer.py` rebinds package functions by name and builds pole
-configurations by keyword, and `perfbench/workloads.py` calls the package
-with fixed argument shapes, so renaming or deleting any of them breaks the
-benchmark run without failing anything else.  This imports the tracer as
-it is and checks each of those names and shapes cheaply.
+configurations by keyword, `perfbench/run.py` clears the caches it finds
+among the package's module attributes, and `perfbench/workloads.py` calls
+the package with fixed argument shapes, so renaming or deleting any of
+them breaks the benchmark run without failing anything else.  This
+imports the tracer and the runner as they are and checks each of those
+names and shapes cheaply.
 """
 
 import importlib.util
 from pathlib import Path
 
-from realizability import bamodels, dinfty, lcterms, pole, syntax
+from realizability import bamodels, dinfty, formulas, lcterms, pole, syntax
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _harness(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _tracer():
+    return _harness("tracer")
+
+
+def test_cache_clearers_find_the_minterm_prefixes():
+    # run.py clears every package cache before a pass; a cache it did not
+    # find would carry theta's prefixes from one pass into the next
+    clearers = _harness("run")._cache_clearers()
+    assert formulas._minterm_prefixes.cache_clear in clearers
+    assert dinfty.level.cache_clear in clearers
 
 
 def test_traced_names_resolve():

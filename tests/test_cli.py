@@ -105,6 +105,13 @@ def test_pole_member_on_a_machine_grown_long_stack(capsys, n, level):
     assert (code, out.strip()) == (0, f"k={level}")
 
 
+@pytest.mark.parametrize("n", [1200, 5000])
+def test_pole_member_on_a_long_written_stack(capsys, n):
+    # the parser reads stack entries in a loop, not one call per entry
+    code, out = run(capsys, "pole-member", "g{_|_} * " + "cc . " * n + "[]")
+    assert (code, out.strip()) == (0, "k=1")
+
+
 def test_lattice(capsys):
     code, out = run(capsys, "lattice", "--rank", "1", "--list")
     assert code == 0

@@ -1,11 +1,12 @@
 import functools
+import hashlib
 import itertools
 import math
 import random
 
 import pytest
 
-from realizability import dinfty
+from realizability import bamodels, dinfty, formulas
 from realizability.dinfty import (
     DElem, RankCapError, app, arrow, bottom, cc_elem, denote, denote_formula,
     elem, eq_at, idx_join, idx_leq, idx_of, join, lam, leq, level,
@@ -19,7 +20,9 @@ from realizability.formulas import (
     subst_formula,
 )
 from realizability.lcterms import CC, Lam, LVar, App
-from realizability.syntax import parse_formula, parse_lcterm, print_formula
+from realizability.syntax import (
+    parse_formula, parse_lcterm, print_formula, print_lcterm,
+)
 
 
 def test_level_sizes():
@@ -541,3 +544,40 @@ def test_rank3_seq_check_unknown_past_the_guard():
     sv = seq_check(alpha)
     assert (sv.status, sv.witness, sv.detail) == (
         "unknown", None, "guard: quantifier depth 7 exceeds the guard of 6")
+
+
+def _seq_check_lines():
+    """seq_check's verdict on every rank 0-2 element and on 60 seeded
+    rank-3 ones, one printed line each."""
+    keys = [(n, i) for n in range(3) for i in range(level_size(n))]
+    keys += [(3, i) for i in random.Random(1).sample(range(level_size(3)), 60)]
+    for n, i in keys:
+        sv = seq_check(elem(n, val(n, i)))
+        w = None if sv.witness is None else print_lcterm(sv.witness)
+        yield f"{n} {i} {sv.status} {w} {sv.detail}"
+
+
+def test_seq_check_verdicts_are_pinned():
+    # the verdicts as printed before theta's prefixes were cached and
+    # seq_check stopped walking theta for closedness
+    text = "\n".join(_seq_check_lines())
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "e075918bc10a548ba70c6d9f8468dd46a6cf0f5113d3e02926b02b2a9e3dc51b")
+
+
+def test_seq_check_walks_no_free_vars_over_theta(monkeypatch):
+    # theta is closed by construction, so the validity layer gets it past
+    # valid_all_bas's entry walk; its parts still walk their own pieces
+    built, walked = [], []
+
+    def recorded(alpha):
+        built.append(theta(alpha))
+        return built[-1]
+
+    monkeypatch.setattr(dinfty, "theta", recorded)
+    monkeypatch.setattr(bamodels, "free_vars",
+                        lambda A: walked.append(A) or formulas.free_vars(A))
+    for i in (33481, 111706):
+        seq_check(elem(3, val(3, i)))
+    assert len(built) == 2 and walked
+    assert not any(A is B for A in walked for B in built)

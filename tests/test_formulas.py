@@ -11,8 +11,9 @@ from realizability.corpus import formula_corpus, random_bterm, random_formula
 from realizability.formulas import (
     And, Forall, HornKind, Impl, Neq, Not, ONE, Or, UsageError, Var, ZERO,
     alpha_eq, bot, canon, classify_horn, conj, conj_many, decompose, disj,
-    eq, eval_formula_01, eval_term_01, exists, free_vars, rows_term, subst_formula, tbool_axioms, term_vars,
+    eq, eval_formula_01, eval_term_01, exists, free_vars, horn_shape, rows_term, subst_formula, tbool_axioms, term_vars,
 )
+from realizability.syntax import print_bterm
 
 
 def bterms(depth=3):
@@ -81,7 +82,8 @@ def _reference_table_term(f, us):
     return functools.reduce(Or, minterms) if minterms else ZERO
 
 
-def _distinct_ands(t) -> int:
+def _ands(t) -> set[int]:
+    """The ids of t's distinct conjunction nodes, while t is alive."""
     seen, stack = {}, [t]
     while stack:
         t = stack.pop()
@@ -89,7 +91,11 @@ def _distinct_ands(t) -> int:
             seen[id(t)] = t
             stack += [getattr(t, k) for k in ("lhs", "rhs", "arg")
                       if hasattr(t, k)]
-    return sum(isinstance(t, And) for t in seen.values())
+    return {i for i, t in seen.items() if isinstance(t, And)}
+
+
+def _distinct_ands(t) -> int:
+    return len(_ands(t))
 
 
 @given(st.integers(0, 6).flatmap(
@@ -110,6 +116,41 @@ def test_table_term_shares_minterm_prefixes(r):
     # the unshared tree of the all-ones table has (r - 1) * 2^r conjunctions
     t = rows_term([1] * (1 << r), [f"x{k}" for k in range(r)])
     assert _distinct_ands(t) <= 1 << (r + 1)
+
+
+def _table_cases():
+    """Every row vector over at most 3 variables, then seeded ones over 7."""
+    for r in range(4):
+        for rows in itertools.product((0, 1), repeat=1 << r):
+            yield r, rows
+    rng = random.Random(7)
+    for _ in range(20):
+        yield 7, [rng.randint(0, 1) for _ in range(1 << 7)]
+
+
+def test_table_term_matches_reference_in_value_and_text():
+    # calls over the same variables share one cached set of prefixes, so a
+    # call that changed them would spoil the calls after it
+    for r, rows in _table_cases():
+        us = [f"x{k}" for k in range(r)]
+        table = dict(zip(itertools.product((0, 1), repeat=r), rows))
+        t = rows_term(rows, us)
+        ref = _reference_table_term(table.__getitem__, us)
+        assert t == ref, (r, rows)
+        assert print_bterm(t) == print_bterm(ref), (r, rows)
+
+
+def test_table_terms_share_prefixes_only_over_the_same_variables():
+    us = ("x0", "x1", "x2")
+    full = rows_term([1] * 8, us)
+    xor = rows_term([0, 1, 1, 0, 1, 0, 0, 1], list(us))
+    assert _ands(xor) <= _ands(full)
+    apart = rows_term([1] * 8, ("y0", "y1", "y2"))
+    assert not _ands(apart) & _ands(full)
+    for other in (("x0", "x1", "y2"), ("x1", "x0", "x2")):
+        assert rows_term([1] * 8, other) != full, other
+    # what the cache hands out cannot be changed by a caller
+    assert isinstance(formulas._minterm_prefixes(us), tuple)
 
 
 def test_encodings_two_valued():
@@ -203,6 +244,10 @@ def test_classify_horn():
     assert classify_horn(Impl(bot(), Neq(Var("z"), ZERO))) == HornKind.NOT_HORN
     assert classify_horn(Forall("z", Impl(eq(Var("z"), ONE), Neq(Var("w"), ZERO)))) \
         == HornKind.NOT_HORN
+    # horn_shape reads the shape alone, for formulas known to be closed
+    assert horn_shape(eq(Var("z"), Var("z"))) == HornKind.DEFINITE
+    assert horn_shape(Impl(eq(Var("z"), ONE), Neq(Var("w"), ZERO))) == HornKind.GOAL
+    assert horn_shape(A) == HornKind.NOT_HORN
 
 
 def test_decompose_reads_in_place(monkeypatch):

@@ -337,6 +337,25 @@ def test_model_check_walks_no_free_vars(monkeypatch):
     assert calls == []
 
 
+def test_validity_walks_free_vars_once_at_entry(monkeypatch):
+    # a Horn sentence is known closed past the entry check, so reading its
+    # Horn shape walks nothing more
+    calls = []
+
+    def counted(A):
+        calls.append(A)
+        return free_vars(A)
+
+    monkeypatch.setattr(bamodels, "free_vars", counted)
+    monkeypatch.setattr(formulas, "free_vars", counted)
+    for text in ("forall z. forall w. z /\\ w == w /\\ z",
+                 "forall z. (z == 1 -> z != 0)"):
+        A = parse_formula(text)
+        calls.clear()
+        v = valid_all_bas(A)
+        assert (v.justification, calls) == (Justification.HORN, [A]), text
+
+
 SEVEN_FORALLS = "".join(f"forall {v}. " for v in "abcdefg")
 
 

@@ -1,7 +1,7 @@
 import pytest
 
 from realizability.corpus import formula_corpus, lcterm_corpus, process_corpus
-from realizability.formulas import alpha_eq
+from realizability.formulas import UsageError, alpha_eq
 from realizability.lcterms import lc_alpha_eq, proc_alpha_eq
 from realizability.syntax import (
     ParseError, parse_bterm, parse_formula, parse_lcterm, parse_process,
@@ -52,6 +52,17 @@ def test_stack_and_process():
     assert print_stack(pi) == "cc . g{0 != 0} . []"
     p = parse_process("cc * []")
     assert print_process(p) == "cc * []"
+
+
+def test_stack_errors_keep_their_order():
+    # every syntax error comes first, then closedness from the last entry
+    with pytest.raises(ParseError):
+        parse_stack("x . ( . []")
+    with pytest.raises(UsageError, match="stack entries must be closed: "
+                                         "LVar\\(name='y'\\)"):
+        parse_stack("x . y . []")
+    with pytest.raises(UsageError, match="stack entries"):
+        parse_process("x * y . []")
 
 
 def test_parse_errors_carry_position():
