@@ -20,9 +20,8 @@ VARS = ("z", "w", "v")
 
 
 def random_bterm(rng: random.Random, vars: Sequence[str], depth: int = 2) -> BTerm:
-    leaves: list[BTerm] = [ZERO, ONE] + [Var(v) for v in vars]
     if depth <= 0 or rng.random() < 0.4:
-        return rng.choice(leaves)
+        return rng.choice([ZERO, ONE, *map(Var, vars)])
     op = rng.randrange(3)
     if op == 0:
         return Not(random_bterm(rng, vars, depth - 1))

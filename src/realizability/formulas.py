@@ -13,7 +13,7 @@ twice for the paper's two-level normal form).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import lru_cache
 from typing import Mapping, Sequence
@@ -29,7 +29,12 @@ class UsageError(ValueError):
 
 @dataclass(frozen=True)
 class BTerm:
-    pass
+    __slots__ = ()
+
+    def __reduce__(self):
+        # copy and pickle rebuild a term from its fields, so what an Or,
+        # And or Not keeps (a hash of this process's strings) is recomputed
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 @dataclass(frozen=True)
@@ -47,36 +52,93 @@ class One(BTerm):
     pass
 
 
+# Terms are DAGs (rows_term shares its minterm prefixes), so Or, And and
+# Not keep their hash and their variable set once computed, in the slots
+# `_hash` and `_vars`, which their own __init__ sets to None.  Neither is
+# a dataclass field, so ==, repr and `fields` are the plain dataclass's,
+# and the hash is the dataclass's own hash of the field tuple.
+
+_set = object.__setattr__  # how a frozen dataclass sets its slots
+
+
+def _pair_init(self, lhs: BTerm, rhs: BTerm) -> None:
+    _set(self, "lhs", lhs)
+    _set(self, "rhs", rhs)
+    _set(self, "_hash", None)
+    _set(self, "_vars", None)
+
+
+def _pair_hash(self) -> int:
+    h = self._hash
+    if h is None:
+        h = hash((self.lhs, self.rhs))
+        _set(self, "_hash", h)
+    return h
+
+
 @dataclass(frozen=True)
 class Or(BTerm):
+    __slots__ = ("lhs", "rhs", "_hash", "_vars")
     lhs: BTerm
     rhs: BTerm
+    __init__ = _pair_init
+    __hash__ = _pair_hash
 
 
 @dataclass(frozen=True)
 class And(BTerm):
+    __slots__ = ("lhs", "rhs", "_hash", "_vars")
     lhs: BTerm
     rhs: BTerm
+    __init__ = _pair_init
+    __hash__ = _pair_hash
 
 
 @dataclass(frozen=True)
 class Not(BTerm):
+    __slots__ = ("arg", "_hash", "_vars")
     arg: BTerm
+
+    def __init__(self, arg: BTerm):
+        _set(self, "arg", arg)
+        _set(self, "_hash", None)
+        _set(self, "_vars", None)
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.arg,))
+            _set(self, "_hash", h)
+        return h
 
 
 ZERO = Zero()
 ONE = One()
+_NO_VARS: frozenset[str] = frozenset()
 
 
 def term_vars(a: BTerm) -> frozenset[str]:
+    """The variables of a.  An Or, And or Not computes its set on first
+    use and keeps it, so a DAG is walked once per distinct node; a parent
+    reuses a child's set when that set contains the other child's."""
+    if isinstance(a, (Or, And)):
+        vs = a._vars
+        if vs is None:
+            left, right = term_vars(a.lhs), term_vars(a.rhs)
+            vs = (left if right <= left else right if left <= right
+                  else left | right)
+            _set(a, "_vars", vs)
+        return vs
+    if isinstance(a, Not):
+        vs = a._vars
+        if vs is None:
+            vs = term_vars(a.arg)
+            _set(a, "_vars", vs)
+        return vs
     if isinstance(a, Var):
         return frozenset((a.name,))
     if isinstance(a, (Zero, One)):
-        return frozenset()
-    if isinstance(a, Not):
-        return term_vars(a.arg)
-    if isinstance(a, (Or, And)):
-        return term_vars(a.lhs) | term_vars(a.rhs)
+        return _NO_VARS
     raise TypeError(f"not a term: {a!r}")
 
 
@@ -189,9 +251,11 @@ class Forall(Formula):
 
 
 def free_vars(A: Formula) -> frozenset[str]:
-    """The variables that occur free in A.  One walk carries the names
-    bound so far and adds each free occurrence to one set, so a closed
-    formula adds nothing and builds a set only at its quantifiers."""
+    """The variables that occur free in A.  One walk of the formula
+    carries the names bound so far and adds each inequation's free term
+    variables to one set, so a closed formula adds nothing and builds a
+    set only at its quantifiers; the terms' sets are `term_vars`'s, kept
+    on the nodes."""
     free: set[str] = set()
     _add_free(A, frozenset(), free)
     return frozenset(free)
@@ -199,8 +263,9 @@ def free_vars(A: Formula) -> frozenset[str]:
 
 def _add_free(f: Formula, bound: frozenset[str], free: set[str]) -> None:
     if isinstance(f, Neq):
-        _add_free_term(f.lhs, bound, free)
-        _add_free_term(f.rhs, bound, free)
+        lhs, rhs = term_vars(f.lhs), term_vars(f.rhs)
+        if not (lhs <= bound and rhs <= bound):
+            free.update(lhs - bound, rhs - bound)
     elif isinstance(f, Impl):
         _add_free(f.ante, bound, free)
         _add_free(f.cons, bound, free)
@@ -208,19 +273,6 @@ def _add_free(f: Formula, bound: frozenset[str], free: set[str]) -> None:
         _add_free(f.body, bound | {f.var}, free)
     else:
         raise TypeError(f"not a formula: {f!r}")
-
-
-def _add_free_term(a: BTerm, bound: frozenset[str], free: set[str]) -> None:
-    if isinstance(a, Var):
-        if a.name not in bound:
-            free.add(a.name)
-    elif isinstance(a, (Or, And)):
-        _add_free_term(a.lhs, bound, free)
-        _add_free_term(a.rhs, bound, free)
-    elif isinstance(a, Not):
-        _add_free_term(a.arg, bound, free)
-    elif not isinstance(a, (Zero, One)):
-        raise TypeError(f"not a term: {a!r}")
 
 
 def subst_formula(A: Formula, zs: Sequence[str], bs: Sequence[BTerm]) -> Formula:

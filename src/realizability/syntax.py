@@ -280,7 +280,27 @@ def parse_process(src: str) -> Process:
 # --------------------------------------------------------------------------
 
 def print_bterm(t: BTerm, prec: int = 0) -> str:
-    # precedence: or=1, and=2, not=3
+    return _bterm(t, prec, {})
+
+
+def print_formula(f: Formula, prec: int = 0) -> str:
+    return _formula(f, prec, {})
+
+
+# term precedence: \/ = 1, /\ = 2, ~ = 3; each left-nested connective
+# with its precedence and separator (its right operand binds one tighter)
+_SPINES = {Or: (1, " \\/ "), And: (2, " /\\ ")}
+
+
+def _bterm(t: BTerm, prec: int, memo: dict) -> str:
+    """t's text at precedence prec.  Terms are DAGs, so the text of each
+    \\/ or /\\ node is made once per call for each precedence it is printed
+    at, and reused: the key holds prec because a node may sit both where
+    it needs parentheses and where it does not.  Leaves and ~ skip the
+    memo, as their text costs no more to make than to look up.  A
+    left-nested chain of one connective is printed with one loop and one
+    join, so it has no length limit and no link copies the text below
+    it."""
     if isinstance(t, Var):
         return t.name
     if isinstance(t, Zero):
@@ -288,26 +308,42 @@ def print_bterm(t: BTerm, prec: int = 0) -> str:
     if isinstance(t, One):
         return "1"
     if isinstance(t, Not):
-        return "~" + print_bterm(t.arg, 3)
-    if isinstance(t, And):
-        s = f"{print_bterm(t.lhs, 2)} /\\ {print_bterm(t.rhs, 3)}"
-        return f"({s})" if prec > 2 else s
-    if isinstance(t, Or):
-        s = f"{print_bterm(t.lhs, 1)} \\/ {print_bterm(t.rhs, 2)}"
-        return f"({s})" if prec > 1 else s
-    raise TypeError(f"not a term: {t!r}")
+        return "~" + _bterm(t.arg, 3, memo)
+    key = (id(t), prec)
+    s = memo.get(key)
+    if s is not None:
+        return s
+    cls = type(t)
+    spine = _SPINES.get(cls)
+    if spine is None:
+        raise TypeError(f"not a term: {t!r}")
+    own, sep = spine
+    parts = []
+    link = t
+    while type(link) is cls:
+        parts.append(_bterm(link.rhs, own + 1, memo))
+        link = link.lhs
+    parts.append(_bterm(link, own, memo))
+    parts.reverse()
+    s = sep.join(parts)
+    if prec > own:
+        s = f"({s})"
+    memo[key] = s
+    return s
 
 
-def print_formula(f: Formula, prec: int = 0) -> str:
-    # precedence: -> = 1 (right-assoc); atoms and quantifiers are tight
-    # except a quantifier body extends right, so it parenthesizes at prec>0.
+def _formula(f: Formula, prec: int, memo: dict) -> str:
+    """f's text at precedence prec; its terms share `memo`.  -> has
+    precedence 1 and nests to the right; atoms and quantifiers are tight,
+    except that a quantifier body extends right, so it parenthesizes at
+    prec > 0."""
     if isinstance(f, Neq):
-        return f"{print_bterm(f.lhs)} != {print_bterm(f.rhs)}"
+        return f"{_bterm(f.lhs, 0, memo)} != {_bterm(f.rhs, 0, memo)}"
     if isinstance(f, Impl):
-        s = f"{print_formula(f.ante, 2)} -> {print_formula(f.cons, 1)}"
+        s = f"{_formula(f.ante, 2, memo)} -> {_formula(f.cons, 1, memo)}"
         return f"({s})" if prec > 1 else s
     if isinstance(f, Forall):
-        s = f"forall {f.var}. {print_formula(f.body, 0)}"
+        s = f"forall {f.var}. {_formula(f.body, 0, memo)}"
         return f"({s})" if prec > 0 else s
     raise TypeError(f"not a formula: {f!r}")
 

@@ -112,6 +112,15 @@ def test_pole_member_on_a_long_written_stack(capsys, n):
     assert (code, out.strip()) == (0, "k=1")
 
 
+@pytest.mark.parametrize("sep", [" \\/ ", " /\\ "])
+@pytest.mark.parametrize("n", [1200, 5000])
+def test_parse_term_on_a_long_chain(capsys, sep, n):
+    # the printer reads a left-nested chain in a loop, not one call per link
+    src = sep.join(["z"] * n)
+    code, out = run(capsys, "parse", "term", src)
+    assert (code, out) == (0, src + "\n")
+
+
 def test_lattice(capsys):
     code, out = run(capsys, "lattice", "--rank", "1", "--list")
     assert code == 0

@@ -1,8 +1,10 @@
+import dataclasses
 import functools
 import hashlib
 import itertools
 import math
 import random
+import sys
 
 import pytest
 
@@ -581,3 +583,52 @@ def test_seq_check_walks_no_free_vars_over_theta(monkeypatch):
         seq_check(elem(3, val(3, i)))
     assert len(built) == 2 and walked
     assert not any(A is B for A in walked for B in built)
+
+
+def test_seq_check_walks_each_theta_term_node_once(monkeypatch):
+    # cost guard: term_vars descends only below a node whose variable set
+    # is not kept yet, so one rank-3 seq_check descends at most once per
+    # distinct term node of its theta (a tree walk of this theta visits
+    # about 15,000 nodes), and a second free_vars walk descends nowhere
+    formulas._minterm_prefixes.cache_clear()
+    built, calls, descents = [], [], []
+    original = formulas.term_vars
+
+    def counted(a):
+        calls.append(a)
+        if isinstance(a, (Or, And, Not)) and a._vars is None:
+            descents.append(a)
+        return original(a)
+
+    def recorded(alpha):
+        built.append(theta(alpha))
+        return built[-1]
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "realizability":
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    monkeypatch.setattr(dinfty, "theta", recorded)
+    seq_check(elem(3, val(3, 33481)))
+    (A,) = built
+    nodes = _distinct_nodes(A)
+    terms = [x for x in nodes if isinstance(x, (Or, And, Not))]
+    assert 1000 < len(descents) <= len(terms)
+    assert len({id(t) for t in descents}) == len(descents)
+    calls.clear()
+    descents.clear()
+    assert formulas.free_vars(A) == frozenset()
+    sides = [s for x in nodes if isinstance(x, Neq) for s in (x.lhs, x.rhs)]
+    assert not descents and len(calls) == len(sides)
+
+
+def _distinct_nodes(A):
+    seen, todo = {}, [A]
+    while todo:
+        x = todo.pop()
+        if id(x) not in seen:
+            seen[id(x)] = x
+            todo.extend(c for f in dataclasses.fields(x)
+                        if not isinstance(c := getattr(x, f.name), str))
+    return list(seen.values())

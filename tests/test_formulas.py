@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import functools
 import itertools
+import pickle
 import random
 
 import pytest
@@ -8,10 +11,12 @@ from hypothesis import given, strategies as st
 from realizability import formulas
 from realizability.bamodels import _column
 from realizability.corpus import formula_corpus, random_bterm, random_formula
+from realizability.dinfty import elem, level_size, theta, val
 from realizability.formulas import (
-    And, Forall, HornKind, Impl, Neq, Not, ONE, Or, UsageError, Var, ZERO,
-    alpha_eq, bot, canon, classify_horn, conj, conj_many, decompose, disj,
-    eq, eval_formula_01, eval_term_01, exists, free_vars, horn_shape, rows_term, subst_formula, tbool_axioms, term_vars,
+    And, BTerm, Forall, HornKind, Impl, Neq, Not, ONE, Or, UsageError, Var,
+    ZERO, alpha_eq, bot, canon, classify_horn, conj, conj_many, decompose,
+    disj, eq, eval_formula_01, eval_term_01, exists, free_vars, horn_shape,
+    is_ground, rows_term, subst_formula, tbool_axioms, term_vars,
 )
 from realizability.syntax import print_bterm
 
@@ -182,10 +187,21 @@ def test_free_vars_and_shadowing():
     assert free_vars(A) == {"w"}
 
 
+def _reference_term_vars(a):
+    # a set per node, and nothing kept on the nodes
+    if isinstance(a, Var):
+        return frozenset((a.name,))
+    if isinstance(a, Not):
+        return _reference_term_vars(a.arg)
+    if isinstance(a, (Or, And)):
+        return _reference_term_vars(a.lhs) | _reference_term_vars(a.rhs)
+    return frozenset()
+
+
 def _reference_free_vars(A):
     # the set-per-node recursion that the one-set walk replaced
     if isinstance(A, Neq):
-        return term_vars(A.lhs) | term_vars(A.rhs)
+        return _reference_term_vars(A.lhs) | _reference_term_vars(A.rhs)
     if isinstance(A, Impl):
         return _reference_free_vars(A.ante) | _reference_free_vars(A.cons)
     return _reference_free_vars(A.body) - {A.var}
@@ -207,6 +223,83 @@ def test_free_vars_matches_reference():
         free_vars(Impl(Neq(ZERO, ONE), "z"))
     with pytest.raises(TypeError):
         free_vars(Neq(Or(Var("z"), "w"), ZERO))
+    # a bad child raises TypeError also under a node that keeps its set
+    for bad in (Or(Var("z"), "w"), And("w", ONE), Not(None)):
+        with pytest.raises(TypeError):
+            term_vars(bad)
+        with pytest.raises(TypeError):
+            is_ground(Neq(Not(bad), ZERO))
+
+
+def _nodes(*roots):
+    """Every distinct node under the roots, formulas and terms alike,
+    found without recursion."""
+    seen, todo = {}, list(roots)
+    while todo:
+        x = todo.pop()
+        if id(x) not in seen:
+            seen[id(x)] = x
+            todo.extend(c for f in dataclasses.fields(x)
+                        if not isinstance(c := getattr(x, f.name), str))
+    return list(seen.values())
+
+
+def _seeded_rank3_thetas(count=40):
+    formulas._minterm_prefixes.cache_clear()  # fresh nodes, nothing kept
+    rng = random.Random(12)
+    return [theta(elem(3, val(3, rng.randrange(level_size(3)))))
+            for _ in range(count)]
+
+
+def _field_tuple(t):
+    return tuple(getattr(t, f.name) for f in dataclasses.fields(t))
+
+
+@pytest.mark.parametrize("top_first", [True, False])
+def test_kept_hashes_are_the_dataclass_hashes(top_first):
+    # the hash an Or, And or Not keeps is the plain dataclass's hash of its
+    # field tuple at every node, whether the top or the leaves hash first
+    corpus = formula_corpus(300, seed=21, height=4)
+    for roots in (_seeded_rank3_thetas(), corpus):
+        nodes = [x for x in _nodes(*roots) if isinstance(x, BTerm)]
+        assert sum(isinstance(t, (Or, And, Not)) for t in nodes) > 100
+        for t in nodes if top_first else reversed(nodes):
+            assert hash(t) == hash(_field_tuple(t)), t
+
+
+def test_kept_variable_sets_match_the_reference():
+    thetas = _seeded_rank3_thetas()
+    corpus = formula_corpus(300, seed=21, height=4)
+    for t in _nodes(*corpus):
+        if isinstance(t, BTerm):
+            assert term_vars(t) == _reference_term_vars(t), t
+    for A in thetas[:5]:
+        for n in _nodes(A):
+            if isinstance(n, Neq):
+                assert term_vars(n.lhs) == _reference_term_vars(n.lhs)
+    for A in thetas:
+        assert free_vars(A) == _reference_free_vars(A) == frozenset()
+
+
+def test_kept_values_are_not_fields():
+    assert [f.name for f in dataclasses.fields(Or)] == ["lhs", "rhs"]
+    assert [f.name for f in dataclasses.fields(And)] == ["lhs", "rhs"]
+    assert [f.name for f in dataclasses.fields(Not)] == ["arg"]
+    t = And(Or(Var("z"), ONE), Not(Var("w")))
+    hash(t), term_vars(t)
+    fresh = And(Or(Var("z"), ONE), Not(Var("w")))
+    assert t == fresh and hash(t) == hash(fresh)
+    assert repr(t) == repr(fresh) == (
+        "And(lhs=Or(lhs=Var(name='z'), rhs=One()), "
+        "rhs=Not(arg=Var(name='w')))")
+    assert dataclasses.astuple(t) == dataclasses.astuple(fresh)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.lhs = ZERO
+    # copies rebuild from the fields and keep nothing of the original's
+    for twin in (copy.copy(t), copy.deepcopy(t),
+                 pickle.loads(pickle.dumps(t))):
+        assert twin == t and hash(twin) == hash(t)
+        assert term_vars(twin) == {"z", "w"}
 
 
 def test_subst_capture_avoiding():

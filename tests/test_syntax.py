@@ -1,7 +1,14 @@
+import random
+
 import pytest
 
-from realizability.corpus import formula_corpus, lcterm_corpus, process_corpus
-from realizability.formulas import UsageError, alpha_eq
+from realizability.corpus import (
+    formula_corpus, lcterm_corpus, process_corpus, random_bterm,
+)
+from realizability.dinfty import elem, level_size, theta, val
+from realizability.formulas import (
+    And, Forall, Impl, Neq, Not, One, Or, UsageError, Var, Zero, alpha_eq,
+)
 from realizability.lcterms import lc_alpha_eq, proc_alpha_eq
 from realizability.syntax import (
     ParseError, parse_bterm, parse_formula, parse_lcterm, parse_process,
@@ -85,3 +92,78 @@ def test_lcterm_roundtrip_corpus():
 def test_process_roundtrip_corpus():
     for p in process_corpus(100, seed=7):
         assert proc_alpha_eq(parse_process(print_process(p)), p)
+
+
+def _reference_print_bterm(t, prec=0):
+    # the unmemoised recursive printer that the DAG-aware one replaced
+    if isinstance(t, Var):
+        return t.name
+    if isinstance(t, Zero):
+        return "0"
+    if isinstance(t, One):
+        return "1"
+    if isinstance(t, Not):
+        return "~" + _reference_print_bterm(t.arg, 3)
+    if isinstance(t, And):
+        s = (f"{_reference_print_bterm(t.lhs, 2)} /\\ "
+             f"{_reference_print_bterm(t.rhs, 3)}")
+        return f"({s})" if prec > 2 else s
+    s = (f"{_reference_print_bterm(t.lhs, 1)} \\/ "
+         f"{_reference_print_bterm(t.rhs, 2)}")
+    return f"({s})" if prec > 1 else s
+
+
+def _reference_print_formula(f, prec=0):
+    if isinstance(f, Neq):
+        return (f"{_reference_print_bterm(f.lhs)} != "
+                f"{_reference_print_bterm(f.rhs)}")
+    if isinstance(f, Impl):
+        s = (f"{_reference_print_formula(f.ante, 2)} -> "
+             f"{_reference_print_formula(f.cons, 1)}")
+        return f"({s})" if prec > 1 else s
+    s = f"forall {f.var}. {_reference_print_formula(f.body, 0)}"
+    return f"({s})" if prec > 0 else s
+
+
+def test_printers_match_the_recursive_reference():
+    for a in formula_corpus(300, seed=8, height=4, max_qdepth=3):
+        for prec in (0, 1, 2):
+            assert print_formula(a, prec) == _reference_print_formula(a, prec)
+    rng = random.Random(8)
+    for _ in range(300):
+        t = random_bterm(rng, ("z", "w", "v"), depth=4)
+        for prec in (0, 1, 2, 3):
+            assert print_bterm(t, prec) == _reference_print_bterm(t, prec)
+
+
+def test_rank3_thetas_print_as_the_recursive_reference():
+    # theta's terms are DAGs: minterm prefixes and literals are shared
+    rng = random.Random(12)
+    for _ in range(40):
+        A = theta(elem(3, val(3, rng.randrange(level_size(3)))))
+        assert print_formula(A) == _reference_print_formula(A)
+
+
+def test_a_shared_node_prints_by_its_own_precedence():
+    # one Or node, in parentheses under an And and bare at the top: a memo
+    # keyed on the node alone prints whichever occurrence came first twice
+    o = Or(Var("z"), Var("w"))
+    under = And(o, Var("v"))
+    assert print_formula(Neq(under, o)) == "(z \\/ w) /\\ v != z \\/ w"
+    assert print_formula(Neq(o, under)) == "z \\/ w != (z \\/ w) /\\ v"
+    A = Forall("z", Impl(Neq(under, o), Neq(o, under)))
+    assert print_formula(A) == _reference_print_formula(A)
+    assert print_bterm(Or(under, o)) == "(z \\/ w) /\\ v \\/ (z \\/ w)"
+
+
+@pytest.mark.parametrize("op", [Or, And])
+def test_long_chains_print_and_reparse(op):
+    # a left-nested chain prints in one loop, so its length has no limit;
+    # the texts are compared, since == on such terms still recurses
+    t = Var("z0")
+    for i in range(1, 5000):
+        t = op(t, Var(f"z{i % 7}") if i % 3 else Not(Var("w")))
+    text = print_bterm(t)
+    assert text.count("z") + text.count("w") == 5000
+    assert print_bterm(parse_bterm(text)) == text
+    assert print_formula(parse_formula(f"{text} != 0")) == f"{text} != 0"
