@@ -12,8 +12,7 @@ from .formulas import (
     eq, forall_many,
 )
 from .lcterms import (
-    App, CC, Eta, Gamma, Kont, LVar, Lam, LcTerm, Process, StackT, Zeta,
-    stack_of,
+    App, CC, Gamma, Kont, LVar, Lam, LcTerm, Process, StackT, stack_of,
 )
 
 VARS = ("z", "w", "v")
@@ -82,8 +81,7 @@ def horn_corpus(n: int, seed: int) -> list[Formula]:
 
 def random_lcterm(rng: random.Random, vars: tuple[str, ...] = (),
                   depth: int = 3) -> LcTerm:
-    leaves: list[LcTerm] = [CC, Gamma(bot()), Gamma(Neq(ZERO, ONE)),
-                            Zeta(0), Eta(0)]
+    leaves: list[LcTerm] = [CC, Gamma(bot()), Gamma(Neq(ZERO, ONE))]
     if vars:
         leaves = [LVar(rng.choice(vars))] * 3 + leaves
     if depth <= 0 or rng.random() < 0.3:

@@ -49,7 +49,7 @@ from .formulas import (
     forall_many, free_vars, rows_term,
 )
 from .lcterms import (
-    App, CC, Cc, Eta, Gamma, Kont, LVar, Lam, LcTerm, Zeta, stack_to_list,
+    App, CC, Cc, Gamma, Kont, LVar, Lam, LcTerm, stack_to_list,
 )
 
 
@@ -356,9 +356,8 @@ def cc_elem() -> DElem:
 # --------------------------------------------------------------------------
 
 def denote(t: LcTerm) -> DElem:
-    """Denotation of a closed machine term.  Tagged, raw-restricted and
-    raw-unrestricted instructions denote bottom; a stack constant denotes
-    the term that replays its entries."""
+    """Denotation of a closed machine term.  A tagged instruction denotes
+    bottom; a stack constant denotes the term that replays its entries."""
 
     def go(t: LcTerm, env: dict[str, DElem]) -> DElem:
         if isinstance(t, LVar):
@@ -376,7 +375,7 @@ def denote(t: LcTerm) -> DElem:
             return lam(body)
         if isinstance(t, Cc):
             return cc_elem()
-        if isinstance(t, (Gamma, Zeta, Eta)):
+        if isinstance(t, Gamma):
             return bottom()
         if isinstance(t, Kont):
             # The entries are closed, so the binder y captures none of them.

@@ -55,16 +55,6 @@ class Gamma(LcTerm):
 
 
 @dataclass(frozen=True)
-class Zeta(LcTerm):
-    n: int
-
-
-@dataclass(frozen=True)
-class Eta(LcTerm):
-    n: int
-
-
-@dataclass(frozen=True)
 class StackT:
     pass
 
@@ -117,7 +107,7 @@ def free_lvars(t: LcTerm) -> frozenset[str]:
     if isinstance(t, Lam):
         return free_lvars(t.body) - {t.var}
     # Stack constants only contain closed terms, so nothing escapes.
-    if isinstance(t, (Cc, Kont, Gamma, Zeta, Eta)):
+    if isinstance(t, (Cc, Kont, Gamma)):
         return frozenset()
     raise TypeError(f"not a term: {t!r}")
 
@@ -141,7 +131,7 @@ def subst_lc(t: LcTerm, x: str, u: LcTerm) -> LcTerm:
             return App(go(t.fn), go(t.arg))
         if isinstance(t, Lam):
             return t if t.var == x else Lam(t.var, go(t.body))
-        if isinstance(t, (Cc, Kont, Gamma, Zeta, Eta)):
+        if isinstance(t, (Cc, Kont, Gamma)):
             return t
         raise TypeError(f"not a term: {t!r}")
 
@@ -202,10 +192,6 @@ def canon_term(t: LcTerm, env: dict[str, int] | None = None,
         return ("kont", canon_stack(t.stack, counter))
     if isinstance(t, Gamma):
         return ("gamma", canon_formula(t.tag))
-    if isinstance(t, Zeta):
-        return ("zeta", t.n)
-    if isinstance(t, Eta):
-        return ("eta", t.n)
     raise TypeError(f"not a term: {t!r}")
 
 

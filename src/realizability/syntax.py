@@ -3,7 +3,7 @@
 Boolean terms      0 | 1 | x | ~a | a /\\ b | a \\/ b        (sugar: & |)
 Formulas           a != b | A -> B | forall z. A
                    (sugar: _|_ , a == b , exists z. A)
-Machine terms      x | t u | \\x. t | cc | k[t1,...,tn] | g{A} | zeta<n> | eta<n>
+Machine terms      x | t u | \\x. t | cc | k[t1,...,tn] | g{A}
 Stacks             t1 . t2 . []
 Processes          t * pi
 
@@ -24,8 +24,8 @@ from .formulas import (
     Zero, bot, eq, exists,
 )
 from .lcterms import (
-    App, CC, Cc, EMPTY, Eta, Gamma, Kont, LVar, Lam, LcTerm, Process, SPush,
-    StackT, Zeta, _closed, stack_of,
+    App, CC, Cc, EMPTY, Gamma, Kont, LVar, Lam, LcTerm, Process, SPush,
+    StackT, _closed, stack_of,
 )
 
 
@@ -38,7 +38,7 @@ class ParseError(Exception):
 _TOKEN_RE = re.compile(r"""
     (?P<ws>\s+)
   | (?P<bot>_\|_)
-  | (?P<op>/\\|\\/|->|!=|==|[~&|.,*()\[\]{}\\<>])
+  | (?P<op>/\\|\\/|->|!=|==|[~&|.,*()\[\]{}\\])
   | (?P<num>\d+)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
 """, re.VERBOSE)
@@ -169,7 +169,7 @@ class _Parser:
     # -- Machine terms, stacks, processes ---------------------------------
 
     _STOPPERS = {")", "]", "}", ".", ",", "*", "", "->", "!=", "==",
-                 "/\\", "\\/", "&", "|", "<", ">"}
+                 "/\\", "\\/", "&", "|"}
 
     def lcterm(self) -> LcTerm:
         t = self.lcatom()
@@ -181,8 +181,9 @@ class _Parser:
         kind, val, pos = self.next()
         if val == "\\":
             vk, vname, vpos = self.next()
-            if vk != "ident":
-                raise ParseError("expected a variable after \\", vpos)
+            if vk != "ident" or vname == "cc":
+                raise ParseError(f"expected a variable after \\, found {vname!r}",
+                                 vpos)
             self.eat(".")
             return Lam(vname, self.lcterm())
         if val == "(":
@@ -192,13 +193,6 @@ class _Parser:
         if kind == "ident":
             if val == "cc":
                 return CC
-            if val in ("zeta", "eta") and self.peek()[1] == "<":
-                self.next()
-                nk, nv, npos = self.next()
-                if nk != "num":
-                    raise ParseError(f"expected a number in {val}<...>", npos)
-                self.eat(">")
-                return Zeta(int(nv)) if val == "zeta" else Eta(int(nv))
             if val == "g" and self.peek()[1] == "{":
                 self.next()
                 tag = self.formula()
@@ -369,10 +363,6 @@ def print_lcterm(t: LcTerm, prec: int = 0) -> str:
         return "k[" + ", ".join(entries) + "]"
     if isinstance(t, Gamma):
         return "g{" + print_formula(t.tag) + "}"
-    if isinstance(t, Zeta):
-        return f"zeta<{t.n}>"
-    if isinstance(t, Eta):
-        return f"eta<{t.n}>"
     raise TypeError(f"not a machine term: {t!r}")
 
 

@@ -30,6 +30,10 @@ def test_parse_command(capsys):
 
 def test_parse_error_exit_code(capsys):
     assert main(["parse", "formula", "z != "]) == 65
+    # the instruction forms zeta<n> and eta<n> are not machine terms
+    assert main(["pole-member", "zeta<0> * []"]) == 65
+    # a cc binder would bind nothing: cc in the body is the operator
+    assert main(["eval", "(\\cc. cc) (\\x. x) * g{_|_} . []"]) == 65
 
 
 def test_usage_exit_code():

@@ -332,17 +332,22 @@ def test_denote_machine_compatibility():
     from realizability.lcterms import stack_to_list
     from realizability.syntax import print_process
 
-    checked = 0
+    checked = skipped = 0
     for p in process_corpus(250, seed=21):
         s = step(p)
         q = s[0] if s else None
         parts = [p.term] + stack_to_list(p.stack)
         if q is None or not all(_control_free(t) for t in parts):
             continue
-        assert (_proc_den(p).component(0)
-                == _proc_den(q).component(0)), print_process(p)
+        try:
+            before, after = _proc_den(p).component(0), _proc_den(q).component(0)
+        except RankCapError:
+            # a rank-0 component that needs a rank above MAX_RANK
+            skipped += 1
+            continue
+        assert before == after, print_process(p)
         checked += 1
-    assert checked > 5
+    assert checked > 5 and skipped < checked, (checked, skipped)
 
 
 def test_denote_formula_shapes():

@@ -9,7 +9,7 @@ from realizability.dinfty import elem, level_size, theta, val
 from realizability.formulas import (
     And, Forall, Impl, Neq, Not, One, Or, UsageError, Var, Zero, alpha_eq,
 )
-from realizability.lcterms import lc_alpha_eq, proc_alpha_eq
+from realizability.lcterms import LVar, Lam, lc_alpha_eq, proc_alpha_eq
 from realizability.syntax import (
     ParseError, parse_bterm, parse_formula, parse_lcterm, parse_process,
     parse_stack, print_bterm, print_formula, print_lcterm, print_process,
@@ -50,8 +50,20 @@ def test_lcterm_shapes():
     t = parse_lcterm("\\x. x (\\y. y) cc")
     assert print_lcterm(t) == "\\x. x (\\y. y) cc"
     assert print_lcterm(parse_lcterm("g{z != 0}")) == "g{z != 0}"
-    assert print_lcterm(parse_lcterm("zeta<2>")) == "zeta<2>"
+    for gone in ("zeta<2>", "eta<0>"):
+        with pytest.raises(ParseError, match="unexpected character '<'"):
+            parse_lcterm(gone)
     assert print_lcterm(parse_lcterm("k[cc, \\x. x]")) == "k[cc, \\x. x]"
+
+
+def test_cc_is_no_binder():
+    # cc in a body is always the control operator, so \cc. cc would be
+    # the constant function of cc, not the identity it is printed from
+    for src in ("\\cc. cc", "\\x. \\cc. x"):
+        with pytest.raises(ParseError, match="expected a variable after"):
+            parse_lcterm(src)
+    with pytest.raises(ParseError):
+        parse_lcterm(print_lcterm(Lam("cc", LVar("cc"))))
 
 
 def test_stack_and_process():
