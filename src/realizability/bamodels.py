@@ -11,9 +11,19 @@ inside its value; an inequation holds when the two sides' xor sets the
 bit of a cell of nonzero size, and a universal quantifier ranges over all
 splits of every cell.  Sizes determine the isomorphism type of the
 partition, so this is complete for the supported algebras.  The value of
-an inequation occurrence depends only on the binders above it, so
-`model_check` compiles the formula once per call and evaluates each
-occurrence's terms once, whatever the number of splits.
+an inequation occurrence depends only on the binders above it, so the
+formula is compiled once and each occurrence's terms are evaluated once,
+whatever the number of splits: once per `model_check` call, and once for
+the whole family in `_valid_all_bas` and `TheoryOracle.membership`.
+
+An untraced check caps each finite cell size at 2^r, with r quantifiers
+still to come, and each quantifier occurrence memoises its verdict on its
+capped sizes; `model_check` gives the Ehrenfeucht-Fraisse argument.  The
+infinite cells of the atomless algebra are never capped.  The memo
+belongs to one compiled check, so nothing outlives the call that made
+it.  A traced check neither caps nor memoises, so its trace is that of
+the plain enumeration; `_valid_all_bas` sweeps the family untraced and
+re-runs only the refuting member traced.
 
 The public functions refuse an open formula at entry: `valid_all_bas` and
 `brute_check` by a `free_vars` walk, `model_check` as it compiles.
@@ -79,12 +89,19 @@ MAX_DEPTH = 6        # deepest quantifier nesting that model_check accepts
 MAX_PROP_ATOMS = 14  # most inequation atoms is_prop_tautology truth-tables
 
 
-def _splits(size, atomless: bool):
-    if atomless:
-        if size == 0:
-            return ((0, 0),)
+def _splits(size, cap=math.inf):
+    """The splits of a cell of `size` into (outside, inside), in the order
+    model_check tries them, with both parts capped at `cap` and each
+    capped pair kept at its first occurrence.  An infinite cell is an
+    atomless one and is never capped; a finite size past 2 * cap splits
+    into the same capped pairs as 2 * cap, in the same order."""
+    if size == math.inf:
         return ((math.inf, math.inf), (math.inf, 0), (0, math.inf))
-    return tuple((i, size - i) for i in range(size + 1))
+    if size <= cap:
+        return tuple((i, size - i) for i in range(size + 1))
+    size = min(size, 2 * cap)
+    return tuple(dict.fromkeys((min(i, cap), min(size - i, cap))
+                               for i in range(size + 1)))
 
 
 def _column(i: int, ones: int) -> int:
@@ -111,14 +128,39 @@ def model_check(A: Formula, spec: BASpec, *,
     is unbound where its Neq compiles, and the unseen body of a Forall
     past the guard gets a `free_vars` walk.
 
-    The trace shows the cell sizes of a failing inequation as the dict a
-    split builds, cells m then m | 2^(d-1) for m ascending, and a failing
-    split as {m: (size outside, size inside)} for m ascending."""
-    atomless = isinstance(spec, Atomless)
-    if isinstance(spec, PowerFinite) and spec.atoms > MAX_ATOMS:
-        raise GuardExceeded(f"{spec.atoms} atoms exceeds the guard of {MAX_ATOMS}")
+    Untraced, a Forall whose body has quantifier rank r caps each finite
+    child size at 2^r, and the unit is capped at 2^q for the formula's
+    rank q.  This is an Ehrenfeucht-Fraisse argument: two partitions whose
+    finite cells agree, or both have at least 2^r elements, satisfy the
+    same formulas of rank r, because a split (a, s - a) of a cell of size
+    s >= 2^r is answered by a split of any other such size whose parts,
+    capped at 2^(r-1), are the same; and the splits of 2c, capped at c,
+    give exactly the capped splits of any larger finite size, in the same
+    order of first occurrence.  So the first failing split is the same
+    capped pair either way.  The guard's closure is a constant of rank 0:
+    it raises whatever the sizes, so the cap does not change whether
+    evaluation reaches it.  An infinite (atomless) cell is never capped:
+    it is not equivalent to any finite size once r >= 2, since the rank-2
+    sentence "some element is an atom" tells them apart.  Each untraced
+    Forall also memoises its verdict on its capped `sizes`, which fix the
+    verdict whatever the algebra; the memo lives as long as the compiled
+    check, which `_valid_all_bas` and `TheoryOracle.membership` run over
+    each member of their family.
+
+    A traced run neither caps nor memoises.  The trace shows the cell
+    sizes of a failing inequation as the dict a split builds, cells m then
+    m | 2^(d-1) for m ascending, and a failing split as {m: (size outside,
+    size inside)} for m ascending."""
+    return _compile(A, trace)(spec)
+
+
+def _compile(A: Formula, trace: list[str] | None):
+    """model_check's compile step: the check of the closed formula A in a
+    spec, capped and memoised iff trace is None."""
+    capped = trace is None
 
     def compile_(f: Formula, env: dict[str, int], depth: int):
+        """f's closure and quantifier rank."""
         if isinstance(f, Neq):
             ones = (1 << (1 << depth)) - 1
             cols = {name: _column(pos, ones) for name, pos in env.items()}
@@ -134,12 +176,13 @@ def model_check(A: Formula, spec: BASpec, *,
                              for i in (m, m + half)}
                     trace.append(f"inequation fails on cell sizes {shown}")
                 return False
-            return neq
+            return neq, 0
         if isinstance(f, Impl):
-            ante = compile_(f.ante, env, depth)
-            cons = compile_(f.cons, env, depth)
-            return lambda sizes, live: (not ante(sizes, live)
-                                        or cons(sizes, live))
+            ante, r_ante = compile_(f.ante, env, depth)
+            cons, r_cons = compile_(f.cons, env, depth)
+            return (lambda sizes, live: (not ante(sizes, live)
+                                         or cons(sizes, live)),
+                    max(r_ante, r_cons))
         if isinstance(f, Forall):
             if depth == MAX_DEPTH:
                 if free_vars(f) - env.keys():
@@ -148,11 +191,12 @@ def model_check(A: Formula, spec: BASpec, *,
                 def too_deep(sizes, live):
                     raise GuardExceeded(
                         f"quantifier depth {depth + 1} exceeds the guard of {MAX_DEPTH}")
-                return too_deep
-            body = compile_(f.body, {**env, f.var: depth}, depth + 1)
+                return too_deep, 0
+            body, rank = compile_(f.body, {**env, f.var: depth}, depth + 1)
+            cap = 1 << rank if capped else math.inf
 
             def forall(sizes, live):
-                options = [_splits(size, atomless) for size in sizes]
+                options = [_splits(size, cap) for size in sizes]
                 for combo in itertools.product(*options):
                     outside, inside = zip(*combo)
                     sub = outside + inside
@@ -163,16 +207,32 @@ def model_check(A: Formula, spec: BASpec, *,
                                          f"{dict(enumerate(combo))}")
                         return False
                 return True
-            return forall
+            if not capped:
+                return forall, rank + 1
+            memo: dict[tuple, bool] = {}
+
+            def memoised(sizes, live):
+                ok = memo.get(sizes)
+                if ok is None:
+                    ok = memo[sizes] = forall(sizes, live)
+                return ok
+            return memoised, rank + 1
         raise TypeError(f"not a formula: {f!r}")
 
     try:
-        check = compile_(A, {}, 0)
+        check, rank = compile_(A, {}, 0)
     except UsageError:  # eval_term_01 or the guard met a free variable
         raise UsageError(f"model_check needs a closed formula, "
                          f"free: {sorted(free_vars(A))}") from None
-    unit = math.inf if atomless else spec.atoms
-    return check((unit,), 1)
+    top = 1 << rank if capped else math.inf
+
+    def run(spec: BASpec) -> bool:
+        if isinstance(spec, Atomless):
+            return check((math.inf,), 1)
+        if spec.atoms > MAX_ATOMS:
+            raise GuardExceeded(f"{spec.atoms} atoms exceeds the guard of {MAX_ATOMS}")
+        return check((min(spec.atoms, top),), 1)
+    return run
 
 
 def brute_check(A: Formula, k: int) -> bool:
@@ -349,13 +409,15 @@ def _valid_all_bas(A: Formula, family: Sequence[BASpec]) -> Verdict:
         return Verdict("refuted", witness=PowerFinite(1), trace=tuple(tr))
     if is_prop_tautology(A):
         return Verdict("valid", Justification.TAUTOLOGY)
+    check = _compile(A, None)
     for spec in family:
-        tr = []
         try:
-            ok = model_check(A, spec, trace=tr)
+            ok = check(spec)
         except GuardExceeded as e:
             return Verdict("unknown", detail=f"guard: {e}")
-        if not ok:
+        if not ok:  # the traced run answers as the untraced one did
+            tr = []
+            model_check(A, spec, trace=tr)
             return Verdict("refuted", witness=spec, trace=tuple(tr))
     return Verdict("unknown", detail="family-passed")
 
@@ -378,4 +440,5 @@ class TheoryOracle:
         self.family = tuple(self.family)
 
     def membership(self, A: Formula) -> bool:
-        return all(model_check(A, spec) for spec in self.family)
+        check = _compile(A, None)
+        return all(check(spec) for spec in self.family)

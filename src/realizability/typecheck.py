@@ -389,8 +389,11 @@ def parse_derivation(src: str) -> Derivation:
         out = []
         for entry in items(form, "context"):
             name, fsrc = items(entry, "context entry", 2)
-            out.append((text(name, "context variable"),
-                        parse_formula(text(fsrc, "context formula"))))
+            x = text(name, "context variable")
+            if x == "cc":  # a cc subject is always the control operator
+                raise UsageError("context variable 'cc' in derivation text "
+                                 "names the control operator")
+            out.append((x, parse_formula(text(fsrc, "context formula"))))
         return tuple(out)
 
     def node(form) -> Derivation:

@@ -249,6 +249,9 @@ SEVEN_FORALLS = ("forall a. forall b. forall c. forall d. forall e. "
     # the falsity stacks' continuations hold at most two g{_|_} entries
     (("realizes", "\\x. x", "forall z. ((forall w. w != z) -> z != 1)",
       "--depth", "3"), 64, "depth must be in 0..2"),
+    # an open formula is refused before any algebra's guard
+    (("theory", "--contains", "x != 0", "--family", "pf7"), 64,
+     "model_check needs a closed formula, free: ['x']"),
 ])
 def test_crash_exit_codes(capsys, argv, code, message):
     assert main(list(argv)) == code
@@ -304,6 +307,13 @@ def test_malformed_derivation_is_usage_error(tmp_path, capsys, text):
     path.write_text(text)
     assert main(["typecheck", str(path)]) == 64
     assert "derivation text" in capsys.readouterr().err
+
+
+def test_cc_context_variable_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "cc.sexpr"
+    path.write_text('(Axiom (judgement (("cc" "0 != 1")) "cc" "0 != 1"))')
+    assert main(["typecheck", str(path)]) == 64
+    assert "context variable 'cc'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -223,7 +223,7 @@ def _reference_model_check(A, spec, trace):
                     or go(f.cons, env, sizes, depth))
         env2 = {**env, f.var: depth}
         masks = sorted(sizes)
-        options = [_splits(sizes[m], atomless) for m in masks]
+        options = [_splits(sizes[m]) for m in masks]
         for combo in itertools.product(*options):
             sub = {}
             for m, (s0, s1) in zip(masks, combo):
@@ -253,7 +253,94 @@ def test_model_check_matches_per_cell_reference():
             answers.append(model_check(a, spec, trace=got))
             assert answers[-1] == _reference_model_check(a, spec, want)
             assert got == want
+            # untraced, model_check caps cell sizes and memoises
+            assert model_check(a, spec) == answers[-1]
     assert 0 < sum(answers) < len(answers)
+
+
+CAP_SPECS = [PowerFinite(k) for k in range(1, 7)] + [Atomless()]
+
+
+def test_rank_2_cap_counts_to_four():
+    # exists x. (exists y. 0 < y < x) /\ (exists y. 0 < y < ~x): some
+    # element and its complement each have two atoms.  Capping at 2^(r-1)
+    # instead of 2^r reads PowerFinite(4..6) as PowerFinite(2).
+    x, y = Var("x"), Var("y")
+
+    def below(t):  # 0 < y < t
+        return conj(Neq(y, ZERO), conj(eq(And(y, t), y), Neq(y, t)))
+    A = exists("x", conj(exists("y", below(x)), exists("y", below(Not(x)))))
+    assert [model_check(A, spec) for spec in CAP_SPECS] == [
+        False, False, False, True, True, True, True]
+
+
+def test_infinite_cells_are_never_capped():
+    # every nonzero element has an atom below it; capping the atomless
+    # algebra's infinite cell like a finite size reads it as finite
+    A = parse_formula(
+        "forall x. x != 0 -> ((forall y. (y /\\ x == y -> (y != 0 -> "
+        "(forall z. (z /\\ y != 0 -> y /\\ ~z == 0)) -> _|_))) -> _|_)")
+    assert [model_check(A, spec) for spec in CAP_SPECS] == [
+        True, True, True, True, True, True, False]
+
+
+def test_capped_splits_keep_first_occurrences():
+    assert _splits(3) == ((0, 3), (1, 2), (2, 1), (3, 0))
+    assert _splits(math.inf, 1) == _splits(math.inf)
+    want = ((0, 2), (1, 2), (2, 2), (2, 1), (2, 0))
+    assert all(_splits(s, 2) == want for s in (4, 5, 9))
+    assert _splits(3, 2) == ((0, 2), (1, 2), (2, 1), (2, 0))
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(bamodels, name)
+
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+    monkeypatch.setattr(bamodels, name, counted)
+    return calls
+
+
+def test_one_compile_per_family_sweep(monkeypatch):
+    # two Neq occurrences, each side evaluated once for the whole family
+    z0, z1, z2 = Var("z0"), Var("z1"), Var("z2")
+    t = Or(And(z0, Not(z1)), And(z2, Or(z1, Not(z0))))
+    A = forall_many(["z0", "z1", "z2"], Impl(Neq(ZERO, t), Neq(t, ZERO)))
+    calls = _counting(monkeypatch, "eval_term_01")
+    assert valid_all_bas(A).detail == "family-passed"
+    assert len(calls) == 2 * 2
+    # nothing carries over between calls: the second one compiles again
+    assert valid_all_bas(A).detail == "family-passed"
+    assert len(calls) == 2 * 2 * 2
+    calls.clear()
+    assert TheoryOracle().membership(A)
+    assert len(calls) == 2 * 2
+    assert TheoryOracle().membership(A)
+    assert len(calls) == 2 * 2 * 2
+
+
+def test_only_a_refutation_runs_traced(monkeypatch):
+    calls = _counting(monkeypatch, "model_check")
+    has_atom = parse_formula(
+        "(forall z. z != 0 -> "
+        "(forall w. (w /\\ z == w -> w != 0 -> w == z)) -> _|_) -> _|_")
+    v = valid_all_bas(has_atom)
+    assert v.is_refuted and v.witness == Atomless()
+    assert [(args[1], kwargs["trace"] is not None)
+            for args, kwargs in calls] == [(Atomless(), True)]
+    assert len(v.trace) == 11
+    calls.clear()
+    for text in ("0 != 1", "forall z. forall w. z /\\ w == w /\\ z",
+                 "forall x. (x != 0 -> forall y. x != 0)"):
+        assert valid_all_bas(parse_formula(text)).is_valid
+    assert valid_all_bas(parse_formula(
+        "forall z. forall w. z /\\ w != 0 -> z != 0")).status == "unknown"
+    past_guard = parse_formula(SEVEN_FORALLS + "a != 0 -> a != 1")
+    assert valid_all_bas(past_guard).detail == (
+        "guard: quantifier depth 7 exceeds the guard of 6")
+    assert calls == []
 
 
 def _sweep_sentences(seed, depth, n):

@@ -1,7 +1,7 @@
 import pytest
 
 from realizability.formulas import (
-    Forall, Impl, Neq, ONE, Or, Var, ZERO, bot, eq,
+    Forall, Impl, Neq, ONE, Or, UsageError, Var, ZERO, bot, eq,
 )
 from realizability.lcterms import App, CC, Lam, LVar
 from realizability.syntax import parse_formula, parse_lcterm
@@ -107,7 +107,6 @@ def test_weaken_property():
     w = weaken(d, "u", bot())
     j = check_derivation(w)
     assert ("u", bot()) in j.context
-    from realizability.formulas import UsageError
     with pytest.raises(UsageError):
         weaken(d, "x", bot())
 
@@ -141,6 +140,14 @@ def test_parse_derivation_roundtrip():
     d = parse_derivation(src)
     j = check_derivation(d)
     assert j.context == ()
+
+
+@pytest.mark.parametrize("name", ['"cc"', "cc"])
+def test_parse_derivation_rejects_cc_as_context_variable(name):
+    # no subject can name it: a cc subject is the control operator
+    src = f'(Axiom (judgement (({name} "0 != 1")) "cc" "0 != 1"))'
+    with pytest.raises(UsageError, match="context variable 'cc'"):
+        parse_derivation(src)
 
 
 def test_judgement_rejects_unbound_subject():
