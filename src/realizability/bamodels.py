@@ -14,7 +14,7 @@ partition, so this is complete for the supported algebras.  The value of
 an inequation occurrence depends only on the binders above it, so the
 formula is compiled once and each occurrence's terms are evaluated once,
 whatever the number of splits: once per `model_check` call, and once for
-the whole family in `_valid_all_bas` and `TheoryOracle.membership`.
+the whole family in `valid_all_bas` and `TheoryOracle.membership`.
 
 An untraced check caps each finite cell size at 2^r, with r quantifiers
 still to come, and each quantifier occurrence memoises its verdict on its
@@ -22,14 +22,12 @@ capped sizes; `model_check` gives the Ehrenfeucht-Fraisse argument.  The
 infinite cells of the atomless algebra are never capped.  The memo
 belongs to one compiled check, so nothing outlives the call that made
 it.  A traced check neither caps nor memoises, so its trace is that of
-the plain enumeration; `_valid_all_bas` sweeps the family untraced and
+the plain enumeration; `valid_all_bas` sweeps the family untraced and
 re-runs only the refuting member traced.
 
 The public functions refuse an open formula at entry: `valid_all_bas` and
-`brute_check` by a `free_vars` walk, `model_check` as it compiles.
-`_valid_all_bas` is `valid_all_bas` without that walk, for formulas that
-are closed by construction; past the entry a formula is known closed, so
-a Horn shape is a Horn clause.
+`brute_check` by a `free_vars` walk, `model_check` as it compiles.  Past
+the entry a formula is known closed, so a Horn shape is a Horn clause.
 
 On top sits a three-valued validity layer for "true in every Boolean
 algebra with at least two elements": complete fragments (ground sentences,
@@ -144,7 +142,7 @@ def model_check(A: Formula, spec: BASpec, *,
     sentence "some element is an atom" tells them apart.  Each untraced
     Forall also memoises its verdict on its capped `sizes`, which fix the
     verdict whatever the algebra; the memo lives as long as the compiled
-    check, which `_valid_all_bas` and `TheoryOracle.membership` run over
+    check, which `valid_all_bas` and `TheoryOracle.membership` run over
     each member of their family.
 
     A traced run neither caps nor memoises.  The trace shows the cell
@@ -384,12 +382,6 @@ def valid_all_bas(A: Formula,
     is refused."""
     if free_vars(A):
         raise UsageError("valid_all_bas needs a closed formula")
-    return _valid_all_bas(A, family)
-
-
-def _valid_all_bas(A: Formula, family: Sequence[BASpec]) -> Verdict:
-    """valid_all_bas for an A that is closed by construction, such as a
-    synthesized formula, with no `free_vars` walk."""
     if not family:
         raise UsageError("valid_all_bas needs a nonempty family")
     # Ground terms land in the two-element subalgebra {0,1}, which embeds

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-from .bamodels import DEFAULT_FAMILY, _valid_all_bas
+from .bamodels import DEFAULT_FAMILY, valid_all_bas
 from .formulas import (
     Formula, Forall, Impl, Neq, ONE, UsageError, ZERO, eval_term_01,
     forall_many, free_vars, rows_term,
@@ -517,9 +517,8 @@ def seq_check(alpha: DElem, *, family=DEFAULT_FAMILY) -> SeqVerdict:
     least two elements, which is decided as far as the validity layer
     allows; a dominance witness (a searched term, checked at rank 2, or
     the truncated control element) corroborates or settles the positive
-    side.  theta(alpha) is closed by construction, so it goes to the
-    validity layer past valid_all_bas's closedness check."""
-    v = _valid_all_bas(theta(alpha), family)
+    side."""
+    v = valid_all_bas(theta(alpha), family)
     if v.is_refuted:
         return SeqVerdict("not-sequentialisable")
     if v.is_valid:

@@ -32,8 +32,8 @@ class BTerm:
     __slots__ = ()
 
     def __reduce__(self):
-        # copy and pickle rebuild a term from its fields, so what an Or,
-        # And or Not keeps (a hash of this process's strings) is recomputed
+        # copy and pickle rebuild a term from its fields, so what an Or or
+        # And keeps (a hash of this process's strings) is recomputed
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
@@ -52,11 +52,13 @@ class One(BTerm):
     pass
 
 
-# Terms are DAGs (rows_term shares its minterm prefixes), so Or, And and
-# Not keep their hash and their variable set once computed, in the slots
+# Terms are DAGs (rows_term shares its minterm prefixes), so Or and And
+# keep their hash and their variable set once computed, in the slots
 # `_hash` and `_vars`, which their own __init__ sets to None.  Neither is
 # a dataclass field, so ==, repr and `fields` are the plain dataclass's,
-# and the hash is the dataclass's own hash of the field tuple.
+# and the hash is the dataclass's own hash of the field tuple.  A Not's
+# hash and variable set are one step from its argument's, so it keeps
+# neither.
 
 _set = object.__setattr__  # how a frozen dataclass sets its slots
 
@@ -96,20 +98,7 @@ class And(BTerm):
 
 @dataclass(frozen=True)
 class Not(BTerm):
-    __slots__ = ("arg", "_hash", "_vars")
     arg: BTerm
-
-    def __init__(self, arg: BTerm):
-        _set(self, "arg", arg)
-        _set(self, "_hash", None)
-        _set(self, "_vars", None)
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.arg,))
-            _set(self, "_hash", h)
-        return h
 
 
 ZERO = Zero()
@@ -118,8 +107,8 @@ _NO_VARS: frozenset[str] = frozenset()
 
 
 def term_vars(a: BTerm) -> frozenset[str]:
-    """The variables of a.  An Or, And or Not computes its set on first
-    use and keeps it, so a DAG is walked once per distinct node; a parent
+    """The variables of a.  An Or or And computes its set on first use
+    and keeps it, so a DAG is walked once per distinct node; a parent
     reuses a child's set when that set contains the other child's."""
     if isinstance(a, (Or, And)):
         vs = a._vars
@@ -130,11 +119,7 @@ def term_vars(a: BTerm) -> frozenset[str]:
             _set(a, "_vars", vs)
         return vs
     if isinstance(a, Not):
-        vs = a._vars
-        if vs is None:
-            vs = term_vars(a.arg)
-            _set(a, "_vars", vs)
-        return vs
+        return term_vars(a.arg)
     if isinstance(a, Var):
         return frozenset((a.name,))
     if isinstance(a, (Zero, One)):

@@ -14,8 +14,9 @@ the budget.  A tag enters at 1 + the least, over witness bits, of the
 greatest level of the premise processes the bits oblige (1 if none),
 each asked with one level less.  PoleConfig.memo holds tags only, keyed
 by canonical process and remaining budget, valued by level or 0 (absent
-within that budget).  Each ⫫_k is decided exactly; the union is
-semi-decided up to k_max.
+within that budget).  Each ⫫_k is decided exactly, unless a tag has more
+than 2^MAX_PROP_ATOMS bit choices to read, which raises GuardExceeded;
+the union is semi-decided up to k_max.
 
 The pole consults no theory: a tag's witness bits are checked by
 evaluating its head equality in {0,1}.
@@ -38,7 +39,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Generator, Iterator
 
-from .bamodels import Verdict, valid_all_bas
+from .bamodels import GuardExceeded, MAX_PROP_ATOMS, Verdict, valid_all_bas
 from .formulas import (
     Formula, Impl, ONE, UsageError, ZERO, bot, decompose, eval_term_01,
     free_vars, subst_formula,
@@ -67,10 +68,17 @@ def _witnesses(A: Formula, env: dict[str, int] | None = None
     head equality holds in {0,1}, env giving A's free variables: A's
     premises, each with the bits in scope at its block.  Choices come in
     itertools.product order, the first variable most significant; a name
-    bound twice takes the later binder's bit from that binder on."""
+    bound twice takes the later binder's bit from that binder on.  A call
+    visits at most 2^MAX_PROP_ATOMS choices and raises GuardExceeded on
+    the next one."""
     d, env = decompose(A), env or {}
     names = [v for vs, _ in d.blocks for v in vs] + list(d.tail_vars)
-    for bits in itertools.product((0, 1), repeat=len(names)):
+    rows = itertools.product((0, 1), repeat=len(names))
+    for row, bits in enumerate(rows):
+        if row == 1 << MAX_PROP_ATOMS:
+            raise GuardExceeded(
+                f"a tag with {len(names)} spine variables exceeds the guard "
+                f"of 2^{MAX_PROP_ATOMS} bit choices")
         scope = {**env, **dict(zip(names, bits))}
         if eval_term_01(d.head.lhs, scope) != eval_term_01(d.head.rhs, scope):
             continue

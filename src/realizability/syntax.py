@@ -273,12 +273,12 @@ def parse_process(src: str) -> Process:
 # Printers
 # --------------------------------------------------------------------------
 
-def print_bterm(t: BTerm, prec: int = 0) -> str:
-    return _bterm(t, prec, {})
+def print_bterm(t: BTerm) -> str:
+    return _bterm(t, 0, {})
 
 
-def print_formula(f: Formula, prec: int = 0) -> str:
-    return _formula(f, prec, {})
+def print_formula(f: Formula) -> str:
+    return _formula(f, 0, {})
 
 
 # term precedence: \/ = 1, /\ = 2, ~ = 3; each left-nested connective

@@ -104,3 +104,15 @@ def test_traced_validity_spans_move():
         for name in ("bamodels.valid_all_bas", "bamodels.is_prop_tautology"):
             assert calls.get(name, 0) > 0, name
         assert calls.get("bamodels.model_check.finite", 0) == traced
+
+
+def test_traced_seq_check_spans_valid_all_bas():
+    # the lattice workload's bamodels.valid_all_bas metrics read this span,
+    # so seq_check must hand theta to the validity layer by that name
+    tracer = _tracer().Tracer()
+    tracer.install()
+    try:
+        dinfty.seq_check(dinfty.elem(3, dinfty.val(3, 33481)))
+    finally:
+        tracer.uninstall()
+    assert tracer.summary()["calls"].get("bamodels.valid_all_bas", 0) >= 1

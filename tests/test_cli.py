@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -114,6 +115,33 @@ def test_pole_member_on_a_long_written_stack(capsys, n):
     # the parser reads stack entries in a loop, not one call per entry
     code, out = run(capsys, "pole-member", "g{_|_} * " + "cc . " * n + "[]")
     assert (code, out.strip()) == (0, "k=1")
+
+
+def _conjunction_tag(n):
+    # true head only when every a<i> is 1: the last of 2^n bit choices
+    names = [f"a{i}" for i in range(n)]
+    return ("g{" + "".join(f"forall {v}. " for v in names)
+            + " /\\ ".join(names) + " != 1} * []")
+
+
+def test_pole_guard_bounds_the_bit_choices_of_a_tag(capsys):
+    # a tag with n spine variables has 2^n bit choices; the pole visits
+    # at most 2^14 of them in one read of a tag, then answers unknown
+    start = time.perf_counter()
+    code = main(["realizes", "\\x. x", "forall z. " * 300 + "z != 0"])
+    assert code == 2 and time.perf_counter() - start < 1
+    assert "guard of 2^14 bit choices" in capsys.readouterr().err
+    assert run(capsys, "pole-member", _conjunction_tag(14)) == (0, "k=1\n")
+    assert main(["pole-member", _conjunction_tag(15)]) == 2
+    assert "15 spine variables" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [20, 300])
+def test_pole_guard_counts_the_choices_visited(capsys, n):
+    # the all-zero choice makes the head true and obliges no premise, so
+    # the tag enters at level 1 before the pole reads a second choice
+    tag = "g{" + "forall z. " * n + "z != 0} * []"
+    assert run(capsys, "pole-member", tag) == (0, "k=1\n")
 
 
 @pytest.mark.parametrize("sep", [" \\/ ", " /\\ "])

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from realizability import bamodels, dinfty, formulas
+from realizability import dinfty, formulas
 from realizability.dinfty import (
     DElem, RankCapError, app, arrow, bottom, cc_elem, denote, denote_formula,
     elem, eq_at, idx_join, idx_leq, idx_of, join, lam, leq, level,
@@ -572,36 +572,48 @@ def test_seq_check_verdicts_are_pinned():
         "e075918bc10a548ba70c6d9f8468dd46a6cf0f5113d3e02926b02b2a9e3dc51b")
 
 
-def test_seq_check_walks_no_free_vars_over_theta(monkeypatch):
-    # theta is closed by construction, so the validity layer gets it past
-    # valid_all_bas's entry walk; its parts still walk their own pieces
+def test_seq_check_walks_theta_for_free_vars_once(monkeypatch):
+    # theta enters the validity layer through valid_all_bas like any
+    # sentence: its entry walk is the one free_vars call that gets the
+    # whole theta; the layer's parts walk only their own pieces
     built, walked = [], []
+    original = formulas.free_vars
 
     def recorded(alpha):
         built.append(theta(alpha))
         return built[-1]
 
+    _patch_everywhere(monkeypatch, original,
+                      lambda A: walked.append(A) or original(A))
     monkeypatch.setattr(dinfty, "theta", recorded)
-    monkeypatch.setattr(bamodels, "free_vars",
-                        lambda A: walked.append(A) or formulas.free_vars(A))
     for i in (33481, 111706):
         seq_check(elem(3, val(3, i)))
-    assert len(built) == 2 and walked
-    assert not any(A is B for A in walked for B in built)
+    assert len(built) == 2 and len(walked) > 2
+    assert [sum(A is B for A in walked) for B in built] == [1, 1]
+
+
+def _patch_everywhere(monkeypatch, original, replacement):
+    """Rebind every name in the package that holds original."""
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "realizability":
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, replacement)
 
 
 def test_seq_check_walks_each_theta_term_node_once(monkeypatch):
-    # cost guard: term_vars descends only below a node whose variable set
-    # is not kept yet, so one rank-3 seq_check descends at most once per
-    # distinct term node of its theta (a tree walk of this theta visits
-    # about 15,000 nodes), and a second free_vars walk descends nowhere
+    # cost guard: term_vars descends only below an Or or And whose
+    # variable set is not kept yet, so one rank-3 seq_check descends at
+    # most once per distinct such node of its theta (a tree walk of this
+    # theta visits about 15,000 nodes), and a second free_vars walk
+    # descends nowhere
     formulas._minterm_prefixes.cache_clear()
     built, calls, descents = [], [], []
     original = formulas.term_vars
 
     def counted(a):
         calls.append(a)
-        if isinstance(a, (Or, And, Not)) and a._vars is None:
+        if isinstance(a, (Or, And)) and a._vars is None:
             descents.append(a)
         return original(a)
 
@@ -609,16 +621,12 @@ def test_seq_check_walks_each_theta_term_node_once(monkeypatch):
         built.append(theta(alpha))
         return built[-1]
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "realizability":
-            for key, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, key, counted)
+    _patch_everywhere(monkeypatch, original, counted)
     monkeypatch.setattr(dinfty, "theta", recorded)
     seq_check(elem(3, val(3, 33481)))
     (A,) = built
     nodes = _distinct_nodes(A)
-    terms = [x for x in nodes if isinstance(x, (Or, And, Not))]
+    terms = [x for x in nodes if isinstance(x, (Or, And))]
     assert 1000 < len(descents) <= len(terms)
     assert len({id(t) for t in descents}) == len(descents)
     calls.clear()

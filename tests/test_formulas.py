@@ -257,7 +257,7 @@ def _field_tuple(t):
 
 @pytest.mark.parametrize("top_first", [True, False])
 def test_kept_hashes_are_the_dataclass_hashes(top_first):
-    # the hash an Or, And or Not keeps is the plain dataclass's hash of its
+    # the hash an Or or And keeps is the plain dataclass's hash of its
     # field tuple at every node, whether the top or the leaves hash first
     corpus = formula_corpus(300, seed=21, height=4)
     for roots in (_seeded_rank3_thetas(), corpus):

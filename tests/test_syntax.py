@@ -138,14 +138,16 @@ def _reference_print_formula(f, prec=0):
 
 
 def test_printers_match_the_recursive_reference():
+    # each corpus item also sits under the parents that print it at every
+    # other precedence: formulas 1 and 2, terms 1, 2 and 3
     for a in formula_corpus(300, seed=8, height=4, max_qdepth=3):
-        for prec in (0, 1, 2):
-            assert print_formula(a, prec) == _reference_print_formula(a, prec)
+        for f in (a, Impl(a, a)):
+            assert print_formula(f) == _reference_print_formula(f)
     rng = random.Random(8)
     for _ in range(300):
         t = random_bterm(rng, ("z", "w", "v"), depth=4)
-        for prec in (0, 1, 2, 3):
-            assert print_bterm(t, prec) == _reference_print_bterm(t, prec)
+        for u in (t, Or(t, t), And(t, t), Not(t)):
+            assert print_bterm(u) == _reference_print_bterm(u)
 
 
 def test_rank3_thetas_print_as_the_recursive_reference():
