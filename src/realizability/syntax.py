@@ -13,11 +13,19 @@ lambda used as a stack entry or argument needs parentheses).  Sugar is
 expanded at parse time; printers emit the primitive syntax and satisfy
 parse(print(x)) alpha-equivalent to x.  The parser checks that process
 terms and stack entries, in k[...] too, are closed.
+
+The lexer splits a text with one regex into gap, token, gap, ..., gap;
+a gap that is not all whitespace holds an unexpected character.  Tokens
+are plain strings, and a token's kind is read from its text.  A ( where
+a formula starts opens a parenthesized formula or a comparison's left
+term.  A group that holds !=, == or _|_, which no term holds, is read as
+a formula at once; any other group is tried as a comparison first.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import accumulate, islice
 
 from .formulas import (
     And, BTerm, Formula, Forall, Impl, Neq, Not, ONE, One, Or, Var, ZERO,
@@ -35,136 +43,143 @@ class ParseError(Exception):
         self.pos = pos
 
 
-_TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<bot>_\|_)
-  | (?P<op>/\\|\\/|->|!=|==|[~&|.,*()\[\]{}\\])
-  | (?P<num>\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
-""", re.VERBOSE)
+_TOKEN_RE = re.compile(r"""(
+    _\|_
+  | /\\|\\/|->|!=|==|[~&|.,*()\[\]{}\\]
+  | \d+
+  | [A-Za-z_][A-Za-z0-9_']*
+)""", re.VERBOSE)
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+                         "abcdefghijklmnopqrstuvwxyz_")
 
 
-def _lex(src: str) -> list[tuple[str, str, int]]:
-    toks = []
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {src[pos]!r}", pos)
-        kind = m.lastgroup
-        if kind != "ws":
-            toks.append((kind, m.group(), pos))
-        pos = m.end()
-    toks.append(("eof", "", len(src)))
-    return toks
+def _lex(src: str) -> tuple[list[str], list[int]]:
+    """The token texts, ending with "" for the end of the input, and
+    their positions."""
+    parts = _TOKEN_RE.split(src)
+    pos = list(accumulate(map(len, parts)))[::2]
+    if "".join(parts[::2]).strip():
+        for gap, end in zip(parts[::2], pos):
+            junk = gap.lstrip()
+            if junk:
+                raise ParseError(f"unexpected character {junk[0]!r}",
+                                 end - len(junk))
+    return parts[1::2] + [""], pos
+
+
+def _is_ident(tok: str) -> bool:
+    return tok[:1] in _IDENT_START and tok != "_|_"
 
 
 class _Parser:
     def __init__(self, src: str):
-        self.toks = _lex(src)
+        self.toks, self.pos = _lex(src)
         self.i = 0
 
-    def peek(self):
-        return self.toks[self.i]
-
-    def next(self):
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok
-
     def eat(self, text: str):
-        kind, val, pos = self.toks[self.i]
-        if val != text:
-            found = val if kind != "eof" else "end of input"
-            raise ParseError(f"expected {text!r}, found {found!r}", pos)
+        tok = self.toks[self.i]
+        if tok != text:
+            raise ParseError(f"expected {text!r}, found "
+                             f"{tok or 'end of input'!r}", self.pos[self.i])
         self.i += 1
 
-    def done(self):
-        kind, val, pos = self.toks[self.i]
-        if kind != "eof":
-            raise ParseError(f"trailing input {val!r}", pos)
+    def holds_formula(self) -> bool:
+        """Whether the ( at the cursor opens a group, to its matching )
+        or the end, that holds !=, == or _|_, which no term can hold."""
+        depth = 0
+        for tok in islice(self.toks, self.i, None):
+            depth += (tok == "(") - (tok == ")")
+            if not depth or tok in ("!=", "==", "_|_"):
+                return depth > 0
+        return False
 
     # -- Boolean terms ----------------------------------------------------
 
     def bterm(self) -> BTerm:
         left = self.bconj()
-        while self.peek()[1] in ("\\/", "|"):
-            self.next()
+        while self.toks[self.i] in ("\\/", "|"):
+            self.i += 1
             left = Or(left, self.bconj())
         return left
 
     def bconj(self) -> BTerm:
         left = self.batom()
-        while self.peek()[1] in ("/\\", "&"):
-            self.next()
+        while self.toks[self.i] in ("/\\", "&"):
+            self.i += 1
             left = And(left, self.batom())
         return left
 
     def batom(self) -> BTerm:
-        kind, val, pos = self.next()
-        if val == "~":
+        tok = self.toks[self.i]
+        self.i += 1
+        if tok == "~":
             return Not(self.batom())
-        if val == "(":
+        if tok == "(":
             t = self.bterm()
             self.eat(")")
             return t
-        if kind == "num":
-            if val == "0":
-                return ZERO
-            if val == "1":
-                return ONE
-            raise ParseError(f"numeric constants are 0 and 1, found {val}", pos)
-        if kind == "ident":
-            return Var(val)
-        raise ParseError(f"expected a term, found {val!r}", pos)
+        if tok == "0":
+            return ZERO
+        if tok == "1":
+            return ONE
+        if _is_ident(tok):
+            return Var(tok)
+        pos = self.pos[self.i - 1]
+        if tok[:1].isdecimal():
+            raise ParseError(f"numeric constants are 0 and 1, found {tok}", pos)
+        raise ParseError(f"expected a term, found {tok!r}", pos)
 
     # -- Formulas ---------------------------------------------------------
 
     def formula(self) -> Formula:
         left = self.fatom()
-        if self.peek()[1] == "->":
-            self.next()
+        if self.toks[self.i] == "->":
+            self.i += 1
             return Impl(left, self.formula())
         return left
 
     def fatom(self) -> Formula:
-        kind, val, pos = self.peek()
-        if kind == "bot":
-            self.next()
+        tok = self.toks[self.i]
+        if tok == "_|_":
+            self.i += 1
             return bot()
-        if val in ("forall", "exists"):
-            self.next()
-            vk, vname, vpos = self.next()
-            if vk != "ident":
-                raise ParseError(f"expected a variable after {val}", vpos)
+        if tok in ("forall", "exists"):
+            var = self.toks[self.i + 1]
+            if not _is_ident(var):
+                raise ParseError(f"expected a variable after {tok}",
+                                 self.pos[self.i + 1])
+            self.i += 2
             self.eat(".")
             body = self.formula()
-            return Forall(vname, body) if val == "forall" else exists(vname, body)
-        if val == "(":
+            return Forall(var, body) if tok == "forall" else exists(var, body)
+        if tok == "(":
             # Either a parenthesized formula or the left term of a
-            # comparison; try the comparison reading first.
-            save = self.i
-            try:
-                a = self.bterm()
-                if self.peek()[1] in ("!=", "=="):
-                    return self._relop(a)
-            except ParseError:
-                pass
-            self.i = save
-            self.next()
+            # comparison.  A group that holds a formula token is the
+            # former; any other is tried as a comparison first.
+            if not self.holds_formula():
+                save = self.i
+                try:
+                    a = self.bterm()
+                    if self.toks[self.i] in ("!=", "=="):
+                        return self._relop(a)
+                except ParseError:
+                    pass
+                self.i = save
+            self.i += 1
             f = self.formula()
             self.eat(")")
             return f
-        a = self.bterm()
-        return self._relop(a)
+        return self._relop(self.bterm())
 
     def _relop(self, a: BTerm) -> Formula:
-        kind, val, pos = self.next()
-        if val == "!=":
+        tok = self.toks[self.i]
+        self.i += 1
+        if tok == "!=":
             return Neq(a, self.bterm())
-        if val == "==":
+        if tok == "==":
             return eq(a, self.bterm())
-        raise ParseError(f"expected != or ==, found {val!r}", pos)
+        raise ParseError(f"expected != or ==, found {tok!r}",
+                         self.pos[self.i - 1])
 
     # -- Machine terms, stacks, processes ---------------------------------
 
@@ -173,54 +188,57 @@ class _Parser:
 
     def lcterm(self) -> LcTerm:
         t = self.lcatom()
-        while self.peek()[1] not in self._STOPPERS:
+        while self.toks[self.i] not in self._STOPPERS:
             t = App(t, self.lcatom())
         return t
 
     def lcatom(self) -> LcTerm:
-        kind, val, pos = self.next()
-        if val == "\\":
-            vk, vname, vpos = self.next()
-            if vk != "ident" or vname == "cc":
-                raise ParseError(f"expected a variable after \\, found {vname!r}",
-                                 vpos)
+        tok = self.toks[self.i]
+        self.i += 1
+        if tok == "\\":
+            var = self.toks[self.i]
+            if not _is_ident(var) or var == "cc":
+                raise ParseError(f"expected a variable after \\, found {var!r}",
+                                 self.pos[self.i])
+            self.i += 1
             self.eat(".")
-            return Lam(vname, self.lcterm())
-        if val == "(":
+            return Lam(var, self.lcterm())
+        if tok == "(":
             t = self.lcterm()
             self.eat(")")
             return t
-        if kind == "ident":
-            if val == "cc":
+        if _is_ident(tok):
+            if tok == "cc":
                 return CC
-            if val == "g" and self.peek()[1] == "{":
-                self.next()
+            if tok == "g" and self.toks[self.i] == "{":
+                self.i += 1
                 tag = self.formula()
                 self.eat("}")
                 return Gamma(tag)
-            if val == "k" and self.peek()[1] == "[":
-                self.next()
+            if tok == "k" and self.toks[self.i] == "[":
+                self.i += 1
                 entries = []
-                if self.peek()[1] != "]":
+                if self.toks[self.i] != "]":
                     entries.append(self.lcterm())
-                    while self.peek()[1] == ",":
-                        self.next()
+                    while self.toks[self.i] == ",":
+                        self.i += 1
                         entries.append(self.lcterm())
                 self.eat("]")
                 return Kont(stack_of(*(_closed(t, "stack entries")
                                        for t in entries)))
-            return LVar(val)
-        raise ParseError(f"expected a machine term, found {val!r}", pos)
+            return LVar(tok)
+        raise ParseError(f"expected a machine term, found {tok!r}",
+                         self.pos[self.i - 1])
 
     def stack(self) -> StackT:
         """Entries are read in a loop, so a written stack has no length
         limit.  Every syntax error comes before any closedness error, and
         the entries are checked from the last to the first."""
         entries = []
-        while self.peek()[1] != "[":
+        while self.toks[self.i] != "[":
             entries.append(self.lcterm())
             self.eat(".")
-        self.next()
+        self.i += 1
         self.eat("]")
         pi = EMPTY
         for head in reversed(entries):
@@ -234,39 +252,32 @@ class _Parser:
         return Process(_closed(t, "process terms"), pi)
 
 
-def parse_bterm(src: str) -> BTerm:
+def _parse(src: str, rule):
     p = _Parser(src)
-    t = p.bterm()
-    p.done()
-    return t
+    x = rule(p)
+    if p.toks[p.i]:
+        raise ParseError(f"trailing input {p.toks[p.i]!r}", p.pos[p.i])
+    return x
+
+
+def parse_bterm(src: str) -> BTerm:
+    return _parse(src, _Parser.bterm)
 
 
 def parse_formula(src: str) -> Formula:
-    p = _Parser(src)
-    f = p.formula()
-    p.done()
-    return f
+    return _parse(src, _Parser.formula)
 
 
 def parse_lcterm(src: str) -> LcTerm:
-    p = _Parser(src)
-    t = p.lcterm()
-    p.done()
-    return t
+    return _parse(src, _Parser.lcterm)
 
 
 def parse_stack(src: str) -> StackT:
-    p = _Parser(src)
-    pi = p.stack()
-    p.done()
-    return pi
+    return _parse(src, _Parser.stack)
 
 
 def parse_process(src: str) -> Process:
-    p = _Parser(src)
-    proc = p.process()
-    p.done()
-    return proc
+    return _parse(src, _Parser.process)
 
 
 # --------------------------------------------------------------------------

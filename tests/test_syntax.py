@@ -1,4 +1,6 @@
+import hashlib
 import random
+import re
 
 import pytest
 
@@ -11,7 +13,7 @@ from realizability.formulas import (
 )
 from realizability.lcterms import LVar, Lam, lc_alpha_eq, proc_alpha_eq
 from realizability.syntax import (
-    ParseError, parse_bterm, parse_formula, parse_lcterm, parse_process,
+    ParseError, _lex, parse_bterm, parse_formula, parse_lcterm, parse_process,
     parse_stack, print_bterm, print_formula, print_lcterm, print_process,
     print_stack,
 )
@@ -84,11 +86,39 @@ def test_stack_errors_keep_their_order():
         parse_process("x * y . []")
 
 
+_ERRORS = [
+    # unexpected characters, after spaces, a tab and a newline
+    (parse_formula, "z != #", "unexpected character '#'", 5),
+    (parse_formula, "z  \t!= \n @ 0", "unexpected character '@'", 9),
+    (parse_formula, "z !=\n\t$", "unexpected character '$'", 6),
+    # a missing term, and eat() at the end of the input
+    (parse_formula, "z != ", "expected a term, found ''", 5),
+    (parse_bterm, "z \\/ _|_", "expected a term, found '_|_'", 5),
+    (parse_formula, "(z != 0", "expected ')', found 'end of input'", 7),
+    (parse_process, "\\x. x", "expected '*', found 'end of input'", 5),
+    # trailing input
+    (parse_formula, "z != 0 )", "trailing input ')'", 7),
+    (parse_formula, "z != 0 w", "trailing input 'w'", 7),
+    # a term with no comparison after it
+    (parse_formula, "z -> 0", "expected != or ==, found '->'", 2),
+    (parse_formula, "(z) 0", "expected != or ==, found ')'", 2),
+    (parse_formula, "(z != 0) -> w", "expected != or ==, found ''", 13),
+    # numeric constants
+    (parse_formula, "z != 2", "numeric constants are 0 and 1, found 2", 5),
+    # a missing variable after a quantifier or a lambda
+    (parse_formula, "forall . z != 0", "expected a variable after forall", 7),
+    (parse_formula, "exists _|_. z != 0",
+     "expected a variable after exists", 7),
+    (parse_lcterm, "\\0. x", "expected a variable after \\, found '0'", 1),
+]
+
+
 def test_parse_errors_carry_position():
-    with pytest.raises(ParseError):
-        parse_formula("z != ")
-    with pytest.raises(ParseError):
-        parse_process("\\x. x")  # missing stack
+    for parse, src, msg, pos in _ERRORS:
+        with pytest.raises(ParseError) as info:
+            parse(src)
+        assert str(info.value) == f"{msg} (at position {pos})", src
+        assert info.value.pos == pos, src
 
 
 def test_formula_roundtrip_corpus():
@@ -181,3 +211,124 @@ def test_long_chains_print_and_reparse(op):
     assert text.count("z") + text.count("w") == 5000
     assert print_bterm(parse_bterm(text)) == text
     assert print_formula(parse_formula(f"{text} != 0")) == f"{text} != 0"
+
+
+# -- the lexer and the parser's outcomes --------------------------------
+
+_INSERTS = ("(", ")", "~", "!=", "==", "_|_", "->", "forall", "exists", ".",
+            "&", "|", "\\/", "/\\", "0", "1", "7", "z", "x'", " ", "\t", "\n",
+            "[", "]", "{", "}", ",", "*", "\\", "g", "k", "cc", "<")
+
+
+def _mutants(rng, text):
+    """One insertion, one deletion and one truncation of text."""
+    i = rng.randrange(len(text) + 1)
+    yield text[:i] + rng.choice(_INSERTS) + text[i:]
+    j = rng.randrange(len(text))
+    yield text[:j] + text[j + 1:]
+    yield text[:rng.randrange(len(text))]
+
+
+def _corpus_texts():
+    rng = random.Random(22)
+    texts = [print_formula(a)
+             for a in formula_corpus(200, seed=22, height=3, max_qdepth=2)]
+    texts += [print_lcterm(t) for t in lcterm_corpus(150, seed=23)]
+    texts += [print_process(p) for p in process_corpus(150, seed=24)]
+    for text in texts[:]:
+        for _ in range(2):
+            texts += _mutants(rng, text)
+    return texts
+
+
+def _outcome(parse, text):
+    try:
+        return repr(parse(text))
+    except ParseError as e:
+        return f"ParseError {e} {e.pos}"
+    except UsageError as e:
+        return f"UsageError {e}"
+
+
+_PARSERS = (parse_bterm, parse_formula, parse_lcterm, parse_stack,
+            parse_process)
+# computed with the per-token lexer below and the parser that tried every
+# ( as a comparison first
+_OUTCOMES_SHA256 = (
+    "5d6c7a97b1f342200d60e56e321e34b29509e64b821c2b837a36061b4e545807")
+
+
+def test_parse_outcomes_are_pinned():
+    # every parse result or error text, with its position, of 3,500 corpus
+    # texts and their mutants through each entry point
+    outcomes = [_outcome(parse, text)
+                for text in _corpus_texts() for parse in _PARSERS]
+    assert len(outcomes) == 17500
+    assert 10000 < sum(o.startswith("ParseError") for o in outcomes) < 17000
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == _OUTCOMES_SHA256
+
+
+# the per-token lexer that the one-split lexer replaced, kept as an oracle
+_REFERENCE_TOKEN_RE = re.compile(r"""
+    (?P<ws>\s+)
+  | (?P<bot>_\|_)
+  | (?P<op>/\\|\\/|->|!=|==|[~&|.,*()\[\]{}\\])
+  | (?P<num>\d+)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
+""", re.VERBOSE)
+
+
+def _reference_lex(src):
+    toks = []
+    pos = 0
+    while pos < len(src):
+        m = _REFERENCE_TOKEN_RE.match(src, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {src[pos]!r}", pos)
+        if m.lastgroup != "ws":
+            toks.append((m.group(), pos))
+        pos = m.end()
+    toks.append(("", len(src)))
+    return toks
+
+
+def _lex_outcome(lex, src):
+    try:
+        return lex(src)
+    except ParseError as e:
+        return str(e), e.pos
+
+
+def test_lexer_matches_the_per_token_reference():
+    rng = random.Random(25)
+    texts = ["a_|_", "_|_a", "a'_|_'", "x' y'' z_'1", "__|_|_", "1x2 y3",
+             "\\x'. x'", "a b", "z != ٣", " z\x1c", ""]
+    for text in _corpus_texts()[:1500]:
+        for _ in range(2):
+            i = rng.randrange(len(text) + 1)
+            text = text[:i] + rng.choice((" \t", "\n", "\t\n ", "")) + text[i:]
+        texts.append(text)
+    for src in texts:
+        expected = _lex_outcome(_reference_lex, src)
+        got = _lex_outcome(lambda s: list(zip(*_lex(s))), src)
+        assert got == expected, src
+
+
+def test_nested_groups_raise_no_parse_error(monkeypatch):
+    # a ( that holds !=, == or _|_ is read as a formula at once; reading it
+    # as a comparison first fails and raises at every level
+    raised = []
+    init = ParseError.__init__
+
+    def counting_init(self, msg, pos):
+        raised.append(msg)
+        init(self, msg, pos)
+
+    monkeypatch.setattr(ParseError, "__init__", counting_init)
+    texts = ["(z != 0 -> " * 200 + "_|_" + ")" * 200,
+             "(" * 200 + "z == w" + ")" * 200,
+             "(" * 100 + "(z) != (w)" + ")" * 100]
+    for src in texts:
+        parse_formula(src)
+    assert raised == []
