@@ -16,10 +16,11 @@ formula is compiled once and each occurrence's terms are evaluated once,
 whatever the number of splits: once per `model_check` call, and once for
 the whole family in `valid_all_bas` and `TheoryOracle.membership`.
 
-An untraced check caps each finite cell size at 2^r, with r quantifiers
-still to come, and each quantifier occurrence memoises its verdict on its
-capped sizes; `model_check` gives the Ehrenfeucht-Fraisse argument.  The
-infinite cells of the atomless algebra are never capped.  The memo
+The compiled check reads nothing but the tuple of cell sizes.  An
+untraced check caps each finite cell size at 2^r, with r quantifiers
+still to come, and each quantifier occurrence is a `functools.cache` on
+its capped sizes; `model_check` gives the Ehrenfeucht-Fraisse argument.
+The infinite cells of the atomless algebra are never capped.  Each cache
 belongs to one compiled check, so nothing outlives the call that made
 it.  A traced check neither caps nor memoises, so its trace is that of
 the plain enumeration; `valid_all_bas` sweeps the family untraced and
@@ -37,6 +38,7 @@ configurable refutation family.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -114,11 +116,11 @@ def model_check(A: Formula, spec: BASpec, *,
     """Truth of a closed formula in the denoted algebra.
 
     One walk compiles the formula into a closure per occurrence of Neq,
-    Impl and Forall.  Under d quantifiers each closure takes `sizes`, the
-    tuple of the 2^d cell sizes indexed by cell, and `live`, the int whose
-    bit m is set iff cell m is nonempty.  A Neq computes the xor of its
-    sides' cell bitsets as it compiles, since its binders are known then;
-    it holds iff that xor meets `live`.  A Forall nested under MAX_DEPTH
+    Impl and Forall.  Under d quantifiers each closure takes only `sizes`,
+    the tuple of the 2^d cell sizes indexed by cell.  A Neq computes the
+    xor of its sides' cell bitsets as it compiles, since its binders are
+    known then, and keeps the cells that xor sets; it holds iff one of
+    those cells is nonempty.  A Forall nested under MAX_DEPTH
     others compiles, body unseen, to a closure that raises GuardExceeded,
     so the guard fires only if evaluation reaches it.
 
@@ -140,10 +142,10 @@ def model_check(A: Formula, spec: BASpec, *,
     evaluation reaches it.  An infinite (atomless) cell is never capped:
     it is not equivalent to any finite size once r >= 2, since the rank-2
     sentence "some element is an atom" tells them apart.  Each untraced
-    Forall also memoises its verdict on its capped `sizes`, which fix the
-    verdict whatever the algebra; the memo lives as long as the compiled
-    check, which `valid_all_bas` and `TheoryOracle.membership` run over
-    each member of their family.
+    Forall is also a `functools.cache` on its capped `sizes`, which fix
+    the verdict whatever the algebra; the cache lives as long as the
+    compiled check, which `valid_all_bas` and `TheoryOracle.membership`
+    run over each member of their family.
 
     A traced run neither caps nor memoises.  The trace shows the cell
     sizes of a failing inequation as the dict a split builds, cells m then
@@ -158,15 +160,16 @@ def _compile(A: Formula, trace: list[str] | None):
     capped = trace is None
 
     def compile_(f: Formula, env: dict[str, int], depth: int):
-        """f's closure and quantifier rank."""
+        """f's closure and quantifier rank; env maps each bound variable
+        to its column over the 2^depth cells."""
         if isinstance(f, Neq):
             ones = (1 << (1 << depth)) - 1
-            cols = {name: _column(pos, ones) for name, pos in env.items()}
-            diff = (eval_term_01(f.lhs, cols, ones)
-                    ^ eval_term_01(f.rhs, cols, ones))
+            diff = (eval_term_01(f.lhs, env, ones)
+                    ^ eval_term_01(f.rhs, env, ones))
+            cells = [m for m in range(1 << depth) if diff >> m & 1]
 
-            def neq(sizes, live):
-                if diff & live:
+            def neq(sizes):
+                if any(map(sizes.__getitem__, cells)):
                     return True
                 if trace is not None:
                     half = len(sizes) // 2
@@ -178,43 +181,34 @@ def _compile(A: Formula, trace: list[str] | None):
         if isinstance(f, Impl):
             ante, r_ante = compile_(f.ante, env, depth)
             cons, r_cons = compile_(f.cons, env, depth)
-            return (lambda sizes, live: (not ante(sizes, live)
-                                         or cons(sizes, live)),
+            return (lambda sizes: not ante(sizes) or cons(sizes),
                     max(r_ante, r_cons))
         if isinstance(f, Forall):
             if depth == MAX_DEPTH:
                 if free_vars(f) - env.keys():
                     raise UsageError("unbound variable under the guard")
 
-                def too_deep(sizes, live):
+                def too_deep(sizes):
                     raise GuardExceeded(
                         f"quantifier depth {depth + 1} exceeds the guard of {MAX_DEPTH}")
                 return too_deep, 0
-            body, rank = compile_(f.body, {**env, f.var: depth}, depth + 1)
+            half = 1 << depth  # cell m + half is cell m inside f.var
+            cols = {name: col | col << half for name, col in env.items()}
+            cols[f.var] = (1 << half) - 1 << half
+            body, rank = compile_(f.body, cols, depth + 1)
             cap = 1 << rank if capped else math.inf
 
-            def forall(sizes, live):
+            def forall(sizes):
                 options = [_splits(size, cap) for size in sizes]
                 for combo in itertools.product(*options):
                     outside, inside = zip(*combo)
-                    sub = outside + inside
-                    if not body(sub, sum(1 << m for m, s in enumerate(sub)
-                                         if s)):
+                    if not body(outside + inside):
                         if trace is not None:
                             trace.append(f"forall {f.var}: failing split "
                                          f"{dict(enumerate(combo))}")
                         return False
                 return True
-            if not capped:
-                return forall, rank + 1
-            memo: dict[tuple, bool] = {}
-
-            def memoised(sizes, live):
-                ok = memo.get(sizes)
-                if ok is None:
-                    ok = memo[sizes] = forall(sizes, live)
-                return ok
-            return memoised, rank + 1
+            return (functools.cache(forall) if capped else forall), rank + 1
         raise TypeError(f"not a formula: {f!r}")
 
     try:
@@ -226,10 +220,10 @@ def _compile(A: Formula, trace: list[str] | None):
 
     def run(spec: BASpec) -> bool:
         if isinstance(spec, Atomless):
-            return check((math.inf,), 1)
+            return check((math.inf,))
         if spec.atoms > MAX_ATOMS:
             raise GuardExceeded(f"{spec.atoms} atoms exceeds the guard of {MAX_ATOMS}")
-        return check((min(spec.atoms, top),), 1)
+        return check((min(spec.atoms, top),))
     return run
 
 
@@ -262,18 +256,7 @@ def brute_check(A: Formula, k: int) -> bool:
         if isinstance(f, Impl):
             return (not go(f.ante, env)) or go(f.cons, env)
         if isinstance(f, Forall):
-            saved = env.get(f.var)
-            try:
-                for v in range(full + 1):
-                    env[f.var] = v
-                    if not go(f.body, env):
-                        return False
-                return True
-            finally:
-                if saved is None:
-                    env.pop(f.var, None)
-                else:
-                    env[f.var] = saved
+            return all(go(f.body, {**env, f.var: v}) for v in range(full + 1))
         raise TypeError(f"not a formula: {f!r}")
 
     return go(A, {})

@@ -319,29 +319,17 @@ def alpha_eq(A: Formula, B: Formula) -> bool:
 
 def eval_formula_01(A: Formula, env: Mapping[str, int] | None = None) -> bool:
     """Classical truth in {0, 1}; quantifiers range over {0, 1}."""
-    env = dict(env or {})
-
-    def go(f: Formula, env: dict[str, int]) -> bool:
+    def go(f: Formula, env: Mapping[str, int]) -> bool:
         if isinstance(f, Neq):
             return eval_term_01(f.lhs, env) != eval_term_01(f.rhs, env)
         if isinstance(f, Impl):
             return (not go(f.ante, env)) or go(f.cons, env)
         if isinstance(f, Forall):
-            saved = env.get(f.var)
-            try:
-                for b in (0, 1):
-                    env[f.var] = b
-                    if not go(f.body, env):
-                        return False
-                return True
-            finally:
-                if saved is None:
-                    env.pop(f.var, None)
-                else:
-                    env[f.var] = saved
+            return (go(f.body, {**env, f.var: 0})
+                    and go(f.body, {**env, f.var: 1}))
         raise TypeError(f"not a formula: {f!r}")
 
-    return go(A, env)
+    return go(A, env or {})
 
 
 # --------------------------------------------------------------------------
@@ -483,13 +471,16 @@ class Decomposition:
 def decompose(A: Formula) -> Decomposition:
     """A's spine: A = forall vs_1. (P_1 -> ... forall vs_n. (P_n ->
     forall tail. head)), read under A's own binder names with nothing
-    renamed or rebuilt.  The pole's two-level normal form applies this
-    once to a tag and once more to each premise."""
+    renamed or rebuilt.  A binder that a later one of its run shadows is
+    read by nothing and left out of the run.  The pole's two-level normal
+    form applies this once to a tag and once more to each premise."""
     blocks: list[tuple[tuple[str, ...], Formula]] = []
     vs: list[str] = []
     cur = A
     while True:
         if isinstance(cur, Forall):
+            if cur.var in vs:
+                vs.remove(cur.var)
             vs.append(cur.var)
             cur = cur.body
         elif isinstance(cur, Impl):

@@ -67,10 +67,11 @@ def _witnesses(A: Formula, env: dict[str, int] | None = None
     """For each choice of bits for A's spine variables under which A's
     head equality holds in {0,1}, env giving A's free variables: A's
     premises, each with the bits in scope at its block.  Choices come in
-    itertools.product order, the first variable most significant; a name
-    bound twice takes the later binder's bit from that binder on.  A call
-    visits at most 2^MAX_PROP_ATOMS choices and raises GuardExceeded on
-    the next one."""
+    itertools.product order, the first variable most significant.  A
+    binder that a later one of its own block shadows gets no bit, since
+    decompose leaves it out; a name bound in two blocks takes the later
+    binder's bit from that binder on.  A call visits at most
+    2^MAX_PROP_ATOMS choices and raises GuardExceeded on the next one."""
     d, env = decompose(A), env or {}
     names = [v for vs, _ in d.blocks for v in vs] + list(d.tail_vars)
     rows = itertools.product((0, 1), repeat=len(names))

@@ -132,11 +132,17 @@ class _Parser:
     # -- Formulas ---------------------------------------------------------
 
     def formula(self) -> Formula:
-        left = self.fatom()
-        if self.toks[self.i] == "->":
+        f = self.fatom()
+        if self.toks[self.i] != "->":  # the common case builds no list
+            return f
+        antes = []
+        while self.toks[self.i] == "->":
             self.i += 1
-            return Impl(left, self.formula())
-        return left
+            antes.append(f)
+            f = self.fatom()
+        for ante in reversed(antes):
+            f = Impl(ante, f)
+        return f
 
     def fatom(self) -> Formula:
         tok = self.toks[self.i]

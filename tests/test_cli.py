@@ -127,13 +127,24 @@ def _conjunction_tag(n):
 def test_pole_guard_bounds_the_bit_choices_of_a_tag(capsys):
     # a tag with n spine variables has 2^n bit choices; the pole visits
     # at most 2^14 of them in one read of a tag, then answers unknown
+    spine = "".join(f"forall z{i}. " for i in range(300)) + "z0 != 0"
     start = time.perf_counter()
-    code = main(["realizes", "\\x. x", "forall z. " * 300 + "z != 0"])
+    code = main(["realizes", "\\x. x", spine])
     assert code == 2 and time.perf_counter() - start < 1
     assert "guard of 2^14 bit choices" in capsys.readouterr().err
     assert run(capsys, "pole-member", _conjunction_tag(14)) == (0, "k=1\n")
     assert main(["pole-member", _conjunction_tag(15)]) == 2
     assert "15 spine variables" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [20, 300])
+def test_pole_guard_skips_shadowed_binders(capsys, n):
+    # each forall z. but the last is shadowed before anything reads it, so
+    # the spine has one variable and two bit choices
+    start = time.perf_counter()
+    code, out = run(capsys, "realizes", "\\x. x", "forall z. " * n + "z != 0")
+    assert (code, out.splitlines()[-1]) == (1, "failures over 3 stacks")
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("n", [20, 300])
@@ -151,6 +162,14 @@ def test_parse_term_on_a_long_chain(capsys, sep, n):
     src = sep.join(["z"] * n)
     code, out = run(capsys, "parse", "term", src)
     assert (code, out) == (0, src + "\n")
+
+
+def test_parse_formula_reads_an_implication_chain_in_a_loop(capsys):
+    # a -> chain costs the parser no frame per link, so each nested group
+    # costs two frames: the group's fatom and its formula
+    src = "(z != 0 -> " * 400 + "_|_" + ")" * 400
+    code, out = run(capsys, "parse", "formula", src)
+    assert (code, out) == (0, "z != 0 -> " * 400 + "0 != 0\n")
 
 
 def test_lattice(capsys):

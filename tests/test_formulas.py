@@ -361,6 +361,11 @@ def test_decompose_reads_in_place(monkeypatch):
     B = Forall("z", Impl(premise, Forall("v", head)))
     assert decompose(B).tail_vars == ("v",)
     assert decompose(B).blocks[0][1] is premise
+    # a binder shadowed within its run is left out, one in a later run kept
+    C = Forall("z", Forall("w", Forall("z", Impl(second, Forall(
+        "v", Forall("z", Forall("v", head)))))))
+    assert decompose(C).blocks == ((("w", "z"), second),)
+    assert decompose(C).tail_vars == ("z", "v")
     assert calls == []
 
 

@@ -658,3 +658,25 @@ def test_oracle_closed_under_weakening_spot():
     B = Impl(Neq(ZERO, ONE), A)
     assert oracle.membership(A)
     assert oracle.membership(B)
+
+
+def test_quantifier_cache_spans_the_family(monkeypatch):
+    # the capped sizes fix each quantifier's verdict, so once PowerFinite(4)
+    # has been checked the cache answers for 5 and 6 with no new splits
+    A = parse_formula("forall z. forall w. 0 != z /\\ ~w -> z /\\ ~w != 0")
+    splits = bamodels._splits
+
+    def count(family):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return splits(*args)
+
+        monkeypatch.setattr(bamodels, "_splits", counting)
+        assert TheoryOracle(family).membership(A)
+        return len(calls)
+
+    alone = count((PowerFinite(4),))
+    assert count((PowerFinite(4), PowerFinite(5), PowerFinite(6))) == alone
+    assert alone == 11
