@@ -49,7 +49,7 @@ from .formulas import (
     forall_many, free_vars, rows_term,
 )
 from .lcterms import (
-    App, CC, Cc, Gamma, Kont, LVar, Lam, LcTerm, stack_to_list,
+    App, CC, Cc, Gamma, Kont, LVar, Lam, LcTerm, stack_to_list, walk,
 )
 
 
@@ -484,7 +484,7 @@ def term_search(alpha: DElem, size_budget: int = 5) -> LcTerm | None:
     for allow_cc in (False, True):
         for size in range(1, size_budget + 1):
             for t in _debruijn_terms(size, 0, allow_cc):
-                if allow_cc and not _uses_cc(t):
+                if allow_cc and not any(type(n) is Cc for n, _, _ in walk(t)):
                     continue  # already tried in the pure pass
                 try:
                     if leq(alpha, denote(t), 2):
@@ -492,16 +492,6 @@ def term_search(alpha: DElem, size_budget: int = 5) -> LcTerm | None:
                 except RankCapError:
                     continue
     return None
-
-
-def _uses_cc(t: LcTerm) -> bool:
-    if isinstance(t, Cc):
-        return True
-    if isinstance(t, Lam):
-        return _uses_cc(t.body)
-    if isinstance(t, App):
-        return _uses_cc(t.fn) or _uses_cc(t.arg)
-    return False
 
 
 @dataclass(frozen=True)

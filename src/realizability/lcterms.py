@@ -1,8 +1,12 @@
 """Lambda calculus with call/cc, stack constants and tagged instructions.
 
-Terms, stacks and processes; substitution of a closed term for a lambda
-variable; the conjunction of all instruction tags occurring in a term,
-stack or process; and canonical keys for alpha-equivalence.
+Terms, stacks and processes; one iterative pre-order walk over them;
+substitution of a closed term for a lambda variable; the conjunction of
+all instruction tags occurring in a term, stack or process; and
+canonical keys for alpha-equivalence.  Which names and tags a term
+holds is read through `walk` alone: by `free_lvars`, `iter_tags`, the
+closedness checks of the parser (`_closed`) and of the pole
+(`pole._check_closed`), `dinfty.term_search` and `typecheck`.
 
 First-order variables (inside tags) and lambda variables are disjoint
 sorts: `subst_lc` never descends into tags.
@@ -12,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterator
 
 from .formulas import Formula, canon as canon_formula, conj_many, UsageError
 
@@ -98,18 +102,40 @@ def stack_to_list(pi: StackT) -> list[LcTerm]:
     return out
 
 
-def free_lvars(t: LcTerm) -> frozenset[str]:
-    if isinstance(t, LVar):
-        return frozenset((t.name,
-))
-    if isinstance(t, App):
-        return free_lvars(t.fn) | free_lvars(t.arg)
-    if isinstance(t, Lam):
-        return free_lvars(t.body) - {t.var}
-    # Stack constants only contain closed terms, so nothing escapes.
-    if isinstance(t, (Cc, Kont, Gamma)):
-        return frozenset()
-    raise TypeError(f"not a term: {t!r}")
+def walk(x) -> Iterator[tuple]:
+    """(node, the lambda names bound above it, its root) for every node of
+    a term, stack or process x, in pre-order: term before stack, function
+    before argument, head before tail, and a k[...]'s entries where it
+    stands.  A root is x's term or stack, or a stack entry (in a k[...]
+    too), and nothing is bound at a root, since entries are closed.  The
+    to-do list is the walk's own, so no depth costs Python recursion."""
+    if isinstance(x, Process):
+        todo = [(x.stack, frozenset(), x.stack), (x.term, frozenset(), x.term)]
+    else:
+        todo = [(x, frozenset(), x)]
+    while todo:
+        item = todo.pop()
+        yield item
+        t, bound, root = item
+        cls = type(t)
+        if cls is App:
+            todo += ((t.arg, bound, root), (t.fn, bound, root))
+        elif cls is Lam:
+            todo.append((t.body, bound | {t.var}, root))
+        elif cls is SPush:
+            todo += ((t.tail, bound, root), (t.head, frozenset(), t.head))
+        elif cls is Kont:
+            todo.append((t.stack, bound, root))
+
+
+def free_lvars(x) -> frozenset[str]:
+    """The lambda variables free in a term, stack or process, the entries
+    of each k[...] included."""
+    free = set()
+    for t, bound, _ in walk(x):
+        if type(t) is LVar and t.name not in bound:
+            free.add(t.name)
+    return frozenset(free)
 
 
 def _closed(t: LcTerm, what: str) -> LcTerm:
@@ -138,25 +164,9 @@ def subst_lc(t: LcTerm, x: str, u: LcTerm) -> LcTerm:
     return go(t)
 
 
-def iter_tags(x) -> Iterable[Formula]:
-    """All instruction tags in deterministic pre-order (term before stack,
-    function before argument, head before tail).  The walk keeps its own
-    to-do list, so a long stack costs no Python recursion."""
-    todo = [x]
-    while todo:
-        x = todo.pop()
-        if isinstance(x, Process):
-            todo += (x.stack, x.term)
-        elif isinstance(x, SPush):
-            todo += (x.tail, x.head)
-        elif isinstance(x, Gamma):
-            yield x.tag
-        elif isinstance(x, App):
-            todo += (x.arg, x.fn)
-        elif isinstance(x, Lam):
-            todo.append(x.body)
-        elif isinstance(x, Kont):
-            todo.append(x.stack)
+def iter_tags(x) -> Iterator[Formula]:
+    """All instruction tags of x in the order of `walk`."""
+    return (t.tag for t, _, _ in walk(x) if isinstance(t, Gamma))
 
 
 def constraint_of(x) -> Formula:

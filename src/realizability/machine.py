@@ -13,11 +13,11 @@ instructions never reduce here.  Substitution-based, no closures.
 
 Every rule keeps the terms closed, the entries of each k[...] included, so
 closedness is checked where processes enter (the parser, `pole.in_pole`,
-`pole.realizes_bounded`), never per step.  Push: t and u are subterms of
-the closed t u.  Grab: only x is free in v and t is closed, so v[x := t]
-is closed, and no binder in v can capture t.  Save: t and the entries of
-k[pi] are entries of pi.  Restore: t is an entry of the stack, and pi2's
-entries were inside k[pi2].
+`pole.realizes_bounded`), each time by one `lcterms.walk`, never per step.
+Push: t and u are subterms of the closed t u.  Grab: only x is free in v
+and t is closed, so v[x := t] is closed, and no binder in v can capture t.
+Save: t and the entries of k[pi] are entries of pi.  Restore: t is an
+entry of the stack, and pi2's entries were inside k[pi2].
 """
 
 from __future__ import annotations

@@ -30,7 +30,9 @@ so nothing is renamed.
 Closedness is checked once where a process, term or formula comes in
 (in_pole, realizes_bounded, canonical_falsity_stacks) and relied on
 below: the machine keeps processes closed, and every tag the pole builds
-has each variable replaced by a bit.
+has each variable replaced by a bit.  A process or term is checked by
+_check_closed in one lcterms.walk, which reads the entries of every
+k[...] where it stands; a formula by formulas.free_vars.
 """
 
 from __future__ import annotations
@@ -45,8 +47,8 @@ from .formulas import (
     free_vars, subst_formula,
 )
 from .lcterms import (
-    App, EMPTY, Gamma, Kont, LVar, Lam, LcTerm, Process, SPush, StackT,
-    canon_process, constraint_of, stack_of, stack_to_list,
+    EMPTY, Gamma, LVar, LcTerm, Process, SPush, StackT, canon_process,
+    constraint_of, stack_of, walk,
 )
 from .machine import step
 
@@ -92,28 +94,16 @@ def _witnesses(A: Formula, env: dict[str, int] | None = None
 
 def _check_closed(p: Process) -> None:
     """UsageError unless p's term, its stack entries, the entries of every
-    k[...] in p and every instruction tag in p are closed.  One pre-order
-    walk carries the bound lambda names of each root: p's term, then each
-    stack entry, in p's stack or in a k[...] met on the way.  A free
-    lambda variable is reported before an open tag."""
-    roots = [(p.term, "process terms"),
-             *((u, "stack entries") for u in stack_to_list(p.stack))]
+    k[...] in p and every instruction tag in p are closed, read in one
+    `walk` over p.  A free lambda variable is reported before an open
+    tag, with the closed term it lies in."""
     open_tag = None
-    for root, what in roots:  # grows by the entries of each k[...]
-        todo = [(root, frozenset())]
-        while todo:
-            t, bound = todo.pop()
-            if isinstance(t, LVar):
-                if t.name not in bound:
-                    raise UsageError(f"{what} must be closed: {root!r}")
-            elif isinstance(t, App):
-                todo += ((t.arg, bound), (t.fn, bound))
-            elif isinstance(t, Lam):
-                todo.append((t.body, bound | {t.var}))
-            elif isinstance(t, Kont):
-                roots += ((u, "stack entries") for u in stack_to_list(t.stack))
-            elif isinstance(t, Gamma) and open_tag is None:
-                open_tag = t.tag if free_vars(t.tag) else None
+    for t, bound, root in walk(p):
+        if isinstance(t, LVar) and t.name not in bound:
+            what = "process terms" if root is p.term else "stack entries"
+            raise UsageError(f"{what} must be closed: {root!r}")
+        if isinstance(t, Gamma) and open_tag is None and free_vars(t.tag):
+            open_tag = t.tag
     if open_tag is not None:
         raise UsageError(f"open instruction tag: {open_tag!r}")
 

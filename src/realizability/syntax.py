@@ -12,7 +12,8 @@ left-associative, a lambda body extends as far right as possible (so a
 lambda used as a stack entry or argument needs parentheses).  Sugar is
 expanded at parse time; printers emit the primitive syntax and satisfy
 parse(print(x)) alpha-equivalent to x.  The parser checks that process
-terms and stack entries, in k[...] too, are closed.
+terms and stack entries, in k[...] too, are closed: each one by
+`lcterms.free_lvars`, a single `lcterms.walk`.
 
 The lexer splits a text with one regex into gap, token, gap, ..., gap;
 a gap that is not all whitespace holds an unexpected character.  Tokens
@@ -347,11 +348,17 @@ def _formula(f: Formula, prec: int, memo: dict) -> str:
     """f's text at precedence prec; its terms share `memo`.  -> has
     precedence 1 and nests to the right; atoms and quantifiers are tight,
     except that a quantifier body extends right, so it parenthesizes at
-    prec > 0."""
+    prec > 0.  A chain of -> is printed with one loop and one join, so it
+    has no length limit."""
     if isinstance(f, Neq):
         return f"{_bterm(f.lhs, 0, memo)} != {_bterm(f.rhs, 0, memo)}"
     if isinstance(f, Impl):
-        s = f"{_formula(f.ante, 2, memo)} -> {_formula(f.cons, 1, memo)}"
+        parts = []
+        while isinstance(f, Impl):
+            parts.append(_formula(f.ante, 2, memo))
+            f = f.cons
+        parts.append(_formula(f, 1, memo))
+        s = " -> ".join(parts)
         return f"({s})" if prec > 1 else s
     if isinstance(f, Forall):
         s = f"forall {f.var}. {_formula(f.body, 0, memo)}"

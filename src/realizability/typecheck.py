@@ -19,7 +19,7 @@ from .formulas import (
     eq, free_vars, subst_formula, term_vars,
 )
 from .lcterms import (
-    App, CC, Cc, LVar, Lam, LcTerm, free_lvars, lc_alpha_eq,
+    App, CC, Cc, LVar, Lam, LcTerm, free_lvars, lc_alpha_eq, walk,
 )
 from .syntax import parse_bterm, parse_formula, parse_lcterm
 
@@ -194,26 +194,17 @@ def check_derivation(d: Derivation, path: str = "root") -> Judgement:
 # --------------------------------------------------------------------------
 
 def _all_lvars(d: Derivation) -> set[str]:
-    out = set()
-
-    def lterm(t: LcTerm):
-        if isinstance(t, LVar):
-            out.add(t.name)
-        elif isinstance(t, App):
-            lterm(t.fn)
-            lterm(t.arg)
-        elif isinstance(t, Lam):
-            out.add(t.var)
-            lterm(t.body)
-
-    def go(d: Derivation):
-        for x, _ in d.conclusion.context:
-            out.add(x)
-        lterm(d.conclusion.subject)
-        for p in d.premises:
-            go(p)
-
-    go(d)
+    """Every context name, lambda variable and binder in d."""
+    out, todo = set(), [d]
+    while todo:
+        d = todo.pop()
+        out.update(x for x, _ in d.conclusion.context)
+        for t, _, _ in walk(d.conclusion.subject):
+            if isinstance(t, LVar):
+                out.add(t.name)
+            elif isinstance(t, Lam):
+                out.add(t.var)
+        todo += d.premises
     return out
 
 
