@@ -18,13 +18,15 @@ the whole family in `valid_all_bas` and `TheoryOracle.membership`.
 
 The compiled check reads nothing but the tuple of cell sizes.  An
 untraced check caps each finite cell size at 2^r, with r quantifiers
-still to come, and each quantifier occurrence is a `functools.cache` on
-its capped sizes; `model_check` gives the Ehrenfeucht-Fraisse argument.
-The infinite cells of the atomless algebra are never capped.  Each cache
-belongs to one compiled check, so nothing outlives the call that made
-it.  A traced check neither caps nor memoises, so its trace is that of
-the plain enumeration; `valid_all_bas` sweeps the family untraced and
-re-runs only the refuting member traced.
+still to come; `model_check` gives the Ehrenfeucht-Fraisse argument.
+The infinite cells of the atomless algebra are never capped.  A
+quantifier occurrence that reads fewer variables than the cells split
+sees only the cells of its own free variables, whose sizes are sums of
+the finer ones (Feferman-Vaught).  One dict per compiled check memoises
+every quantifier occurrence on (occurrence, sizes), so nothing outlives
+the call that compiled it.  A traced check neither caps, projects nor
+memoises, so its trace is that of the plain enumeration; `valid_all_bas`
+sweeps the family untraced and re-runs only the refuting member traced.
 
 The public functions refuse an open formula at entry: `valid_all_bas` and
 `brute_check` by a `free_vars` walk, `model_check` as it compiles.  Past
@@ -38,9 +40,9 @@ configurable refutation family.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -48,7 +50,7 @@ from typing import Sequence
 from .formulas import (
     And, Formula, Forall, HornKind, Impl, Neq, Not, One, Or, UsageError,
     Var, Zero, eval_formula_01, eval_term_01, free_vars, horn_shape,
-    is_ground,
+    is_ground, term_vars,
 )
 
 
@@ -111,22 +113,96 @@ def _column(i: int, ones: int) -> int:
     return ones // ((1 << (1 << i)) + 1) << (1 << i)
 
 
+def _failing_split(body, options):
+    """The first split in options under which body fails, or None.  A
+    split of one cell is already the body's (outside, inside) sizes."""
+    if len(options) == 1:
+        for split in options[0]:
+            if not body(split):
+                return (split,)
+        return None
+    for combo in itertools.product(*options):
+        outside, inside = zip(*combo)
+        if not body(outside + inside):
+            return combo
+    return None
+
+
+def _free(f: Formula, frees: dict[int, frozenset[str]]) -> frozenset[str]:
+    """f's free variables, bottom-up from the terms' kept sets; frees keeps
+    each Forall's by id."""
+    if isinstance(f, Neq):
+        a, b = term_vars(f.lhs), term_vars(f.rhs)
+    elif isinstance(f, Impl):
+        a, b = _free(f.ante, frees), _free(f.cons, frees)
+    elif isinstance(f, Forall):
+        vs = frees.get(id(f))
+        if vs is None:
+            vs = _free(f.body, frees)
+            vs = frees[id(f)] = vs - {f.var} if f.var in vs else vs
+        return vs
+    else:
+        raise TypeError(f"not a formula: {f!r}")
+    return a if b <= a else b if a <= b else a | b
+
+
+def _project(env: dict[str, int], width: int, names: list[str]):
+    """The projection of the 2^width cells onto the cells of names: one
+    getter per names-cell that reads the sizes of the cells inside it, and
+    names' columns over the names-cells.  Cell m lies in the names-cell
+    whose bit j says whether m is inside names[j].  Each names-cell holds
+    2^(width - len(names)) >= 2 cells, so each getter gives a tuple."""
+    groups = [[] for _ in range(1 << len(names))]
+    for m in range(1 << width):
+        groups[sum((env[name] >> m & 1) << j
+                   for j, name in enumerate(names))].append(m)
+    ones = (1 << (1 << len(names))) - 1
+    return ([operator.itemgetter(*g) for g in groups],
+            {name: _column(j, ones) for j, name in enumerate(names)})
+
+
+def _memoised(body, rank: int, getters, occ: int, memo: dict,
+              split_memo: dict):
+    """The untraced closure of a Forall whose body has rank `rank`: it
+    projects its sizes with getters (unless None), capping each sum at
+    2^(rank + 1), and enumerates splits capped at 2^rank on a memo miss."""
+    cap, bound = 1 << rank, 2 << rank
+
+    def forall(sizes):
+        if getters is not None:  # an infinite sum stays infinite
+            sizes = tuple([bound if bound < s < math.inf else s
+                           for s in [sum(g(sizes)) for g in getters]])
+        key = (occ, sizes)
+        verdict = memo.get(key)
+        if verdict is None:
+            options = []
+            for s in sizes:
+                o = split_memo.get((s, cap))
+                if o is None:
+                    o = split_memo[s, cap] = _splits(s, cap)
+                options.append(o)
+            verdict = memo[key] = _failing_split(body, options) is None
+        return verdict
+    return forall
+
+
 def model_check(A: Formula, spec: BASpec, *,
                 trace: list[str] | None = None) -> bool:
     """Truth of a closed formula in the denoted algebra.
 
     One walk compiles the formula into a closure per occurrence of Neq,
-    Impl and Forall.  Under d quantifiers each closure takes only `sizes`,
-    the tuple of the 2^d cell sizes indexed by cell.  A Neq computes the
+    Impl and Forall.  Each closure takes only `sizes`, the tuple of the
+    sizes of the cells it reads, indexed by cell: 2^d cells under d
+    quantifiers, fewer under a projection (below).  A Neq computes the
     xor of its sides' cell bitsets as it compiles, since its binders are
     known then, and keeps the cells that xor sets; it holds iff one of
     those cells is nonempty.  A Forall nested under MAX_DEPTH
     others compiles, body unseen, to a closure that raises GuardExceeded,
     so the guard fires only if evaluation reaches it.
 
-    Compiling checks closedness with no walk of its own: a free variable
-    is unbound where its Neq compiles, and the unseen body of a Forall
-    past the guard gets a `free_vars` walk.
+    Compiling checks closedness with no `free_vars` walk: a free variable
+    is unbound where its Neq compiles or where a Forall projects, and the
+    unseen body of a Forall past the guard has its free variables read.
 
     Untraced, a Forall whose body has quantifier rank r caps each finite
     child size at 2^r, and the unit is capped at 2^q for the formula's
@@ -141,32 +217,51 @@ def model_check(A: Formula, spec: BASpec, *,
     it raises whatever the sizes, so the cap does not change whether
     evaluation reaches it.  An infinite (atomless) cell is never capped:
     it is not equivalent to any finite size once r >= 2, since the rank-2
-    sentence "some element is an atom" tells them apart.  Each untraced
-    Forall is also a `functools.cache` on its capped `sizes`, which fix
-    the verdict whatever the algebra; the cache lives as long as the
-    compiled check, which `valid_all_bas` and `TheoryOracle.membership`
-    run over each member of their family.
+    sentence "some element is an atom" tells them apart.
 
-    A traced run neither caps nor memoises.  The trace shows the cell
-    sizes of a failing inequation as the dict a split builds, cells m then
-    m | 2^(d-1) for m ascending, and a failing split as {m: (size outside,
-    size inside)} for m ascending."""
+    Untraced, a Forall under d quantifiers whose free variables S are
+    fewer than d is projected: it reads the 2^|S| S-cells, each the union
+    of the cells that agree on S, so its size is their sum (infinite if
+    one of them is), capped at 2^R for the Forall's rank R.  Its body
+    compiles over S and its own variable.  This is Feferman-Vaught over
+    the cell partition: the Forall's truth depends only on the values of
+    its free variables, and the sizes of their cells fix those values up
+    to an automorphism of the algebra (in the atomless algebra, which
+    cells are nonzero do).  The free variables of each Forall are read
+    once per compile, bottom-up from the terms' kept sets.  The depth
+    guard still counts nested quantifiers, not cells.  Each untraced
+    Forall's verdict is memoised in one dict per compiled check, keyed on
+    (occurrence number, the sizes it reads), which fix the verdict
+    whatever the algebra; the dict lives as long as the compiled check,
+    which `valid_all_bas` and `TheoryOracle.membership` run over each
+    member of their family.  Each (size, cap) is split once per compiled
+    check too.
+
+    A traced run neither caps, projects nor memoises.  The trace shows
+    the cell sizes of a failing inequation as the dict a split builds,
+    cells m then m | 2^(d-1) for m ascending, and a failing split as
+    {m: (size outside, size inside)} for m ascending."""
     return _compile(A, trace)(spec)
 
 
 def _compile(A: Formula, trace: list[str] | None):
     """model_check's compile step: the check of the closed formula A in a
-    spec, capped and memoised iff trace is None."""
+    spec, capped, projected and memoised iff trace is None."""
     capped = trace is None
+    frees: dict[int, frozenset[str]] = {}  # a Forall's id -> its free names
+    if capped:
+        memo: dict[tuple, bool] = {}  # (occurrence, sizes) -> verdict
+        split_memo: dict[tuple, tuple] = {}  # (size, cap) -> its splits
+        occurrences = itertools.count()
 
-    def compile_(f: Formula, env: dict[str, int], depth: int):
-        """f's closure and quantifier rank; env maps each bound variable
-        to its column over the 2^depth cells."""
+    def compile_(f: Formula, env: dict[str, int], width: int, depth: int):
+        """f's closure and quantifier rank under depth quantifiers; env maps
+        each variable to its column over the 2^width cells."""
         if isinstance(f, Neq):
-            ones = (1 << (1 << depth)) - 1
+            ones = (1 << (1 << width)) - 1
             diff = (eval_term_01(f.lhs, env, ones)
                     ^ eval_term_01(f.rhs, env, ones))
-            cells = [m for m in range(1 << depth) if diff >> m & 1]
+            cells = [m for m in range(1 << width) if diff >> m & 1]
 
             def neq(sizes):
                 if any(map(sizes.__getitem__, cells)):
@@ -179,43 +274,46 @@ def _compile(A: Formula, trace: list[str] | None):
                 return False
             return neq, 0
         if isinstance(f, Impl):
-            ante, r_ante = compile_(f.ante, env, depth)
-            cons, r_cons = compile_(f.cons, env, depth)
+            ante, r_ante = compile_(f.ante, env, width, depth)
+            cons, r_cons = compile_(f.cons, env, width, depth)
             return (lambda sizes: not ante(sizes) or cons(sizes),
                     max(r_ante, r_cons))
-        if isinstance(f, Forall):
-            if depth == MAX_DEPTH:
-                if free_vars(f) - env.keys():
-                    raise UsageError("unbound variable under the guard")
+        if not isinstance(f, Forall):
+            raise TypeError(f"not a formula: {f!r}")
+        if depth == MAX_DEPTH:
+            if _free(f, frees) - env.keys():
+                raise UsageError("unbound variable under the guard")
 
-                def too_deep(sizes):
-                    raise GuardExceeded(
-                        f"quantifier depth {depth + 1} exceeds the guard of {MAX_DEPTH}")
-                return too_deep, 0
-            half = 1 << depth  # cell m + half is cell m inside f.var
-            cols = {name: col | col << half for name, col in env.items()}
-            cols[f.var] = (1 << half) - 1 << half
-            body, rank = compile_(f.body, cols, depth + 1)
-            cap = 1 << rank if capped else math.inf
-
-            def forall(sizes):
-                options = [_splits(size, cap) for size in sizes]
-                for combo in itertools.product(*options):
-                    outside, inside = zip(*combo)
-                    if not body(outside + inside):
-                        if trace is not None:
-                            trace.append(f"forall {f.var}: failing split "
-                                         f"{dict(enumerate(combo))}")
-                        return False
-                return True
-            return (functools.cache(forall) if capped else forall), rank + 1
-        raise TypeError(f"not a formula: {f!r}")
+            def too_deep(sizes):
+                raise GuardExceeded(
+                    f"quantifier depth {depth + 1} exceeds the guard of {MAX_DEPTH}")
+            return too_deep, 0
+        getters = None
+        if capped and width and len(kept := _free(f, frees)) < width:
+            if kept - env.keys():
+                raise UsageError("unbound variable in a projection")
+            getters, env = _project(env, width, sorted(kept))
+            width = len(kept)
+        half = 1 << width  # cell m + half is cell m inside f.var
+        cols = {name: col | col << half for name, col in env.items()}
+        cols[f.var] = (1 << half) - 1 << half
+        body, rank = compile_(f.body, cols, width + 1, depth + 1)
+        if not capped:
+            def traced(sizes):
+                combo = _failing_split(body, [_splits(s) for s in sizes])
+                if combo is not None:
+                    trace.append(f"forall {f.var}: failing split "
+                                 f"{dict(enumerate(combo))}")
+                return combo is None
+            return traced, rank + 1
+        return _memoised(body, rank, getters, next(occurrences), memo,
+                         split_memo), rank + 1
 
     try:
-        check, rank = compile_(A, {}, 0)
-    except UsageError:  # eval_term_01 or the guard met a free variable
+        check, rank = compile_(A, {}, 0, 0)
+    except UsageError:  # a Neq, a projection or the guard met a free name
         raise UsageError(f"model_check needs a closed formula, "
-                         f"free: {sorted(free_vars(A))}") from None
+                         f"free: {sorted(_free(A, frees))}") from None
     top = 1 << rank if capped else math.inf
 
     def run(spec: BASpec) -> bool:

@@ -368,24 +368,33 @@ def _formula(f: Formula, prec: int, memo: dict) -> str:
 
 def print_lcterm(t: LcTerm, prec: int = 0) -> str:
     # precedence: lambda=0, application=1, atom=2
-    if isinstance(t, LVar):
+    kind = type(t)
+    if kind is LVar:
         return t.name
-    if isinstance(t, Lam):
+    if kind is App:
+        if type(t.fn) is App:  # a spine: one loop and one join
+            parts = []
+            while type(t) is App:
+                parts.append(print_lcterm(t.arg, 2))
+                t = t.fn
+            parts.append(print_lcterm(t, 1))
+            s = " ".join(reversed(parts))
+        else:
+            s = f"{print_lcterm(t.fn, 1)} {print_lcterm(t.arg, 2)}"
+        return f"({s})" if prec > 1 else s
+    if kind is Lam:
         s = f"\\{t.var}. {print_lcterm(t.body, 0)}"
         return f"({s})" if prec > 0 else s
-    if isinstance(t, App):
-        s = f"{print_lcterm(t.fn, 1)} {print_lcterm(t.arg, 2)}"
-        return f"({s})" if prec > 1 else s
-    if isinstance(t, Cc):
+    if kind is Cc:
         return "cc"
-    if isinstance(t, Kont):
+    if kind is Kont:
         entries = []
         pi = t.stack
         while isinstance(pi, SPush):
             entries.append(print_lcterm(pi.head, 0))
             pi = pi.tail
         return "k[" + ", ".join(entries) + "]"
-    if isinstance(t, Gamma):
+    if kind is Gamma:
         return "g{" + print_formula(t.tag) + "}"
     raise TypeError(f"not a machine term: {t!r}")
 

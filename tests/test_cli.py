@@ -372,6 +372,20 @@ def test_deep_nesting_is_unknown(capsys, argv):
     assert "nests too deeply" in capsys.readouterr().err
 
 
+def test_eval_prints_a_long_application_spine(capsys):
+    # the printer walks an application spine in a loop, so each step's
+    # process prints: three Pushes move three arguments to the stack
+    src = "(\\x. x) " * 3000 + "g{_|_} * []"
+    code, out = run(capsys, "eval", src, "--fuel", "3")
+    assert code == 0
+    lines = out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "Push", "Push", "Push", "final (fuel exhausted)"]
+    assert all(line.count("(\\x. x)") == 3000 for line in lines)
+    assert lines[-1].endswith(
+        " * (\\x. x) . (\\x. x) . g{0 != 0} . []")
+
+
 @pytest.mark.parametrize("only", ["99", "xyz"])
 def test_suite_filter_matching_nothing_is_usage_error(capsys, only):
     assert main(["suite", only]) == 64

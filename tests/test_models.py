@@ -166,6 +166,17 @@ def test_guards():
         assert str(err.value) == "quantifier depth 7 exceeds the guard of 6"
 
 
+def test_guard_counts_nesting_under_a_projection():
+    # the closed block b..g is projected onto one cell under a, so g sits
+    # on 2^5 cells; the guard counts the seven quantifiers above its body
+    A = parse_formula("forall a. (" + SEVEN_FORALLS[len("forall a. "):]
+                      + "b != 0) -> a != 0")
+    for spec in (PowerFinite(1), Atomless()):
+        with pytest.raises(GuardExceeded) as err:
+            model_check(A, spec)
+        assert str(err.value) == "quantifier depth 7 exceeds the guard of 6"
+
+
 def test_trace_on_failure():
     trace = []
     assert not model_check(parse_formula("forall z. z != 0"), PowerFinite(2),
@@ -261,27 +272,134 @@ def test_model_check_matches_per_cell_reference():
 CAP_SPECS = [PowerFinite(k) for k in range(1, 7)] + [Atomless()]
 
 
-def test_rank_2_cap_counts_to_four():
+def _four_atoms():
     # exists x. (exists y. 0 < y < x) /\ (exists y. 0 < y < ~x): some
-    # element and its complement each have two atoms.  Capping at 2^(r-1)
-    # instead of 2^r reads PowerFinite(4..6) as PowerFinite(2).
+    # element and its complement each have two atoms
     x, y = Var("x"), Var("y")
 
     def below(t):  # 0 < y < t
         return conj(Neq(y, ZERO), conj(eq(And(y, t), y), Neq(y, t)))
-    A = exists("x", conj(exists("y", below(x)), exists("y", below(Not(x)))))
-    assert [model_check(A, spec) for spec in CAP_SPECS] == [
+    return exists("x", conj(exists("y", below(x)), exists("y", below(Not(x)))))
+
+
+# every nonzero element has an atom below it
+ATOMIC = parse_formula(
+    "forall x. x != 0 -> ((forall y. (y /\\ x == y -> (y != 0 -> "
+    "(forall z. (z /\\ y != 0 -> y /\\ ~z == 0)) -> _|_))) -> _|_)")
+
+
+def test_rank_2_cap_counts_to_four():
+    # capping at 2^(r-1) instead of 2^r reads PowerFinite(4..6) as
+    # PowerFinite(2)
+    assert [model_check(_four_atoms(), spec) for spec in CAP_SPECS] == [
         False, False, False, True, True, True, True]
 
 
 def test_infinite_cells_are_never_capped():
-    # every nonzero element has an atom below it; capping the atomless
-    # algebra's infinite cell like a finite size reads it as finite
-    A = parse_formula(
-        "forall x. x != 0 -> ((forall y. (y /\\ x == y -> (y != 0 -> "
-        "(forall z. (z /\\ y != 0 -> y /\\ ~z == 0)) -> _|_))) -> _|_)")
-    assert [model_check(A, spec) for spec in CAP_SPECS] == [
+    # capping the atomless algebra's infinite cell like a finite size reads
+    # it as finite
+    assert [model_check(ATOMIC, spec) for spec in CAP_SPECS] == [
         True, True, True, True, True, True, False]
+
+
+def _projection_sentences(seed, n):
+    # closed sentences whose binders draw on three names and whose
+    # inequations use a random part of the bound ones, so inner quantifier
+    # blocks are often closed or read only some outer variables, and
+    # binders are often shadowed: the shapes that projection changes
+    rng = random.Random(seed)
+
+    def go(bound, depth, height):
+        r = rng.random()
+        if height == 0 or r < 0.3:
+            vs = [v for v in sorted(bound) if rng.random() < 0.6]
+            return Neq(random_bterm(rng, vs, 2), random_bterm(rng, vs, 2))
+        if r < 0.6 or depth == 3:
+            return Impl(go(bound, depth, height - 1),
+                        go(bound, depth, height - 1))
+        v = rng.choice("xyz")
+        return Forall(v, go(bound | {v}, depth + 1, height - 1))
+
+    out = []
+    while len(out) < n:
+        A = go(frozenset(), 0, 6)
+        if _qdepth(A) >= 2:
+            out.append(A)
+    return out
+
+
+def _projected_blocks():
+    # each counting sentence B as a closed block under outer binders, in
+    # sentences that say what B says, so they answer as B does
+    four, atomic = [False] * 3 + [True] * 4, [True] * 6 + [False]
+    w, v = Var("w"), Var("v")
+    out = []
+    for B, answers in ((_four_atoms(), four), (ATOMIC, atomic)):
+        out += [(A, answers) for A in (
+            Forall("w", Impl(Neq(w, ZERO), B)),
+            Forall("w", Forall("v", Impl(Neq(And(w, v), ZERO), B))),
+            Forall("w", Impl(Forall("v", Impl(B, Neq(v, w))), bot())))]
+    return out
+
+
+def _partial_blocks():
+    # inner blocks that read one of two outer variables (x has two atoms
+    # below it), closed blocks that tell Atomless from the finite algebras
+    # under a binder, and shadowed binders, whose dead cells the
+    # projection drops
+    x, y, z = Var("x"), Var("y"), Var("z")
+
+    def two_below(t):
+        return exists("z", conj(Neq(z, ZERO), conj(eq(And(z, t), z),
+                                                   Neq(z, t))))
+    return [forall_many(["x", "y"], Impl(two_below(x), Impl(
+                Neq(And(x, y), ZERO), two_below(y)))),
+            forall_many(["x", "y"], Impl(Neq(And(x, Not(y)), ZERO),
+                                         Impl(two_below(y), two_below(x))))
+            ] + [Forall("w", Impl(Neq(Var("w"), ZERO), B))
+                 for B in _separating_sentences()
+            ] + [parse_formula(text) for text in (
+                "forall x. forall y. forall x. x /\\ y != 0 -> x != y",
+                "forall x. forall x. forall y. x /\\ y != 0 -> y != 1",
+                "forall x. x != 0 -> "
+                "forall y. forall x. x /\\ ~y == 0 -> x != 1",
+                "forall x. forall y. (forall x. x != y) -> "
+                "forall y. x /\\ y != 0")]
+
+
+def test_projection_matches_per_cell_reference():
+    # one untraced check per sentence, swept over the family as
+    # valid_all_bas does, so that its memo spans the family
+    inputs = formula_corpus(60, seed=1, height=4)
+    inputs += _sweep_sentences(5, 2, 12)
+    inputs += _projection_sentences(7, 40) + _partial_blocks()
+    inputs += [theta(elem(n, val(n, i)))
+               for n in (0, 1, 2) for i in range(level_size(n))]
+    answers = []
+    for a in inputs:
+        check = bamodels._compile(a, None)
+        answers.append([check(spec) for spec in CAP_SPECS])
+        assert answers[-1] == [_reference_model_check(a, spec, [])
+                               for spec in CAP_SPECS], a
+    flat = [x for row in answers for x in row]
+    assert 0.2 < sum(flat) / len(flat) < 0.8
+    # the reference takes 30 s over these; the two cap tests pin B
+    for A, want in _projected_blocks():
+        check = bamodels._compile(A, None)
+        assert [check(spec) for spec in CAP_SPECS] == want
+
+
+def test_closed_block_is_enumerated_once_per_projected_sizes(monkeypatch):
+    # forall z. z != 0 is false, so every (x, y) split runs it; projected
+    # onto no variable it sees one cell of 3 atoms, capped at 2, each time
+    A = parse_formula(
+        "forall x. forall y. (forall z. z != 0) -> x /\\ y != 0 -> x != 0")
+    calls = _counting(monkeypatch, "_failing_split")
+    assert model_check(A, PowerFinite(3))
+    # one enumeration per quantifier occurrence and distinct sizes read:
+    # x over one cell of 3; y over the 2 cells of each of x's 4 splits;
+    # the closed block over one cell once, not once per distinct 4 cells
+    assert sorted(len(args[1]) for args, _ in calls) == [1, 1, 2, 2, 2, 2]
 
 
 def test_capped_splits_keep_first_occurrences():
@@ -679,4 +797,6 @@ def test_quantifier_cache_spans_the_family(monkeypatch):
 
     alone = count((PowerFinite(4),))
     assert count((PowerFinite(4), PowerFinite(5), PowerFinite(6))) == alone
-    assert alone == 11
+    # each (size, cap) is split once per compiled check: (4, 2) for z, and
+    # (0, 1), (1, 1), (2, 1) for the cells of w's five distinct sizes
+    assert alone == 4
