@@ -20,13 +20,14 @@ The compiled check reads nothing but the tuple of cell sizes.  An
 untraced check caps each finite cell size at 2^r, with r quantifiers
 still to come; `model_check` gives the Ehrenfeucht-Fraisse argument.
 The infinite cells of the atomless algebra are never capped.  A
-quantifier occurrence that reads fewer variables than the cells split
-sees only the cells of its own free variables, whose sizes are sums of
-the finer ones (Feferman-Vaught).  One dict per compiled check memoises
-every quantifier occurrence on (occurrence, sizes), so nothing outlives
-the call that compiled it.  A traced check neither caps, projects nor
-memoises, so its trace is that of the plain enumeration; `valid_all_bas`
-sweeps the family untraced and re-runs only the refuting member traced.
+quantifier occurrence that reads fewer variables than the cells split,
+and holds no depth guard, sees only the cells of its own free variables,
+whose sizes are sums of the finer ones (Feferman-Vaught).  One dict per
+compiled check memoises every quantifier occurrence on (occurrence,
+sizes), so nothing outlives the call that compiled it.  A traced check
+neither caps, projects nor memoises, so its trace is that of the plain
+enumeration; `valid_all_bas` sweeps the family untraced and re-runs only
+the refuting member traced.
 
 The public functions refuse an open formula at entry: `valid_all_bas` and
 `brute_check` by a `free_vars` walk, `model_check` as it compiles.  Past
@@ -114,13 +115,7 @@ def _column(i: int, ones: int) -> int:
 
 
 def _failing_split(body, options):
-    """The first split in options under which body fails, or None.  A
-    split of one cell is already the body's (outside, inside) sizes."""
-    if len(options) == 1:
-        for split in options[0]:
-            if not body(split):
-                return (split,)
-        return None
+    """The first split in options under which body fails, or None."""
     for combo in itertools.product(*options):
         outside, inside = zip(*combo)
         if not body(outside + inside):
@@ -128,22 +123,24 @@ def _failing_split(body, options):
     return None
 
 
-def _free(f: Formula, frees: dict[int, frozenset[str]]) -> frozenset[str]:
-    """f's free variables, bottom-up from the terms' kept sets; frees keeps
-    each Forall's by id."""
+def _scope(f: Formula, scopes: dict[int, tuple]) -> tuple[frozenset[str], int]:
+    """f's free variables and its quantifier nesting depth, bottom-up from
+    the terms' kept sets; scopes keeps each Forall's by id."""
     if isinstance(f, Neq):
-        a, b = term_vars(f.lhs), term_vars(f.rhs)
+        a, b, height = term_vars(f.lhs), term_vars(f.rhs), 0
     elif isinstance(f, Impl):
-        a, b = _free(f.ante, frees), _free(f.cons, frees)
+        (a, h_a), (b, h_b) = _scope(f.ante, scopes), _scope(f.cons, scopes)
+        height = max(h_a, h_b)
     elif isinstance(f, Forall):
-        vs = frees.get(id(f))
-        if vs is None:
-            vs = _free(f.body, frees)
-            vs = frees[id(f)] = vs - {f.var} if f.var in vs else vs
-        return vs
+        scope = scopes.get(id(f))
+        if scope is None:
+            vs, height = _scope(f.body, scopes)
+            scope = scopes[id(f)] = (vs - {f.var} if f.var in vs else vs,
+                                     height + 1)
+        return scope
     else:
         raise TypeError(f"not a formula: {f!r}")
-    return a if b <= a else b if a <= b else a | b
+    return (a if b <= a else b if a <= b else a | b), height
 
 
 def _project(env: dict[str, int], width: int, names: list[str]):
@@ -227,9 +224,13 @@ def model_check(A: Formula, spec: BASpec, *,
     the cell partition: the Forall's truth depends only on the values of
     its free variables, and the sizes of their cells fix those values up
     to an automorphism of the algebra (in the atomless algebra, which
-    cells are nonzero do).  The free variables of each Forall are read
-    once per compile, bottom-up from the terms' kept sets.  The depth
-    guard still counts nested quantifiers, not cells.  Each untraced
+    cells are nonzero do).  A Forall that holds the depth guard is not
+    projected: its projected splits come in another order than the
+    splits of every cell, so it could meet a failing split before the
+    guard where the plain enumeration meets the guard first, or the
+    other way round.  The free variables and nesting depth of each Forall
+    are read once per compile, bottom-up from the terms' kept sets.  The
+    depth guard counts nested quantifiers, not cells.  Each untraced
     Forall's verdict is memoised in one dict per compiled check, keyed on
     (occurrence number, the sizes it reads), which fix the verdict
     whatever the algebra; the dict lives as long as the compiled check,
@@ -248,7 +249,7 @@ def _compile(A: Formula, trace: list[str] | None):
     """model_check's compile step: the check of the closed formula A in a
     spec, capped, projected and memoised iff trace is None."""
     capped = trace is None
-    frees: dict[int, frozenset[str]] = {}  # a Forall's id -> its free names
+    scopes: dict[int, tuple] = {}  # a Forall's id -> its free names, depth
     if capped:
         memo: dict[tuple, bool] = {}  # (occurrence, sizes) -> verdict
         split_memo: dict[tuple, tuple] = {}  # (size, cap) -> its splits
@@ -281,7 +282,7 @@ def _compile(A: Formula, trace: list[str] | None):
         if not isinstance(f, Forall):
             raise TypeError(f"not a formula: {f!r}")
         if depth == MAX_DEPTH:
-            if _free(f, frees) - env.keys():
+            if _scope(f, scopes)[0] - env.keys():
                 raise UsageError("unbound variable under the guard")
 
             def too_deep(sizes):
@@ -289,11 +290,15 @@ def _compile(A: Formula, trace: list[str] | None):
                     f"quantifier depth {depth + 1} exceeds the guard of {MAX_DEPTH}")
             return too_deep, 0
         getters = None
-        if capped and width and len(kept := _free(f, frees)) < width:
-            if kept - env.keys():
-                raise UsageError("unbound variable in a projection")
-            getters, env = _project(env, width, sorted(kept))
-            width = len(kept)
+        if capped and width:
+            kept, height = _scope(f, scopes)
+            # projecting reorders the splits, so a Forall that holds the
+            # guard keeps its cells, and the guard fires where it did
+            if len(kept) < width and depth + height <= MAX_DEPTH:
+                if kept - env.keys():
+                    raise UsageError("unbound variable in a projection")
+                getters, env = _project(env, width, sorted(kept))
+                width = len(kept)
         half = 1 << width  # cell m + half is cell m inside f.var
         cols = {name: col | col << half for name, col in env.items()}
         cols[f.var] = (1 << half) - 1 << half
@@ -313,7 +318,7 @@ def _compile(A: Formula, trace: list[str] | None):
         check, rank = compile_(A, {}, 0, 0)
     except UsageError:  # a Neq, a projection or the guard met a free name
         raise UsageError(f"model_check needs a closed formula, "
-                         f"free: {sorted(_free(A, frees))}") from None
+                         f"free: {sorted(_scope(A, scopes)[0])}") from None
     top = 1 << rank if capped else math.inf
 
     def run(spec: BASpec) -> bool:

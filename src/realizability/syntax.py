@@ -371,16 +371,14 @@ def print_lcterm(t: LcTerm, prec: int = 0) -> str:
     kind = type(t)
     if kind is LVar:
         return t.name
-    if kind is App:
-        if type(t.fn) is App:  # a spine: one loop and one join
-            parts = []
-            while type(t) is App:
-                parts.append(print_lcterm(t.arg, 2))
-                t = t.fn
-            parts.append(print_lcterm(t, 1))
-            s = " ".join(reversed(parts))
-        else:
-            s = f"{print_lcterm(t.fn, 1)} {print_lcterm(t.arg, 2)}"
+    if kind is App:  # the whole spine in one loop and one join
+        fn, parts = t.fn, [print_lcterm(t.arg, 2)]
+        while type(fn) is App:
+            parts.append(print_lcterm(fn.arg, 2))
+            fn = fn.fn
+        parts.append(print_lcterm(fn, 1))
+        parts.reverse()
+        s = " ".join(parts)
         return f"({s})" if prec > 1 else s
     if kind is Lam:
         s = f"\\{t.var}. {print_lcterm(t.body, 0)}"

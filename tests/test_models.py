@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from realizability.bamodels import (
     Atomless, DEFAULT_FAMILY, GuardExceeded, Justification, MAX_PROP_ATOMS,
-    PowerFinite, TheoryOracle, _splits, brute_check, is_prop_tautology,
-    model_check, valid_all_bas,
+    PowerFinite, TheoryOracle, Verdict, _splits, brute_check,
+    is_prop_tautology, model_check, valid_all_bas,
 )
 from realizability import bamodels, formulas
 from realizability.corpus import (
@@ -166,15 +166,41 @@ def test_guards():
         assert str(err.value) == "quantifier depth 7 exceeds the guard of 6"
 
 
-def test_guard_counts_nesting_under_a_projection():
-    # the closed block b..g is projected onto one cell under a, so g sits
-    # on 2^5 cells; the guard counts the seven quantifiers above its body
+def test_guard_counts_nesting_under_a_closed_block():
+    # the closed block b..g under a holds the guard, so it is not
+    # projected; the guard counts the seven quantifiers above its body
     A = parse_formula("forall a. (" + SEVEN_FORALLS[len("forall a. "):]
                       + "b != 0) -> a != 0")
     for spec in (PowerFinite(1), Atomless()):
         with pytest.raises(GuardExceeded) as err:
             model_check(A, spec)
         assert str(err.value) == "quantifier depth 7 exceeds the guard of 6"
+
+
+# y splits both x and ~x; forall z reads x only, and its body reaches the
+# guard at some splits of z and fails at others
+GUARD_ORDER = ("forall x. forall y. y /\\ x != 0 -> y /\\ x != x -> "
+               "y /\\ ~x != 0 -> y /\\ ~x != ~x -> forall z. ")
+GUARD = "forall a. forall b. forall c. forall d. a != 0"
+
+
+def test_guard_fires_as_in_the_cell_order():
+    # projecting forall z onto x's cells would try z = ~x before the
+    # splits of the y-cells that reach the guard, and so answer where the
+    # enumeration over every cell raises, or raise where it answers
+    reaches_guard_first = parse_formula(
+        GUARD_ORDER + f"((z /\\ x == x -> z != 1 -> {GUARD}) -> "
+        "z != ~x -> _|_) -> _|_")
+    assert valid_all_bas(reaches_guard_first) == Verdict(
+        "unknown", detail="guard: quantifier depth 7 exceeds the guard of 6")
+    with pytest.raises(GuardExceeded):
+        TheoryOracle().membership(reaches_guard_first)
+    fails_first = parse_formula(
+        GUARD_ORDER + "((z /\\ x == x -> z != 1 -> _|_) -> "
+        f"(z == ~x -> {GUARD}) -> _|_) -> _|_")
+    v = valid_all_bas(fails_first)
+    assert (v.status, v.witness) == ("refuted", PowerFinite(4))
+    assert not TheoryOracle().membership(fails_first)
 
 
 def test_trace_on_failure():
