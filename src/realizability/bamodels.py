@@ -29,9 +29,10 @@ neither caps, projects nor memoises, so its trace is that of the plain
 enumeration; `valid_all_bas` sweeps the family untraced and re-runs only
 the refuting member traced.
 
-The public functions refuse an open formula at entry: `valid_all_bas` and
-`brute_check` by a `free_vars` walk, `model_check` as it compiles.  Past
-the entry a formula is known closed, so a Horn shape is a Horn clause.
+The public functions refuse an open formula at entry, each under its own
+name: `valid_all_bas` and `brute_check` by a `free_vars` walk,
+`model_check` and `TheoryOracle.membership` as they compile.  Past the
+entry a formula is known closed, so a Horn shape is a Horn clause.
 
 On top sits a three-valued validity layer for "true in every Boolean
 algebra with at least two elements": complete fragments (ground sentences,
@@ -245,9 +246,10 @@ def model_check(A: Formula, spec: BASpec, *,
     return _compile(A, trace)(spec)
 
 
-def _compile(A: Formula, trace: list[str] | None):
+def _compile(A: Formula, trace: list[str] | None, who="model_check"):
     """model_check's compile step: the check of the closed formula A in a
-    spec, capped, projected and memoised iff trace is None."""
+    spec, capped, projected and memoised iff trace is None; `who` names
+    the public caller that refuses an open A."""
     capped = trace is None
     scopes: dict[int, tuple] = {}  # a Forall's id -> its free names, depth
     if capped:
@@ -317,7 +319,7 @@ def _compile(A: Formula, trace: list[str] | None):
     try:
         check, rank = compile_(A, {}, 0, 0)
     except UsageError:  # a Neq, a projection or the guard met a free name
-        raise UsageError(f"model_check needs a closed formula, "
+        raise UsageError(f"{who} needs a closed formula, "
                          f"free: {sorted(_scope(A, scopes)[0])}") from None
     top = 1 << rank if capped else math.inf
 
@@ -466,8 +468,9 @@ def valid_all_bas(A: Formula,
     """Three-valued verdict on truth in every Boolean algebra with at
     least two elements.  An empty family would pass every formula, so it
     is refused."""
-    if free_vars(A):
-        raise UsageError("valid_all_bas needs a closed formula")
+    if free := free_vars(A):
+        raise UsageError(f"valid_all_bas needs a closed formula, "
+                         f"free: {sorted(free)}")
     if not family:
         raise UsageError("valid_all_bas needs a nonempty family")
     # Ground terms land in the two-element subalgebra {0,1}, which embeds
@@ -518,5 +521,5 @@ class TheoryOracle:
         self.family = tuple(self.family)
 
     def membership(self, A: Formula) -> bool:
-        check = _compile(A, None)
+        check = _compile(A, None, "TheoryOracle.membership")
         return all(check(spec) for spec in self.family)

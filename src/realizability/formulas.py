@@ -53,12 +53,12 @@ class One(BTerm):
 
 
 # Terms are DAGs (rows_term shares its minterm prefixes), so Or and And
-# keep their hash and their variable set once computed, in the slots
-# `_hash` and `_vars`, which their own __init__ sets to None.  Neither is
-# a dataclass field, so ==, repr and `fields` are the plain dataclass's,
-# and the hash is the dataclass's own hash of the field tuple.  A Not's
-# hash and variable set are one step from its argument's, so it keeps
-# neither.
+# keep their hash, variable set and printed text (unparenthesized, set by
+# `syntax._bterm`) once computed, in the slots `_hash`, `_vars` and
+# `_text`, which their own __init__ sets to None.  None is a dataclass
+# field, so ==, repr and `fields` are the plain dataclass's, and the hash
+# is the dataclass's own hash of the field tuple.  A Not's are one step
+# from its argument's, so it keeps none.
 
 _set = object.__setattr__  # how a frozen dataclass sets its slots
 
@@ -68,6 +68,7 @@ def _pair_init(self, lhs: BTerm, rhs: BTerm) -> None:
     _set(self, "rhs", rhs)
     _set(self, "_hash", None)
     _set(self, "_vars", None)
+    _set(self, "_text", None)
 
 
 def _pair_hash(self) -> int:
@@ -80,7 +81,7 @@ def _pair_hash(self) -> int:
 
 @dataclass(frozen=True)
 class Or(BTerm):
-    __slots__ = ("lhs", "rhs", "_hash", "_vars")
+    __slots__ = ("lhs", "rhs", "_hash", "_vars", "_text")
     lhs: BTerm
     rhs: BTerm
     __init__ = _pair_init
@@ -89,7 +90,7 @@ class Or(BTerm):
 
 @dataclass(frozen=True)
 class And(BTerm):
-    __slots__ = ("lhs", "rhs", "_hash", "_vars")
+    __slots__ = ("lhs", "rhs", "_hash", "_vars", "_text")
     lhs: BTerm
     rhs: BTerm
     __init__ = _pair_init

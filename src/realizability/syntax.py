@@ -30,7 +30,7 @@ from itertools import accumulate, islice
 
 from .formulas import (
     And, BTerm, Formula, Forall, Impl, Neq, Not, ONE, One, Or, Var, ZERO,
-    Zero, bot, eq, exists,
+    Zero, _set, bot, eq, exists,
 )
 from .lcterms import (
     App, CC, Cc, EMPTY, Gamma, Kont, LVar, Lam, LcTerm, Process, SPush,
@@ -292,11 +292,11 @@ def parse_process(src: str) -> Process:
 # --------------------------------------------------------------------------
 
 def print_bterm(t: BTerm) -> str:
-    return _bterm(t, 0, {})
+    return _bterm(t, 0)
 
 
 def print_formula(f: Formula) -> str:
-    return _formula(f, 0, {})
+    return _formula(f, 0)
 
 
 # term precedence: \/ = 1, /\ = 2, ~ = 3; each left-nested connective
@@ -304,15 +304,16 @@ def print_formula(f: Formula) -> str:
 _SPINES = {Or: (1, " \\/ "), And: (2, " /\\ ")}
 
 
-def _bterm(t: BTerm, prec: int, memo: dict) -> str:
-    """t's text at precedence prec.  Terms are DAGs, so the text of each
-    \\/ or /\\ node is made once per call for each precedence it is printed
-    at, and reused: the key holds prec because a node may sit both where
-    it needs parentheses and where it does not.  Leaves and ~ skip the
-    memo, as their text costs no more to make than to look up.  A
-    left-nested chain of one connective is printed with one loop and one
-    join, so it has no length limit and no link copies the text below
-    it."""
+def _bterm(t: BTerm, prec: int) -> str:
+    """t's text at precedence prec.  Terms are DAGs, so a \\/ or /\\ node
+    keeps its text, unparenthesized, in its `_text` slot from its first
+    print on, and the caller adds the parentheses that prec needs.  The
+    text lives and dies with the node: a cache keyed on `id` would hand
+    the text of a collected node to a new one that reuses its id.  Leaves
+    and ~ keep nothing, as their text costs no more to make than to look
+    up.  A left-nested chain of one connective is printed with one loop
+    and one join, down to the first link that holds its text, so it has
+    no length limit and no link copies the text below it."""
     if isinstance(t, Var):
         return t.name
     if isinstance(t, Zero):
@@ -320,48 +321,42 @@ def _bterm(t: BTerm, prec: int, memo: dict) -> str:
     if isinstance(t, One):
         return "1"
     if isinstance(t, Not):
-        return "~" + _bterm(t.arg, 3, memo)
-    key = (id(t), prec)
-    s = memo.get(key)
-    if s is not None:
-        return s
+        return "~" + _bterm(t.arg, 3)
     cls = type(t)
     spine = _SPINES.get(cls)
     if spine is None:
         raise TypeError(f"not a term: {t!r}")
     own, sep = spine
-    parts = []
-    link = t
-    while type(link) is cls:
-        parts.append(_bterm(link.rhs, own + 1, memo))
-        link = link.lhs
-    parts.append(_bterm(link, own, memo))
-    parts.reverse()
-    s = sep.join(parts)
-    if prec > own:
-        s = f"({s})"
-    memo[key] = s
-    return s
+    s = t._text
+    if s is None:
+        parts, link = [], t
+        while type(link) is cls and link._text is None:
+            parts.append(_bterm(link.rhs, own + 1))
+            link = link.lhs
+        parts.append(_bterm(link, own))
+        parts.reverse()
+        s = sep.join(parts)
+        _set(t, "_text", s)
+    return f"({s})" if prec > own else s
 
 
-def _formula(f: Formula, prec: int, memo: dict) -> str:
-    """f's text at precedence prec; its terms share `memo`.  -> has
-    precedence 1 and nests to the right; atoms and quantifiers are tight,
-    except that a quantifier body extends right, so it parenthesizes at
-    prec > 0.  A chain of -> is printed with one loop and one join, so it
-    has no length limit."""
+def _formula(f: Formula, prec: int) -> str:
+    """f's text at precedence prec.  -> has precedence 1 and nests to
+    the right; atoms and quantifiers are tight, except that a quantifier
+    body extends right, so it parenthesizes at prec > 0.  A chain of ->
+    is printed with one loop and one join, so it has no length limit."""
     if isinstance(f, Neq):
-        return f"{_bterm(f.lhs, 0, memo)} != {_bterm(f.rhs, 0, memo)}"
+        return f"{_bterm(f.lhs, 0)} != {_bterm(f.rhs, 0)}"
     if isinstance(f, Impl):
         parts = []
         while isinstance(f, Impl):
-            parts.append(_formula(f.ante, 2, memo))
+            parts.append(_formula(f.ante, 2))
             f = f.cons
-        parts.append(_formula(f, 1, memo))
+        parts.append(_formula(f, 1))
         s = " -> ".join(parts)
         return f"({s})" if prec > 1 else s
     if isinstance(f, Forall):
-        s = f"forall {f.var}. {_formula(f.body, 0, memo)}"
+        s = f"forall {f.var}. {_formula(f.body, 0)}"
         return f"({s})" if prec > 0 else s
     raise TypeError(f"not a formula: {f!r}")
 

@@ -290,7 +290,7 @@ SEVEN_FORALLS = ("forall a. forall b. forall c. forall d. forall e. "
     (("denote", "cc", "--cc-trunc", "0"), 64, "unrecognized arguments"),
     (("validity", "x != 0"), 64, "valid_all_bas needs a closed formula"),
     (("theory", "--contains", "x != 0"), 64,
-     "model_check needs a closed formula, free: ['x']"),
+     "TheoryOracle.membership needs a closed formula, free: ['x']"),
     (("realizes", "\\x. x", "x != 0"), 64,
      "canonical_falsity_stacks needs a closed formula"),
     # the falsity stacks' continuations hold at most two g{_|_} entries
@@ -298,7 +298,7 @@ SEVEN_FORALLS = ("forall a. forall b. forall c. forall d. forall e. "
       "--depth", "3"), 64, "depth must be in 0..2"),
     # an open formula is refused before any algebra's guard
     (("theory", "--contains", "x != 0", "--family", "pf7"), 64,
-     "model_check needs a closed formula, free: ['x']"),
+     "TheoryOracle.membership needs a closed formula, free: ['x']"),
 ])
 def test_crash_exit_codes(capsys, argv, code, message):
     assert main(list(argv)) == code

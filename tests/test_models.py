@@ -547,7 +547,10 @@ def test_open_formulas_are_refused(text):
              "model_check needs a closed formula, free: ['x']"),
             (lambda: model_check(A, Atomless()),
              "model_check needs a closed formula, free: ['x']"),
-            (lambda: valid_all_bas(A), "valid_all_bas needs a closed formula"),
+            (lambda: valid_all_bas(A),
+             "valid_all_bas needs a closed formula, free: ['x']"),
+            (lambda: TheoryOracle((PowerFinite(7),)).membership(A),
+             "TheoryOracle.membership needs a closed formula, free: ['x']"),
             (lambda: brute_check(A, 1), "brute_check needs a closed formula"),
             (lambda: denote_formula(A), "denote_formula needs a closed formula")]:
         with pytest.raises(UsageError) as err:

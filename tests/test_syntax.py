@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 import re
@@ -137,7 +138,7 @@ def test_process_roundtrip_corpus():
 
 
 def _reference_print_bterm(t, prec=0):
-    # the unmemoised recursive printer that the DAG-aware one replaced
+    # a plain recursive printer that keeps no text between or within calls
     if isinstance(t, Var):
         return t.name
     if isinstance(t, Zero):
@@ -198,6 +199,60 @@ def test_a_shared_node_prints_by_its_own_precedence():
     A = Forall("z", Impl(Neq(under, o), Neq(o, under)))
     assert print_formula(A) == _reference_print_formula(A)
     assert print_bterm(Or(under, o)) == "(z \\/ w) /\\ v \\/ (z \\/ w)"
+
+
+def _neq_sides(f):
+    if isinstance(f, Neq):
+        yield from (f.lhs, f.rhs)
+    elif isinstance(f, Impl):
+        yield from _neq_sides(f.ante)
+        yield from _neq_sides(f.cons)
+    else:
+        yield from _neq_sides(f.body)
+
+
+def test_kept_text_matches_the_recursive_reference():
+    # each \/ and /\ node keeps its text once printed, so every input is
+    # printed twice, and the rank-3 thetas share their minterms' texts
+    rng = random.Random(26)
+    thetas = [theta(elem(3, val(3, rng.randrange(level_size(3)))))
+              for _ in range(5)]
+    for A in formula_corpus(150, seed=26, height=4, max_qdepth=3) + thetas:
+        want = _reference_print_formula(A)
+        assert print_formula(A) == want
+        assert print_formula(A) == want
+        for t in _neq_sides(A):
+            for u in (t, Not(t), And(t, t)):
+                assert print_bterm(u) == _reference_print_bterm(u)
+
+
+@pytest.mark.parametrize("under_first", [False, True])
+def test_kept_text_takes_no_parentheses(under_first):
+    # one Or node, kept in parentheses under an And and bare at the top,
+    # printed in either order: whichever print comes first fills its text
+    o = Or(Var("z"), Var("w"))
+    under = And(o, Var("v"))
+    prints = [(o, "z \\/ w"), (under, "(z \\/ w) /\\ v")]
+    if under_first:
+        prints.reverse()
+    for t, want in prints + prints:
+        assert print_bterm(t) == want == _reference_print_bterm(t)
+    top = Or(under, o)
+    assert print_bterm(top) == _reference_print_bterm(top)
+    assert print_formula(Neq(o, under)) == "z \\/ w != (z \\/ w) /\\ v"
+
+
+def test_kept_text_is_no_field():
+    # a printed node equals, hashes and shows as a node never printed
+    printed = And(Or(Var("z"), Not(Var("w"))), Var("v"))
+    print_bterm(printed)
+    assert printed._text is not None and printed.lhs._text is not None
+    fresh = And(Or(Var("z"), Not(Var("w"))), Var("v"))
+    assert fresh._text is None
+    for a, b in [(printed, fresh), (printed.lhs, fresh.lhs)]:
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert dataclasses.fields(a) == dataclasses.fields(b)
+        assert [f.name for f in dataclasses.fields(a)] == ["lhs", "rhs"]
 
 
 @pytest.mark.parametrize("op", [Or, And])
