@@ -334,8 +334,9 @@ def _compile(A: Formula, trace: list[str] | None, who="model_check"):
 
 def brute_check(A: Formula, k: int) -> bool:
     """Truth in {0,1}^k by direct enumeration; elements are k-bit masks."""
-    if free_vars(A):
-        raise UsageError("brute_check needs a closed formula")
+    if free := free_vars(A):
+        raise UsageError(f"brute_check needs a closed formula, "
+                         f"free: {sorted(free)}")
     if not 1 <= k <= 3:
         raise UsageError(f"brute_check supports 1 <= k <= 3, got {k}")
     full = (1 << k) - 1
@@ -430,7 +431,7 @@ def is_prop_tautology(A: Formula) -> bool:
         elif isinstance(f, Forall):
             collect(f.body, {**env, f.var: next(binders)})
         else:
-            names = sorted(free_vars(f))
+            names = sorted(term_vars(f.lhs) | term_vars(f.rhs))
             i = index.setdefault((f.lhs, f.rhs, *map(env.get, names)),
                                  len(index))
             if i == len(pins):

@@ -207,8 +207,9 @@ def canonical_falsity_stacks(A: Formula, depth: int = 2) -> list[StackT]:
     stack and up to `depth` g{_|_} entries over it, 0 <= depth <= 2."""
     if not 0 <= depth <= 2:
         raise UsageError(f"depth must be in 0..2, got {depth}")
-    if free_vars(A):
-        raise UsageError("canonical_falsity_stacks needs a closed formula")
+    if free := free_vars(A):
+        raise UsageError(f"canonical_falsity_stacks needs a closed formula, "
+                         f"free: {sorted(free)}")
     seen = set()
     out: list[StackT] = []
     for premises in _witnesses(A):

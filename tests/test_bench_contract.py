@@ -34,6 +34,7 @@ def test_cache_clearers_find_the_minterm_prefixes():
     # find would carry theta's prefixes from one pass into the next
     clearers = _harness("run")._cache_clearers()
     assert formulas._minterm_prefixes.cache_clear in clearers
+    assert dinfty._selcode.cache_clear in clearers
     assert dinfty.level.cache_clear in clearers
 
 

@@ -18,8 +18,8 @@ from realizability.dinfty import (
 from realizability.bamodels import valid_all_bas
 from realizability.corpus import formula_corpus
 from realizability.formulas import (
-    And, Impl, Neq, Not, ONE, Or, Var, ZERO, eval_formula_01, forall_many,
-    subst_formula,
+    And, Forall, Impl, Neq, Not, ONE, Or, Var, ZERO, eval_formula_01,
+    forall_many, subst_formula,
 )
 from realizability.lcterms import CC, Lam, LVar, App
 from realizability.syntax import (
@@ -441,6 +441,52 @@ def test_theta_matches_reference():
         assert print_formula(A) == print_formula(ref), (n, i)
 
 
+def _selector_codes(A):
+    """The antecedent of each quantified implication on theta's spine of
+    consequents, outermost first."""
+    out = []
+    while isinstance(A, (Forall, Impl)):
+        if isinstance(A, Impl):
+            out.append(A.ante)
+            A = A.cons
+        else:
+            A = A.body
+    return out
+
+
+def test_rank3_thetas_share_their_selector_codes():
+    A, B = (theta(elem(3, val(3, i))) for i in (2863, 33481))
+    assert A != B
+    codes = list(zip(_selector_codes(A), _selector_codes(B)))
+    assert len(codes) == 3 and all(a is b for a, b in codes)
+
+
+def test_theta_is_unchanged_after_its_selector_codes_are_cleared():
+    x = elem(3, val(3, 111706))
+    A = theta(x)
+    dinfty._selcode.cache_clear()
+    B = theta(x)
+    assert _selector_codes(B)[0] is not _selector_codes(A)[0]
+    assert B == A
+    assert print_formula(B) == print_formula(A)
+
+
+def test_warm_rank3_theta_builds_one_truth_table(monkeypatch):
+    # seven of a rank-3 theta's eight truth tables sit in selector codes,
+    # which every rank-3 theta shares; only the innermost consequent's
+    # table depends on alpha
+    tables = []
+    original = dinfty.rows_term
+    monkeypatch.setattr(dinfty, "rows_term", lambda rows, us:
+                        tables.append(us) or original(rows, us))
+    dinfty._selcode.cache_clear()
+    theta(elem(3, val(3, 2863)))
+    assert len(tables) == 8
+    tables.clear()
+    theta(elem(3, val(3, 33481)))
+    assert len(tables) == 1 and len(tables[0]) == 7
+
+
 def _reference_skeletons(size, depth, allow_cc):
     # the tuple enumerator that building terms directly replaced
     if size <= 0:
@@ -575,7 +621,8 @@ def test_seq_check_verdicts_are_pinned():
 def test_seq_check_walks_theta_for_free_vars_once(monkeypatch):
     # theta enters the validity layer through valid_all_bas like any
     # sentence: its entry walk is the one free_vars call that gets the
-    # whole theta; the layer's parts walk only their own pieces
+    # whole theta, and no part of the layer walks a piece of it, since
+    # is_prop_tautology reads each inequation's kept term sets
     built, walked = [], []
     original = formulas.free_vars
 
@@ -588,7 +635,7 @@ def test_seq_check_walks_theta_for_free_vars_once(monkeypatch):
     monkeypatch.setattr(dinfty, "theta", recorded)
     for i in (33481, 111706):
         seq_check(elem(3, val(3, i)))
-    assert len(built) == 2 and len(walked) > 2
+    assert len(built) == 2 and len(walked) == 2
     assert [sum(A is B for A in walked) for B in built] == [1, 1]
 
 
@@ -608,6 +655,7 @@ def test_seq_check_walks_each_theta_term_node_once(monkeypatch):
     # theta visits about 15,000 nodes), and a second free_vars walk
     # descends nowhere
     formulas._minterm_prefixes.cache_clear()
+    dinfty._selcode.cache_clear()
     built, calls, descents = [], [], []
     original = formulas.term_vars
 

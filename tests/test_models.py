@@ -551,8 +551,10 @@ def test_open_formulas_are_refused(text):
              "valid_all_bas needs a closed formula, free: ['x']"),
             (lambda: TheoryOracle((PowerFinite(7),)).membership(A),
              "TheoryOracle.membership needs a closed formula, free: ['x']"),
-            (lambda: brute_check(A, 1), "brute_check needs a closed formula"),
-            (lambda: denote_formula(A), "denote_formula needs a closed formula")]:
+            (lambda: brute_check(A, 1),
+             "brute_check needs a closed formula, free: ['x']"),
+            (lambda: denote_formula(A),
+             "denote_formula needs a closed formula, free: ['x']")]:
         with pytest.raises(UsageError) as err:
             call()
         assert str(err.value) == message
