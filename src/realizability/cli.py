@@ -2,8 +2,8 @@
 
 Exit codes: 0 success/true/valid, 1 false/refuted, 2 unknown or
 inconclusive (a model-checking guard, a rank above 3, too deep nesting),
-64 usage error, 65 parse error.  With --json, every result
-is one JSON object per line.
+64 usage error, 65 parse error, 70 internal error (any other exception).
+With --json, every result is one JSON object per line.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .syntax import (
 )
 from .typecheck import TypingError, check_derivation, parse_derivation
 
-EX_OK, EX_FALSE, EX_UNKNOWN, EX_USAGE, EX_PARSE = 0, 1, 2, 64, 65
+EX_OK, EX_FALSE, EX_UNKNOWN, EX_USAGE, EX_PARSE, EX_SOFTWARE = 0, 1, 2, 64, 65, 70
 
 
 def parse_family(text: str) -> tuple[BASpec, ...]:
@@ -335,6 +335,9 @@ def main(argv: list[str] | None = None) -> int:
     except RecursionError:
         print("unknown: the input nests too deeply", file=sys.stderr)
         return EX_UNKNOWN
+    except Exception as e:  # a bug: exit 1 would read as "false"
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EX_SOFTWARE
 
 
 if __name__ == "__main__":

@@ -32,7 +32,11 @@ are never built.  The truncated control element is built once.
 On top: step functions (arrow), application and abstraction through the
 retraction, the truncated control-operator element, denotations of machine
 terms and of closed formulas, formula synthesis from an element, and the
-sequentialisability check.
+sequentialisability check.  The term search's candidates of each size,
+with their components at ranks 0-2, are built once, when a search first
+reaches that size, and kept until the cache is cleared; a candidate whose
+rank-2 component needs a rank above MAX_RANK is dropped when it is built,
+as no search could return it (`_candidates`).
 """
 
 from __future__ import annotations
@@ -497,20 +501,42 @@ def _debruijn_terms(size: int, depth: int, allow_cc: bool):
                 yield App(f, a)
 
 
+@lru_cache(maxsize=None)
+def _candidates(size: int, allow_cc: bool) -> tuple[tuple[LcTerm, DElem], ...]:
+    """The terms of one size that `term_search` tries, in enumeration
+    order, each with its denotation, whose components at ranks 0-2 are
+    already built.  The cc pass keeps only terms that use cc, since the
+    pure pass tried the rest, and a term whose components need a rank
+    above MAX_RANK is dropped (see `term_search`)."""
+    out = []
+    for t in _debruijn_terms(size, 0, allow_cc):
+        if allow_cc and not any(type(n) is Cc for n, _, _ in walk(t)):
+            continue
+        d = denote(t)
+        try:
+            for n in range(3):
+                d.component(n)
+        except RankCapError:
+            continue
+        out.append((t, d))
+    return tuple(out)
+
+
 def term_search(alpha: DElem, size_budget: int = 5) -> LcTerm | None:
     """First closed machine term (abstraction, application, control
     operator) whose denotation dominates alpha at rank 2.  Terms without
-    the control operator are tried first at every size."""
+    the control operator are tried first at every size.  The candidates
+    of each size and their denotations at ranks 0-2 do not depend on
+    alpha: they are built once, when a search first reaches that size,
+    and kept by `_candidates` until its cache is cleared.  The seven cc
+    terms of size 5 and 6 whose rank-2 component needs rank 4 are left
+    out there, which changes no answer: dominance at rank 2 reads that
+    component, so no search could return such a term."""
     for allow_cc in (False, True):
         for size in range(1, size_budget + 1):
-            for t in _debruijn_terms(size, 0, allow_cc):
-                if allow_cc and not any(type(n) is Cc for n, _, _ in walk(t)):
-                    continue  # already tried in the pure pass
-                try:
-                    if leq(alpha, denote(t), 2):
-                        return t
-                except RankCapError:
-                    continue
+            for t, d in _candidates(size, allow_cc):
+                if leq(alpha, d, 2):
+                    return t
     return None
 
 

@@ -305,6 +305,17 @@ def test_crash_exit_codes(capsys, argv, code, message):
     assert message in capsys.readouterr().err
 
 
+def test_internal_error_exit_code(capsys, monkeypatch):
+    # an exception no handler expects is a fault, not a "false" answer
+    def broken(args):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(cli, "cmd_theta", broken)
+    assert main(["theta", "--rank", "1", "--element", "0"]) == 70
+    out, err = capsys.readouterr()
+    assert out == "" and err == "internal error: KeyError: 'lost'\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("theta", "--rank", "1", "--element", "-1"),
     ("seq-check", "--rank", "1", "--element", "-3"),

@@ -21,7 +21,7 @@ from realizability.formulas import (
     And, Forall, Impl, Neq, Not, ONE, Or, Var, ZERO, eval_formula_01,
     forall_many, subst_formula,
 )
-from realizability.lcterms import CC, Lam, LVar, App
+from realizability.lcterms import CC, Cc, Lam, LVar, App, walk
 from realizability.syntax import (
     parse_formula, parse_lcterm, print_formula, print_lcterm,
 )
@@ -557,6 +557,57 @@ def test_term_search_matches_reference():
             for budget in (4, 5, 6):
                 assert (term_search(alpha, budget)
                         == _reference_term_search(alpha, budget)), (n, i)
+    # rank-3 seq_check searches at budget 5; the upper part of the rank
+    # holds the elements that no term reaches or only \x0. \x1. x1 does
+    rng = random.Random(0)
+    for i in (rng.sample(range(level_size(3)), 6)
+              + rng.sample(range(105000, level_size(3)), 6)):
+        alpha = elem(3, val(3, i))
+        assert term_search(alpha, 5) == _reference_term_search(alpha, 5), i
+
+
+def test_warm_term_search_denotes_nothing(monkeypatch):
+    # the candidates and their denotations are built once per size and
+    # shared by every alpha until the cache is cleared
+    dinfty._candidates.cache_clear()
+    denoted = []
+    original = dinfty.denote
+    monkeypatch.setattr(dinfty, "denote",
+                        lambda t: denoted.append(t) or original(t))
+    assert term_search(top(), 5) is None  # builds every size of both passes
+    assert len(denoted) == sum(_searched_count(size, allow_cc)
+                               for allow_cc in (False, True)
+                               for size in range(1, 6))
+    denoted.clear()
+    alpha = elem(3, val(3, 108724))
+    found = term_search(alpha, 5)
+    assert print_lcterm(found) == "\\x0. \\x1. x1" and denoted == []
+    # cold again, the search builds only the sizes it reaches: 1 to 3
+    dinfty._candidates.cache_clear()
+    assert term_search(alpha, 5) == found
+    assert len(denoted) == sum(_searched_count(size, False)
+                               for size in range(1, 4))
+
+
+def _searched_count(size, allow_cc):
+    """The terms of one size that the search tries, before any is dropped."""
+    return sum(1 for t in dinfty._debruijn_terms(size, 0, allow_cc)
+               if not allow_cc or any(type(n) is Cc for n, _, _ in walk(t)))
+
+
+def test_candidates_drop_only_rank_cap_terms():
+    # every bucket is built whole, so a term that raised UsageError (a
+    # non-monotone abstraction body) at ranks 0-2 would fail here; the
+    # dropped terms are the cc terms whose rank-2 component needs rank 4
+    dinfty._candidates.cache_clear()
+    dropped = {False: 0, True: 0}
+    for allow_cc in (False, True):
+        for size in range(1, 7):
+            built = dinfty._candidates(size, allow_cc)
+            dropped[allow_cc] += _searched_count(size, allow_cc) - len(built)
+            for t, d in built:
+                assert all(n in d._memo for n in range(3)), print_lcterm(t)
+    assert dropped == {False: 0, True: 7}
 
 
 @pytest.mark.xfail(strict=True, reason=(
