@@ -3,10 +3,13 @@
 Terms, stacks and processes; one iterative pre-order walk over them;
 substitution of a closed term for a lambda variable; the conjunction of
 all instruction tags occurring in a term, stack or process; and
-canonical keys for alpha-equivalence.  Which names and tags a term
-holds is read through `walk` alone: by `free_lvars`, `iter_tags`, the
-closedness checks of the parser (`_closed`) and of the pole
-(`pole._check_closed`), `dinfty.term_search` and `typecheck`.
+canonical keys for alpha-equivalence, which serve `lc_alpha_eq`,
+`proc_alpha_eq` and the tests' reference pole.  Which names and tags a
+term holds is read through `walk` alone: by `free_lvars`, `iter_tags`,
+the closedness checks of the parser (`_closed`) and of the pole
+(`pole._check_closed`), the pole's memo key (`pole._memo_key`, which
+keys on a process as written, not up to alpha), `dinfty._candidates`
+and `typecheck`.
 
 First-order variables (inside tags) and lambda variables are disjoint
 sorts: `subst_lc` never descends into tags.

@@ -13,10 +13,12 @@ runs, a level per step, to a tag, a stuck state (absent) or the end of
 the budget.  A tag enters at 1 + the least, over witness bits, of the
 greatest level of the premise processes the bits oblige (1 if none),
 each asked with one level less.  PoleConfig.memo holds tags only, keyed
-by canonical process and remaining budget, valued by level or 0 (absent
-within that budget).  Each ⫫_k is decided exactly, unless a tag has more
-than 2^MAX_PROP_ATOMS bit choices to read, which raises GuardExceeded;
-the union is semi-decided up to k_max.
+by the process as written, read flat by _memo_key, and the remaining
+budget, valued by level or 0 (absent within that budget).  Alpha-variant
+questions are kept apart, which costs only a miss, and the pole renames
+nothing, so it makes none of its own.  Each ⫫_k is decided exactly,
+unless a tag has more than 2^MAX_PROP_ATOMS bit choices to read, which
+raises GuardExceeded; the union is semi-decided up to k_max.
 
 The pole consults no theory: a tag's witness bits are checked by
 evaluating its head equality in {0,1}.
@@ -47,8 +49,8 @@ from .formulas import (
     free_vars, subst_formula,
 )
 from .lcterms import (
-    EMPTY, Gamma, LVar, LcTerm, Process, SPush, StackT, canon_process,
-    constraint_of, stack_of, walk,
+    EMPTY, Gamma, LVar, Lam, LcTerm, Process, SPush, StackT, constraint_of,
+    stack_of, walk,
 )
 from .machine import step
 
@@ -134,7 +136,7 @@ def _least_level(p: Process, k: int, cfg: PoleConfig) -> Generator:
     budget) and is sent the answer."""
     for steps in range(k):
         if isinstance(p.term, Gamma):
-            key = (canon_process(p), k - steps)
+            key = (_memo_key(p), k - steps)
             level = cfg.memo.get(key)
             if level is None:
                 level = cfg.memo[key] = yield from _tag_level(p, k - steps)
@@ -144,6 +146,26 @@ def _least_level(p: Process, k: int, cfg: PoleConfig) -> Generator:
             return None
         p = s[0]
     return None
+
+
+def _memo_key(p: Process) -> tuple:
+    """p as a flat tuple, read in one `walk`: each node's class, followed
+    by its binder name, variable name or tag.  Each class has a fixed
+    arity, so two keys are equal iff the processes are ==.  Building or
+    hashing a key recurses through no stack, k[...] or application
+    spine, however long; only a tag is hashed as a whole."""
+    key = []
+    for t, _, _ in walk(p):
+        cls = type(t)
+        if cls is Lam:
+            key += (cls, t.var)
+        elif cls is LVar:
+            key += (cls, t.name)
+        elif cls is Gamma:
+            key += (cls, t.tag)
+        else:
+            key.append(cls)
+    return tuple(key)
 
 
 def _tag_level(p: Process, k: int) -> Generator:

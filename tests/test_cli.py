@@ -117,6 +117,25 @@ def test_pole_member_on_a_long_written_stack(capsys, n):
     assert (code, out.strip()) == (0, "k=1")
 
 
+@pytest.mark.parametrize("n", [1200, 5000])
+def test_pole_member_on_a_long_stack_constant(capsys, n):
+    # the pole's memo key reads a k[...]'s entries in one walk, so a long
+    # one costs no recursion, as a premise process's stack entry too
+    kont = "k[" + ", ".join(["cc"] * n) + "]"
+    code, out = run(capsys, "pole-member", f"g{{_|_}} * {kont} . []")
+    assert (code, out.strip()) == (0, "k=1")
+    code, out = run(capsys, "pole-member", f"g{{_|_ -> _|_}} * {kont} . []")
+    assert (code, out.strip()) == (1, "not a member up to k=32")
+
+
+def test_pole_member_on_a_long_application_in_a_stack_entry(capsys):
+    # the premise process faces this entry; its memo key is read flat
+    body = " ".join(["x"] * 3001)
+    code, out = run(capsys, "pole-member",
+                    f"g{{_|_ -> _|_}} * (\\x. {body}) . []")
+    assert (code, out.strip()) == (1, "not a member up to k=32")
+
+
 def _conjunction_tag(n):
     # true head only when every a<i> is 1: the last of 2^n bit choices
     names = [f"a{i}" for i in range(n)]

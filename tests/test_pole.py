@@ -12,7 +12,8 @@ from realizability.formulas import (
 )
 from realizability.lcterms import (
     CC, EMPTY, Gamma, Kont, Lam, LVar, App, Process, SPush, canon_process,
-    constraint_of, free_lvars, iter_tags, stack_of, stack_to_list,
+    constraint_of, free_lvars, iter_tags, proc_alpha_eq, stack_of,
+    stack_to_list, subst_lc,
 )
 from realizability import pole
 from realizability.machine import evaluate, step
@@ -226,6 +227,79 @@ def test_least_level_matches_ladder_on_corpus(seed, k_max):
     cfg, memo = PoleConfig(k_max=k_max), {}
     for p in process_corpus(40, seed):
         assert in_pole_limit(p, cfg) == ladder_limit(p, k_max, memo), p
+
+
+def _renamed_apart(x, fresh):
+    """x with every lambda binder and every tag binder renamed to a name
+    of its own, drawn from `fresh`."""
+    if isinstance(x, Process):
+        return Process(_renamed_apart(x.term, fresh),
+                       _renamed_apart(x.stack, fresh))
+    if isinstance(x, SPush):
+        return SPush(_renamed_apart(x.head, fresh),
+                     _renamed_apart(x.tail, fresh))
+    if isinstance(x, App):
+        return App(_renamed_apart(x.fn, fresh), _renamed_apart(x.arg, fresh))
+    if isinstance(x, Lam):
+        y = f"y{next(fresh)}"
+        return Lam(y, _renamed_apart(subst_lc(x.body, x.var, LVar(y)), fresh))
+    if isinstance(x, Kont):
+        return Kont(_renamed_apart(x.stack, fresh))
+    if isinstance(x, Gamma):
+        return Gamma(_renamed_tag(x.tag, fresh))
+    return x
+
+
+def _renamed_tag(A, fresh):
+    if isinstance(A, Forall):
+        u = f"u{next(fresh)}"
+        body = subst_formula(A.body, [A.var], [Var(u)])
+        return Forall(u, _renamed_tag(body, fresh))
+    if isinstance(A, Impl):
+        return Impl(_renamed_tag(A.ante, fresh), _renamed_tag(A.cons, fresh))
+    return A
+
+
+def _corpus_with_tag_binders(seed):
+    """The seeded corpus processes, and each one's term and stack pushed
+    under a tag from the seeded formula corpus, whose binders reach the
+    premise processes."""
+    ps = process_corpus(40, seed)
+    return ps + [Process(Gamma(A), SPush(p.term, p.stack))
+                 for p, A in zip(ps, formula_corpus(40, seed))]
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 6))
+def test_renaming_binders_apart_keeps_the_level(seed, k_max):
+    # the pole's memo keys on processes as written, not up to alpha, so
+    # an original and its renamed copy are asked apart, through one memo,
+    # and must enter at the same level; the ladder keys on canon_process
+    cfg, memo, fresh = PoleConfig(k_max=k_max), {}, itertools.count()
+    for p in _corpus_with_tag_binders(seed):
+        q = _renamed_apart(p, fresh)
+        assert proc_alpha_eq(p, q)
+        level = in_pole_limit(p, cfg)
+        assert in_pole_limit(q, cfg) == level == ladder_limit(q, k_max, memo)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_memo_key_equal_iff_processes_equal(seed):
+    # a second build of the corpus gives equal processes that are other
+    # objects; a renamed copy of one with a binder is alpha-equivalent but
+    # not ==; the written pairs differ only in which binder a variable
+    # names, or in shape
+    ps = _corpus_with_tag_binders(seed)
+    ps += _corpus_with_tag_binders(seed)
+    ps += [parse_process(src) for src in (
+        r"(\x. \y. x) * []", r"(\x. \y. y) * []",
+        r"(\x. x) cc * []", r"(\x. x cc) * []")]
+    ps += [_renamed_apart(p, itertools.count()) for p in ps[:len(ps) // 2]]
+    keys = [pole._memo_key(p) for p in ps]
+    assert len(set(keys)) < len(keys)
+    for p, kp in zip(ps, keys):
+        for q, kq in zip(ps, keys):
+            assert (kp == kq) == (p == q), (p, q)
 
 
 # closed tags whose spine rebinds a name that an earlier premise reads
