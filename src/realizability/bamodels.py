@@ -16,18 +16,17 @@ formula is compiled once and each occurrence's terms are evaluated once,
 whatever the number of splits: once per `model_check` call, and once for
 the whole family in `valid_all_bas` and `TheoryOracle.membership`.
 
-The compiled check reads nothing but the tuple of cell sizes.  An
-untraced check caps each finite cell size at 2^r, with r quantifiers
-still to come; `model_check` gives the Ehrenfeucht-Fraisse argument.
-The infinite cells of the atomless algebra are never capped.  A
-quantifier occurrence that reads fewer variables than the cells split,
-and holds no depth guard, sees only the cells of its own free variables,
-whose sizes are sums of the finer ones (Feferman-Vaught).  One dict per
+The compiled check reads nothing but the tuple of cell sizes.  It caps
+each finite cell size at 2^r, with r quantifiers still to come;
+`model_check` gives the Ehrenfeucht-Fraisse argument.  The infinite
+cells of the atomless algebra are never capped.  A quantifier
+occurrence that reads fewer variables than the cells split, and holds
+no depth guard, sees only the cells of its own free variables, whose
+sizes are sums of the finer ones (Feferman-Vaught).  One dict per
 compiled check memoises every quantifier occurrence on (occurrence,
-sizes), so nothing outlives the call that compiled it.  A traced check
-neither caps, projects nor memoises, so its trace is that of the plain
-enumeration; `valid_all_bas` sweeps the family untraced and re-runs only
-the refuting member traced.
+sizes), so nothing outlives the call that compiled it.  The check
+answers None when the formula holds and its refutation path when it
+fails, so the one run that decides a formula also explains it.
 
 The public functions refuse an open formula at entry, each under its own
 name: `valid_all_bas` and `brute_check` by a `free_vars` walk,
@@ -116,11 +115,13 @@ def _column(i: int, ones: int) -> int:
 
 
 def _failing_split(body, options):
-    """The first split in options under which body fails, or None."""
+    """The first split in options under which body fails, with body's
+    refutation there, or None."""
     for combo in itertools.product(*options):
         outside, inside = zip(*combo)
-        if not body(outside + inside):
-            return combo
+        refutation = body(outside + inside)
+        if refutation is not None:
+            return combo, refutation
     return None
 
 
@@ -159,11 +160,15 @@ def _project(env: dict[str, int], width: int, names: list[str]):
             {name: _column(j, ones) for j, name in enumerate(names)})
 
 
-def _memoised(body, rank: int, getters, occ: int, memo: dict,
+_UNSEEN = object()  # a memo miss; None is the answer of a Forall that holds
+
+
+def _memoised(var: str, body, rank: int, getters, occ: int, memo: dict,
               split_memo: dict):
-    """The untraced closure of a Forall whose body has rank `rank`: it
+    """The closure of a Forall over var whose body has rank `rank`: it
     projects its sizes with getters (unless None), capping each sum at
-    2^(rank + 1), and enumerates splits capped at 2^rank on a memo miss."""
+    2^(rank + 1), and enumerates splits capped at 2^rank on a memo miss.
+    It answers None or (var, its first failing split, body's refutation)."""
     cap, bound = 1 << rank, 2 << rank
 
     def forall(sizes):
@@ -171,30 +176,49 @@ def _memoised(body, rank: int, getters, occ: int, memo: dict,
             sizes = tuple([bound if bound < s < math.inf else s
                            for s in [sum(g(sizes)) for g in getters]])
         key = (occ, sizes)
-        verdict = memo.get(key)
-        if verdict is None:
+        refutation = memo.get(key, _UNSEEN)
+        if refutation is _UNSEEN:
             options = []
             for s in sizes:
                 o = split_memo.get((s, cap))
                 if o is None:
                     o = split_memo[s, cap] = _splits(s, cap)
                 options.append(o)
-            verdict = memo[key] = _failing_split(body, options) is None
-        return verdict
+            found = _failing_split(body, options)
+            refutation = memo[key] = None if found is None else (var, *found)
+        return refutation
     return forall
 
 
-def model_check(A: Formula, spec: BASpec, *,
-                trace: list[str] | None = None) -> bool:
+def _trace(refutation) -> tuple[str, ...]:
+    """The lines of a refutation path, innermost first: the failing
+    inequation's cell sizes as the dict a split builds, cells m then
+    m | 2^(d-1) for m ascending, then each enclosing Forall's failing
+    split as {m: (size outside, size inside)} for m ascending."""
+    lines = []
+    while isinstance(refutation[0], str):  # a Forall's (var, split, body's)
+        var, combo, refutation = refutation
+        lines.append(f"forall {var}: failing split {dict(enumerate(combo))}")
+    half = len(refutation) // 2
+    shown = {i: refutation[i] for m in range(max(half, 1))
+             for i in (m, m + half)}
+    lines.append(f"inequation fails on cell sizes {shown}")
+    return tuple(reversed(lines))
+
+
+def model_check(A: Formula, spec: BASpec) -> bool:
     """Truth of a closed formula in the denoted algebra.
 
     One walk compiles the formula into a closure per occurrence of Neq,
     Impl and Forall.  Each closure takes only `sizes`, the tuple of the
     sizes of the cells it reads, indexed by cell: 2^d cells under d
-    quantifiers, fewer under a projection (below).  A Neq computes the
-    xor of its sides' cell bitsets as it compiles, since its binders are
-    known then, and keeps the cells that xor sets; it holds iff one of
-    those cells is nonempty.  A Forall nested under MAX_DEPTH
+    quantifiers, fewer under a projection (below).  It answers None when
+    its formula holds and a refutation when it fails: a Neq the sizes it
+    failed on, an Impl its consequent's refutation, a Forall its
+    variable, first failing split and body's refutation.  A Neq computes
+    the xor of its sides' cell bitsets as it compiles, since its binders
+    are known then, and keeps the cells that xor sets; it holds iff one
+    of those cells is nonempty.  A Forall nested under MAX_DEPTH
     others compiles, body unseen, to a closure that raises GuardExceeded,
     so the guard fires only if evaluation reaches it.
 
@@ -202,14 +226,14 @@ def model_check(A: Formula, spec: BASpec, *,
     is unbound where its Neq compiles or where a Forall projects, and the
     unseen body of a Forall past the guard has its free variables read.
 
-    Untraced, a Forall whose body has quantifier rank r caps each finite
-    child size at 2^r, and the unit is capped at 2^q for the formula's
-    rank q.  This is an Ehrenfeucht-Fraisse argument: two partitions whose
-    finite cells agree, or both have at least 2^r elements, satisfy the
-    same formulas of rank r, because a split (a, s - a) of a cell of size
-    s >= 2^r is answered by a split of any other such size whose parts,
-    capped at 2^(r-1), are the same; and the splits of 2c, capped at c,
-    give exactly the capped splits of any larger finite size, in the same
+    A Forall whose body has quantifier rank r caps each finite child size
+    at 2^r, and the unit is capped at 2^q for the formula's rank q.  This
+    is an Ehrenfeucht-Fraisse argument: two partitions whose finite cells
+    agree, or both have at least 2^r elements, satisfy the same formulas
+    of rank r, because a split (a, s - a) of a cell of size s >= 2^r is
+    answered by a split of any other such size whose parts, capped at
+    2^(r-1), are the same; and the splits of 2c, capped at c, give
+    exactly the capped splits of any larger finite size, in the same
     order of first occurrence.  So the first failing split is the same
     capped pair either way.  The guard's closure is a constant of rank 0:
     it raises whatever the sizes, so the cap does not change whether
@@ -217,45 +241,35 @@ def model_check(A: Formula, spec: BASpec, *,
     it is not equivalent to any finite size once r >= 2, since the rank-2
     sentence "some element is an atom" tells them apart.
 
-    Untraced, a Forall under d quantifiers whose free variables S are
-    fewer than d is projected: it reads the 2^|S| S-cells, each the union
-    of the cells that agree on S, so its size is their sum (infinite if
-    one of them is), capped at 2^R for the Forall's rank R.  Its body
-    compiles over S and its own variable.  This is Feferman-Vaught over
-    the cell partition: the Forall's truth depends only on the values of
-    its free variables, and the sizes of their cells fix those values up
-    to an automorphism of the algebra (in the atomless algebra, which
-    cells are nonzero do).  A Forall that holds the depth guard is not
-    projected: its projected splits come in another order than the
-    splits of every cell, so it could meet a failing split before the
-    guard where the plain enumeration meets the guard first, or the
-    other way round.  The free variables and nesting depth of each Forall
+    A Forall under d quantifiers whose free variables S are fewer than d
+    is projected: it reads the 2^|S| S-cells, each the union of the cells
+    that agree on S, so its size is their sum (infinite if one of them
+    is), capped at 2^R for the Forall's rank R.  Its body compiles over S
+    and its own variable.  This is Feferman-Vaught over the cell
+    partition: the Forall's truth depends only on the values of its free
+    variables, and the sizes of their cells fix those values up to an
+    automorphism of the algebra (in the atomless algebra, which cells are
+    nonzero do).  A Forall that holds the depth guard is not projected
+    (see `_compile`).  The free variables and nesting depth of each Forall
     are read once per compile, bottom-up from the terms' kept sets.  The
-    depth guard counts nested quantifiers, not cells.  Each untraced
-    Forall's verdict is memoised in one dict per compiled check, keyed on
-    (occurrence number, the sizes it reads), which fix the verdict
+    depth guard counts nested quantifiers, not cells.  Each Forall's
+    answer is memoised in one dict per compiled check, keyed on
+    (occurrence number, the sizes it reads), which fix the answer
     whatever the algebra; the dict lives as long as the compiled check,
     which `valid_all_bas` and `TheoryOracle.membership` run over each
     member of their family.  Each (size, cap) is split once per compiled
-    check too.
-
-    A traced run neither caps, projects nor memoises.  The trace shows
-    the cell sizes of a failing inequation as the dict a split builds,
-    cells m then m | 2^(d-1) for m ascending, and a failing split as
-    {m: (size outside, size inside)} for m ascending."""
-    return _compile(A, trace)(spec)
+    check too."""
+    return _compile(A)(spec) is None
 
 
-def _compile(A: Formula, trace: list[str] | None, who="model_check"):
+def _compile(A: Formula, who="model_check"):
     """model_check's compile step: the check of the closed formula A in a
-    spec, capped, projected and memoised iff trace is None; `who` names
-    the public caller that refuses an open A."""
-    capped = trace is None
+    spec, which answers None or A's refutation there; `who` names the
+    public caller that refuses an open A."""
     scopes: dict[int, tuple] = {}  # a Forall's id -> its free names, depth
-    if capped:
-        memo: dict[tuple, bool] = {}  # (occurrence, sizes) -> verdict
-        split_memo: dict[tuple, tuple] = {}  # (size, cap) -> its splits
-        occurrences = itertools.count()
+    memo: dict[tuple, tuple | None] = {}  # (occurrence, sizes) -> refutation
+    split_memo: dict[tuple, tuple] = {}  # (size, cap) -> its splits
+    occurrences = itertools.count()
 
     def compile_(f: Formula, env: dict[str, int], width: int, depth: int):
         """f's closure and quantifier rank under depth quantifiers; env maps
@@ -265,22 +279,13 @@ def _compile(A: Formula, trace: list[str] | None, who="model_check"):
             diff = (eval_term_01(f.lhs, env, ones)
                     ^ eval_term_01(f.rhs, env, ones))
             cells = [m for m in range(1 << width) if diff >> m & 1]
-
-            def neq(sizes):
-                if any(map(sizes.__getitem__, cells)):
-                    return True
-                if trace is not None:
-                    half = len(sizes) // 2
-                    shown = {i: sizes[i] for m in range(max(half, 1))
-                             for i in (m, m + half)}
-                    trace.append(f"inequation fails on cell sizes {shown}")
-                return False
-            return neq, 0
+            return (lambda sizes: None if any(map(sizes.__getitem__, cells))
+                    else sizes), 0
         if isinstance(f, Impl):
             ante, r_ante = compile_(f.ante, env, width, depth)
             cons, r_cons = compile_(f.cons, env, width, depth)
-            return (lambda sizes: not ante(sizes) or cons(sizes),
-                    max(r_ante, r_cons))
+            return (lambda sizes: None if ante(sizes) is not None
+                    else cons(sizes)), max(r_ante, r_cons)
         if not isinstance(f, Forall):
             raise TypeError(f"not a formula: {f!r}")
         if depth == MAX_DEPTH:
@@ -292,10 +297,13 @@ def _compile(A: Formula, trace: list[str] | None, who="model_check"):
                     f"quantifier depth {depth + 1} exceeds the guard of {MAX_DEPTH}")
             return too_deep, 0
         getters = None
-        if capped and width:
+        if width:
             kept, height = _scope(f, scopes)
-            # projecting reorders the splits, so a Forall that holds the
-            # guard keeps its cells, and the guard fires where it did
+            # projection must not change the answer that the cell order
+            # gives: the projected splits come in another order, so a
+            # Forall that holds the guard could meet a failing split
+            # before it where the cell order raises first, or the other
+            # way round; such a Forall keeps its cells
             if len(kept) < width and depth + height <= MAX_DEPTH:
                 if kept - env.keys():
                     raise UsageError("unbound variable in a projection")
@@ -305,15 +313,7 @@ def _compile(A: Formula, trace: list[str] | None, who="model_check"):
         cols = {name: col | col << half for name, col in env.items()}
         cols[f.var] = (1 << half) - 1 << half
         body, rank = compile_(f.body, cols, width + 1, depth + 1)
-        if not capped:
-            def traced(sizes):
-                combo = _failing_split(body, [_splits(s) for s in sizes])
-                if combo is not None:
-                    trace.append(f"forall {f.var}: failing split "
-                                 f"{dict(enumerate(combo))}")
-                return combo is None
-            return traced, rank + 1
-        return _memoised(body, rank, getters, next(occurrences), memo,
+        return _memoised(f.var, body, rank, getters, next(occurrences), memo,
                          split_memo), rank + 1
 
     try:
@@ -321,9 +321,9 @@ def _compile(A: Formula, trace: list[str] | None, who="model_check"):
     except UsageError:  # a Neq, a projection or the guard met a free name
         raise UsageError(f"{who} needs a closed formula, "
                          f"free: {sorted(_scope(A, scopes)[0])}") from None
-    top = 1 << rank if capped else math.inf
+    top = 1 << rank
 
-    def run(spec: BASpec) -> bool:
+    def run(spec: BASpec):
         if isinstance(spec, Atomless):
             return check((math.inf,))
         if spec.atoms > MAX_ATOMS:
@@ -483,24 +483,22 @@ def valid_all_bas(A: Formula,
     if just is not None:
         if eval_formula_01(A):
             return Verdict("valid", just)
-        tr: list[str] = []
-        try:  # only fills the trace: {0,1} has refuted A already
-            model_check(A, PowerFinite(1), trace=tr)
+        try:  # only for the trace: {0,1} has refuted A already
+            refutation = _compile(A)(PowerFinite(1))
         except GuardExceeded:
-            pass
-        return Verdict("refuted", witness=PowerFinite(1), trace=tuple(tr))
+            refutation = None
+        return Verdict("refuted", witness=PowerFinite(1),
+                       trace=_trace(refutation) if refutation else ())
     if is_prop_tautology(A):
         return Verdict("valid", Justification.TAUTOLOGY)
-    check = _compile(A, None)
+    check = _compile(A)
     for spec in family:
         try:
-            ok = check(spec)
+            refutation = check(spec)
         except GuardExceeded as e:
             return Verdict("unknown", detail=f"guard: {e}")
-        if not ok:  # the traced run answers as the untraced one did
-            tr = []
-            model_check(A, spec, trace=tr)
-            return Verdict("refuted", witness=spec, trace=tuple(tr))
+        if refutation is not None:
+            return Verdict("refuted", witness=spec, trace=_trace(refutation))
     return Verdict("unknown", detail="family-passed")
 
 
@@ -522,5 +520,5 @@ class TheoryOracle:
         self.family = tuple(self.family)
 
     def membership(self, A: Formula) -> bool:
-        check = _compile(A, None, "TheoryOracle.membership")
-        return all(check(spec) for spec in self.family)
+        check = _compile(A, "TheoryOracle.membership")
+        return all(check(spec) is None for spec in self.family)

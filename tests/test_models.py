@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -203,45 +204,41 @@ def test_guard_fires_as_in_the_cell_order():
     assert not TheoryOracle().membership(fails_first)
 
 
+def _trace_of(A, spec):
+    return bamodels._trace(bamodels._compile(A)(spec))
+
+
 def test_trace_on_failure():
-    trace = []
-    assert not model_check(parse_formula("forall z. z != 0"), PowerFinite(2),
-                           trace=trace)
-    assert trace
+    A = parse_formula("forall z. z != 0")
+    assert bamodels._compile(A)(PowerFinite(2)) is not None
+    assert _trace_of(A, PowerFinite(2))
+    assert bamodels._compile(parse_formula("0 != 1"))(PowerFinite(2)) is None
 
 
 def test_refutation_traces_are_pinned():
-    trace = []
-    assert not model_check(parse_formula("forall z. forall w. z /\\ w != 0"),
-                           PowerFinite(2), trace=trace)
-    assert trace == [
-        "inequation fails on cell sizes {0: 0, 2: 0, 1: 2, 3: 0}",
-        "forall w: failing split {0: (0, 0), 1: (2, 0)}",
+    # the sizes are those the check saw: z's cell of 2 is split whole, and
+    # w's body, of rank 0, sees the cell of 2 capped at 1
+    A = parse_formula("forall z. forall w. z /\\ w != 0")
+    assert _trace_of(A, PowerFinite(2)) == (
+        "inequation fails on cell sizes {0: 0, 2: 0, 1: 1, 3: 0}",
+        "forall w: failing split {0: (0, 0), 1: (1, 0)}",
         "forall z: failing split {0: (0, 2)}",
-    ]
-    # some nonzero element has no nonzero element strictly below it
+    )
+    # some nonzero element has no nonzero element strictly below it: the
+    # refutation of this exists is the truth of a universal, which has no
+    # failing split, so only the final inequation shows
     has_atom = parse_formula(
         "(forall z. z != 0 -> "
         "(forall w. (w /\\ z == w -> w != 0 -> w == z)) -> _|_) -> _|_")
-    trace = []
-    assert not model_check(has_atom, Atomless(), trace=trace)
-    assert trace == [
-        "inequation fails on cell sizes {0: inf, 2: inf, 1: inf, 3: inf}",
-        "inequation fails on cell sizes {0: inf, 2: inf, 1: inf, 3: 0}",
-        "inequation fails on cell sizes {0: inf, 2: inf, 1: 0, 3: inf}",
-        "inequation fails on cell sizes {0: inf, 2: 0, 1: inf, 3: inf}",
-        "inequation fails on cell sizes {0: inf, 2: 0, 1: inf, 3: inf}",
-        "forall w: failing split {0: (inf, 0), 1: (inf, inf)}",
-        "inequation fails on cell sizes {0: inf, 1: 0}",
-        "inequation fails on cell sizes {0: 0, 2: 0, 1: inf, 3: inf}",
-        "inequation fails on cell sizes {0: 0, 2: 0, 1: inf, 3: inf}",
-        "forall w: failing split {0: (0, 0), 1: (inf, inf)}",
-        "inequation fails on cell sizes {0: inf}",
-    ]
+    assert _trace_of(has_atom, Atomless()) == (
+        "inequation fails on cell sizes {0: inf}",)
 
 
-def _reference_model_check(A, spec, trace):
-    # the per-cell evaluator that the bitwise term values replaced
+@functools.cache
+def _reference_model_check(A, spec):
+    """The per-cell evaluator that the bitwise term values replaced: A's
+    truth in spec, and its failing path innermost first (None if A
+    holds).  It neither caps, projects nor memoises."""
     atomless = isinstance(spec, Atomless)
 
     def cells(a, env, masks):
@@ -251,13 +248,13 @@ def _reference_model_check(A, spec, trace):
     def go(f, env, sizes, depth):
         if isinstance(f, Neq):
             diff = cells(f.lhs, env, sizes) ^ cells(f.rhs, env, sizes)
-            hit = any(sizes[m] for m in diff)
-            if not hit:
-                trace.append(f"inequation fails on cell sizes {sizes}")
-            return hit
+            if any(sizes[m] for m in diff):
+                return None
+            return [f"inequation fails on cell sizes {sizes}"]
         if isinstance(f, Impl):
-            return (not go(f.ante, env, sizes, depth)
-                    or go(f.cons, env, sizes, depth))
+            if go(f.ante, env, sizes, depth) is None:
+                return go(f.cons, env, sizes, depth)
+            return None
         env2 = {**env, f.var: depth}
         masks = sorted(sizes)
         options = [_splits(sizes[m]) for m in masks]
@@ -266,33 +263,42 @@ def _reference_model_check(A, spec, trace):
             for m, (s0, s1) in zip(masks, combo):
                 sub[m] = s0
                 sub[m | 1 << depth] = s1
-            if not go(f.body, env2, sub, depth + 1):
+            path = go(f.body, env2, sub, depth + 1)
+            if path is not None:
                 picked = dict(zip(masks, combo))
-                trace.append(f"forall {f.var}: failing split {picked}")
-                return False
-        return True
+                return path + [f"forall {f.var}: failing split {picked}"]
+        return None
 
-    return go(A, {}, {0: math.inf if atomless else spec.atoms}, 0)
+    path = go(A, {}, {0: math.inf if atomless else spec.atoms}, 0)
+    return path is None, path and tuple(path)
 
 
-def test_model_check_matches_per_cell_reference():
+def test_model_check_matches_per_cell_reference(monkeypatch):
     specs = [PowerFinite(k) for k in (1, 2, 3, 4, 6)] + [Atomless()]
     answers = []
+    traced = 0
     inputs = [a for seed in (1, 2, 3, 4)
               for a in formula_corpus(200, seed=seed, height=4)]
     inputs += _sweep_sentences(5, 2, 12) + _sweep_sentences(6, 3, 4)
     inputs += [theta(elem(n, val(n, i)))
                for n in (0, 1, 2) for i in range(level_size(n))]
     inputs += _shared_neq_formulas()
+    projections = _counting(monkeypatch, "_project")
     for a in inputs:
         for spec in specs:
-            got, want = [], []
-            answers.append(model_check(a, spec, trace=got))
-            assert answers[-1] == _reference_model_check(a, spec, want)
-            assert got == want
-            # untraced, model_check caps cell sizes and memoises
-            assert model_check(a, spec) == answers[-1]
+            projections.clear()
+            refutation = bamodels._compile(a)(spec)
+            verdict, path = _reference_model_check(a, spec)
+            answers.append(refutation is None)
+            assert answers[-1] == verdict
+            # no cap bites on one atom or on infinite cells; elsewhere, or
+            # under a projection, the check sees other sizes
+            if path and not projections and spec in (PowerFinite(1),
+                                                      Atomless()):
+                assert bamodels._trace(refutation) == path, (a, spec)
+                traced += 1
     assert 0 < sum(answers) < len(answers)
+    assert traced > 500
 
 
 CAP_SPECS = [PowerFinite(k) for k in range(1, 7)] + [Atomless()]
@@ -403,16 +409,16 @@ def test_projection_matches_per_cell_reference():
                for n in (0, 1, 2) for i in range(level_size(n))]
     answers = []
     for a in inputs:
-        check = bamodels._compile(a, None)
-        answers.append([check(spec) for spec in CAP_SPECS])
-        assert answers[-1] == [_reference_model_check(a, spec, [])
+        check = bamodels._compile(a)
+        answers.append([check(spec) is None for spec in CAP_SPECS])
+        assert answers[-1] == [_reference_model_check(a, spec)[0]
                                for spec in CAP_SPECS], a
     flat = [x for row in answers for x in row]
     assert 0.2 < sum(flat) / len(flat) < 0.8
     # the reference takes 30 s over these; the two cap tests pin B
     for A, want in _projected_blocks():
-        check = bamodels._compile(A, None)
-        assert [check(spec) for spec in CAP_SPECS] == want
+        check = bamodels._compile(A)
+        assert [check(spec) is None for spec in CAP_SPECS] == want
 
 
 def test_closed_block_is_enumerated_once_per_projected_sizes(monkeypatch):
@@ -465,26 +471,32 @@ def test_one_compile_per_family_sweep(monkeypatch):
     assert len(calls) == 2 * 2 * 2
 
 
-def test_only_a_refutation_runs_traced(monkeypatch):
-    calls = _counting(monkeypatch, "model_check")
+def test_validity_compiles_once_and_never_calls_model_check(monkeypatch):
+    # the one family sweep, or the one {0,1} run of a ground or Horn
+    # refutation, gives the verdict and its trace
+    checks = _counting(monkeypatch, "model_check")
+    compiles = _counting(monkeypatch, "_compile")
     has_atom = parse_formula(
         "(forall z. z != 0 -> "
         "(forall w. (w /\\ z == w -> w != 0 -> w == z)) -> _|_) -> _|_")
-    v = valid_all_bas(has_atom)
-    assert v.is_refuted and v.witness == Atomless()
-    assert [(args[1], kwargs["trace"] is not None)
-            for args, kwargs in calls] == [(Atomless(), True)]
-    assert len(v.trace) == 11
-    calls.clear()
+    # (sentence, status, trace lines); {0,1} refutes SEVEN_FORALLS a == 0
+    # with no trace, since its run meets the depth guard
+    for A, status, lines in [
+            (has_atom, "refuted", 1),
+            (parse_formula("forall z. forall w. z /\\ w != 0"), "refuted", 3),
+            (parse_formula("0 != 0"), "refuted", 1),
+            (parse_formula(SEVEN_FORALLS + "a == 0"), "refuted", 0),
+            (parse_formula("forall z. forall w. z /\\ w != 0 -> z != 0"),
+             "unknown", 0),
+            (parse_formula(SEVEN_FORALLS + "a != 0 -> a != 1"), "unknown", 0)]:
+        compiles.clear()
+        v = valid_all_bas(A)
+        assert (v.status, len(v.trace), len(compiles)) == (status, lines, 1), A
+    compiles.clear()
     for text in ("0 != 1", "forall z. forall w. z /\\ w == w /\\ z",
                  "forall x. (x != 0 -> forall y. x != 0)"):
         assert valid_all_bas(parse_formula(text)).is_valid
-    assert valid_all_bas(parse_formula(
-        "forall z. forall w. z /\\ w != 0 -> z != 0")).status == "unknown"
-    past_guard = parse_formula(SEVEN_FORALLS + "a != 0 -> a != 1")
-    assert valid_all_bas(past_guard).detail == (
-        "guard: quantifier depth 7 exceeds the guard of 6")
-    assert calls == []
+    assert compiles == [] and checks == []
 
 
 def _sweep_sentences(seed, depth, n):
