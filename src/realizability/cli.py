@@ -3,7 +3,8 @@
 Exit codes: 0 success/true/valid, 1 false/refuted, 2 unknown or
 inconclusive (a model-checking guard, a rank above 3, too deep nesting),
 64 usage error, 65 parse error, 70 internal error (any other exception).
-With --json, every result is one JSON object per line.
+With --json, given before or after the subcommand, every result is one
+JSON object per line.
 """
 
 from __future__ import annotations
@@ -236,79 +237,87 @@ def build_parser() -> argparse.ArgumentParser:
         prog="realiz",
         description="Machine, models and checks for tagged lambda calculus "
                     "over Boolean-algebra theories.")
-    ap.add_argument("--json", action="store_true",
-                    help="one JSON object per result line")
+    json_help = "one JSON object per result line"
+    ap.add_argument("--json", action="store_true", help=json_help)
+    # --json may also follow the subcommand; that copy sets nothing when
+    # absent, so it leaves a --json given before the subcommand in place
+    after = argparse.ArgumentParser(add_help=False)
+    after.add_argument("--json", action="store_true",
+                       default=argparse.SUPPRESS, help=json_help)
     sub = ap.add_subparsers(dest="cmd", required=True)
+
+    def command(name: str, help: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, help=help, parents=[after])
 
     def fam(p):
         p.add_argument("--family", type=parse_family, default=DEFAULT_FAMILY,
                        help="comma list of pfN and atomless")
 
-    p = sub.add_parser("parse", help="parse and reprint")
+    p = command("parse", help="parse and reprint")
     p.add_argument("kind", choices=("term", "formula", "lcterm", "stack",
                                     "process"))
     p.add_argument("source")
     p.set_defaults(fn=cmd_parse)
 
-    p = sub.add_parser("eval", help="run the machine")
+    p = command("eval", help="run the machine")
     p.add_argument("process")
     p.add_argument("--fuel", type=int, default=1000)
     p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("typecheck", help="check a derivation file ('-' = stdin)")
+    p = command("typecheck", help="check a derivation file ('-' = stdin)")
     p.add_argument("file")
     p.set_defaults(fn=cmd_typecheck)
 
-    p = sub.add_parser("validity", help="truth in all Boolean algebras >= 2")
+    p = command("validity", help="truth in all Boolean algebras >= 2")
     p.add_argument("formula")
     fam(p)
     p.set_defaults(fn=cmd_validity)
 
-    p = sub.add_parser("theory", help="membership in a family theory")
+    p = command("theory", help="membership in a family theory")
     p.add_argument("--contains", required=True)
     fam(p)
     p.set_defaults(fn=cmd_theory)
 
-    p = sub.add_parser("pole-member", help="bounded pole membership")
+    p = command("pole-member", help="bounded pole membership")
     p.add_argument("process")
     p.add_argument("--k", type=int, default=32)
     p.set_defaults(fn=cmd_pole_member)
 
-    p = sub.add_parser("realizes", help="bounded realizability report")
+    p = command("realizes", help="bounded realizability report")
     p.add_argument("term")
     p.add_argument("formula")
     p.add_argument("--depth", type=int, default=2)
     p.add_argument("--k-max", type=int, default=32)
     p.set_defaults(fn=cmd_realizes)
 
-    p = sub.add_parser("denote", help="model component of a machine term")
+    p = command("denote", help="model component of a machine term")
     p.add_argument("term")
     p.add_argument("--rank", type=int, default=2)
     p.set_defaults(fn=cmd_denote)
 
-    p = sub.add_parser("lattice", help="finite lattice sizes and elements")
+    p = command("lattice", help="finite lattice sizes and elements")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--list", action="store_true")
     p.set_defaults(fn=cmd_lattice)
 
-    p = sub.add_parser("theta", help="synthesize a formula for an element")
+    p = command("theta", help="synthesize a formula for an element")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--element", type=int, required=True)
     p.set_defaults(fn=cmd_theta)
 
-    p = sub.add_parser("seq-check", help="sequentialisability of an element")
+    p = command("seq-check", help="sequentialisability of an element")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--element", type=int, required=True)
     fam(p)
     p.set_defaults(fn=cmd_seq_check)
 
-    p = sub.add_parser("corpus", help="reproducible random corpora")
+    p = command("corpus", help="reproducible random corpora")
     p.add_argument("kind", choices=("formulas", "terms"))
     p.add_argument("--size", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_corpus)
 
-    p = sub.add_parser("suite", help="run the acceptance checks")
+    p = command("suite", help="run the acceptance checks")
     p.add_argument("only", nargs="?", help="criterion index or name fragment")
     p.set_defaults(fn=cmd_suite)
 

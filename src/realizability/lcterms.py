@@ -13,78 +13,133 @@ and `typecheck`.
 
 First-order variables (inside tags) and lambda variables are disjoint
 sorts: `subst_lc` never descends into tags.
+
+Nodes are slotted, frozen dataclasses, so a node that many terms and
+machine states share cannot change under them.  An App or Lam keeps its
+printed text on the node itself, as formulas' Or and And do: a cache
+keyed on `id` would hand the text of a collected node to a new node that
+reuses its id, and the machine makes and drops nodes at every step.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator
 
-from .formulas import Formula, canon as canon_formula, conj_many, UsageError
+from .formulas import (
+    Formula, UsageError, _set, canon as canon_formula, conj_many,
+)
 
 
 @dataclass(frozen=True)
 class LcTerm:
-    pass
+    __slots__ = ()
 
+    def __reduce__(self):
+        # copy and pickle rebuild a term from its fields, so what an App or
+        # Lam keeps (its printed text) is printed again
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
+# The one- and two-field classes set their slots in their own __init__
+# through `_set`, as formulas' Or and And do.  App and Lam keep their
+# printed text (unparenthesized, set by `syntax.print_lcterm`) in the slot
+# `_text`, which their __init__ sets to None.  It is not a field, so ==,
+# hash, repr and `fields` are the plain dataclass's.
 
 @dataclass(frozen=True)
 class LVar(LcTerm):
+    __slots__ = ("name",)
     name: str
+
+    def __init__(self, name: str) -> None:
+        _set(self, "name", name)
 
 
 @dataclass(frozen=True)
 class App(LcTerm):
+    __slots__ = ("fn", "arg", "_text")
     fn: LcTerm
     arg: LcTerm
+
+    def __init__(self, fn: LcTerm, arg: LcTerm) -> None:
+        _set(self, "fn", fn)
+        _set(self, "arg", arg)
+        _set(self, "_text", None)
 
 
 @dataclass(frozen=True)
 class Lam(LcTerm):
+    __slots__ = ("var", "body", "_text")
     var: str
     body: LcTerm
+
+    def __init__(self, var: str, body: LcTerm) -> None:
+        _set(self, "var", var)
+        _set(self, "body", body)
+        _set(self, "_text", None)
 
 
 @dataclass(frozen=True)
 class Cc(LcTerm):
-    pass
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
 class Kont(LcTerm):
+    __slots__ = ("stack",)
     stack: "StackT"
+
+    def __init__(self, stack: "StackT") -> None:
+        _set(self, "stack", stack)
 
 
 @dataclass(frozen=True)
 class Gamma(LcTerm):
+    __slots__ = ("tag",)
     tag: Formula
+
+    def __init__(self, tag: Formula) -> None:
+        _set(self, "tag", tag)
 
 
 @dataclass(frozen=True)
 class StackT:
-    pass
+    __slots__ = ()
+    __reduce__ = LcTerm.__reduce__
 
 
 @dataclass(frozen=True)
 class SEmpty(StackT):
-    pass
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
 class SPush(StackT):
     """A closed term on top of a stack.  Checked by the parser, and by
     `pole.in_pole` for a process's own stack; kept by `machine`."""
+    __slots__ = ("head", "tail")
     head: LcTerm
     tail: StackT
+
+    def __init__(self, head: LcTerm, tail: StackT) -> None:
+        _set(self, "head", head)
+        _set(self, "tail", tail)
 
 
 @dataclass(frozen=True)
 class Process:
     """A closed term facing a stack.  Checked where processes enter (the
     parser, `pole.in_pole`, `pole.realizes_bounded`), kept by `machine`."""
+    __slots__ = ("term", "stack")
     term: LcTerm
     stack: StackT
+    __reduce__ = LcTerm.__reduce__
+
+    def __init__(self, term: LcTerm, stack: StackT) -> None:
+        _set(self, "term", term)
+        _set(self, "stack", stack)
 
 
 CC = Cc()
@@ -152,19 +207,21 @@ def _closed(t: LcTerm, what: str) -> LcTerm:
 def subst_lc(t: LcTerm, x: str, u: LcTerm) -> LcTerm:
     """t[x := u] for a closed u.  No binder can capture a closed term, so
     nothing is renamed."""
+    return _subst(t, x, u)
 
-    def go(t: LcTerm) -> LcTerm:
-        if isinstance(t, LVar):
-            return u if t.name == x else t
-        if isinstance(t, App):
-            return App(go(t.fn), go(t.arg))
-        if isinstance(t, Lam):
-            return t if t.var == x else Lam(t.var, go(t.body))
-        if isinstance(t, (Cc, Kont, Gamma)):
-            return t
-        raise TypeError(f"not a term: {t!r}")
 
-    return go(t)
+def _subst(t: LcTerm, x: str, u: LcTerm) -> LcTerm:
+    """subst_lc's recursion, dispatched on the node's exact class."""
+    cls = type(t)
+    if cls is App:
+        return App(_subst(t.fn, x, u), _subst(t.arg, x, u))
+    if cls is LVar:
+        return u if t.name == x else t
+    if cls is Lam:
+        return t if t.var == x else Lam(t.var, _subst(t.body, x, u))
+    if cls is Cc or cls is Kont or cls is Gamma:
+        return t
+    raise TypeError(f"not a term: {t!r}")
 
 
 def iter_tags(x) -> Iterator[Formula]:

@@ -28,16 +28,18 @@ from .lcterms import App, Cc, Kont, Lam, Process, SPush, subst_lc
 
 
 def step(p: Process) -> tuple[Process, str] | None:
-    """The unique successor and the rule that produced it, if any."""
+    """The unique successor and the rule that produced it, if any.  The
+    rule is chosen by the exact class of the term and of the stack."""
     t, pi = p.term, p.stack
-    if isinstance(t, App):
+    cls = type(t)
+    if cls is App:
         return Process(t.fn, SPush(t.arg, pi)), "Push"
-    if isinstance(pi, SPush):
-        if isinstance(t, Lam):
+    if type(pi) is SPush:
+        if cls is Lam:
             return Process(subst_lc(t.body, t.var, pi.head), pi.tail), "Grab"
-        if isinstance(t, Cc):
+        if cls is Cc:
             return Process(pi.head, SPush(Kont(pi.tail), pi.tail)), "Save"
-        if isinstance(t, Kont):
+        if cls is Kont:
             return Process(pi.head, t.stack), "Restore"
     return None
 

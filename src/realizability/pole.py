@@ -23,9 +23,12 @@ raises GuardExceeded; the union is semi-decided up to k_max.
 The pole consults no theory: a tag's witness bits are checked by
 evaluating its head equality in {0,1}.
 
-The two-level decomposition is formulas.decompose applied twice by
-_witnesses: once to the tag, then once to each premise under the bits in
-scope at its block.  Both reads keep the formula's own binder names.
+The two-level decomposition is formulas.decompose applied twice: once
+to the tag, then once to each premise, whose witnesses are read under
+the bits in scope at its block.  Both reads keep the formula's own
+binder names.  PoleConfig.decomposed keeps both reads for each tag that
+_tag_level meets, so a tag that faces many stacks or budgets is read
+once.
 Every variable the pole reads gets a bit, and a bit cannot be captured,
 so nothing is renamed.
 
@@ -45,8 +48,8 @@ from typing import Generator, Iterator
 
 from .bamodels import GuardExceeded, MAX_PROP_ATOMS, Verdict, valid_all_bas
 from .formulas import (
-    Formula, Impl, ONE, UsageError, ZERO, bot, decompose, eval_term_01,
-    free_vars, subst_formula,
+    Decomposition, Formula, Impl, ONE, UsageError, ZERO, bot, decompose,
+    eval_term_01, free_vars, subst_formula,
 )
 from .lcterms import (
     EMPTY, Gamma, LVar, Lam, LcTerm, Process, SPush, StackT, constraint_of,
@@ -59,6 +62,9 @@ from .machine import step
 class PoleConfig:
     k_max: int = 32
     memo: dict = field(default_factory=dict, repr=False)
+    # id of a tag -> (the tag, its decomposition, those of its premises);
+    # holding the tag keeps its id from passing to another formula
+    decomposed: dict = field(default_factory=dict, repr=False, init=False)
 
 
 def _subst_bits(A: Formula, env: dict[str, int]) -> Formula:
@@ -76,7 +82,12 @@ def _witnesses(A: Formula, env: dict[str, int] | None = None
     decompose leaves it out; a name bound in two blocks takes the later
     binder's bit from that binder on.  A call visits at most
     2^MAX_PROP_ATOMS choices and raises GuardExceeded on the next one."""
-    d, env = decompose(A), env or {}
+    return _witnesses_of(decompose(A), env or {})
+
+
+def _witnesses_of(d: Decomposition, env: dict[str, int]
+                  ) -> Iterator[list[tuple[Formula, dict[str, int]]]]:
+    """_witnesses of the formula that d decomposes."""
     names = [v for vs, _ in d.blocks for v in vs] + list(d.tail_vars)
     rows = itertools.product((0, 1), repeat=len(names))
     for row, bits in enumerate(rows):
@@ -139,7 +150,8 @@ def _least_level(p: Process, k: int, cfg: PoleConfig) -> Generator:
             key = (_memo_key(p), k - steps)
             level = cfg.memo.get(key)
             if level is None:
-                level = cfg.memo[key] = yield from _tag_level(p, k - steps)
+                level = cfg.memo[key] = yield from _tag_level(
+                    p, k - steps, cfg.decomposed)
             return steps + level if level else None
         s = step(p)
         if s is None:
@@ -168,11 +180,19 @@ def _memo_key(p: Process) -> tuple:
     return tuple(key)
 
 
-def _tag_level(p: Process, k: int) -> Generator:
+def _tag_level(p: Process, k: int, decomposed: dict) -> Generator:
     """The least level ≤ k of a tagged instruction facing a stack, or 0;
-    it asks its premise questions as _least_level does."""
+    it asks its premise questions as _least_level does.  A tag and each
+    of its premises are decomposed once per PoleConfig: the same tag
+    meets many stacks and budgets, and every witness names the same
+    premises in the same order."""
+    tag = p.term.tag
+    kept = decomposed.get(id(tag))
+    if kept is None:
+        kept = decomposed[id(tag)] = (tag, decompose(tag), [])
+    _, d, premise_ds = kept
     best = 0
-    for premises in _witnesses(p.term.tag):
+    for premises in _witnesses_of(d, {}):
         ts, pi = [], p.stack
         for _ in premises:
             if not isinstance(pi, SPush):
@@ -180,7 +200,7 @@ def _tag_level(p: Process, k: int) -> Generator:
             ts.append(pi.head)
             pi = pi.tail
         worst = 1
-        for q in _premises(premises, ts, pi):
+        for q in _premises(premises, ts, pi, premise_ds):
             level = yield q, k - 1
             if not level:
                 break
@@ -193,12 +213,17 @@ def _tag_level(p: Process, k: int) -> Generator:
 
 
 def _premises(premises: list[tuple[Formula, dict[str, int]]],
-              ts: list[LcTerm], pi: StackT) -> Iterator[Process]:
+              ts: list[LcTerm], pi: StackT,
+              decomposed: list[Decomposition]) -> Iterator[Process]:
     """The processes that one witness obliges to enter the pole: each
     stack entry facing the sub-tags of every true-head instance of its
-    premise."""
-    for t, (premise, scope) in zip(ts, premises):
-        for subs in _witnesses(premise, scope):
+    premise.  decomposed holds the decompositions of the first premises,
+    kept for the tag, and one is added for each premise reached for the
+    first time."""
+    for i, (t, (premise, scope)) in enumerate(zip(ts, premises)):
+        if i == len(decomposed):
+            decomposed.append(decompose(premise))
+        for subs in _witnesses_of(decomposed[i], scope):
             tags = (Gamma(_subst_bits(sub, env)) for sub, env in subs)
             yield Process(t, stack_of(*tags, tail=pi))
 

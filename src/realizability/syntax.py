@@ -362,28 +362,41 @@ def _formula(f: Formula, prec: int) -> str:
 
 
 def print_lcterm(t: LcTerm, prec: int = 0) -> str:
-    # precedence: lambda=0, application=1, atom=2
+    """t's text at precedence prec: a lambda 0, an application 1, an atom
+    2; a lambda body extends right, so a lambda parenthesizes at prec > 0.
+    Machine states share their subterms, so an App or Lam keeps its text,
+    unparenthesized, in its `_text` slot from its first print on, and the
+    caller adds the parentheses that prec needs, as `_bterm` does.  Other
+    nodes keep nothing.  An application spine is printed with one loop
+    and one join, down to the first link that holds its text, so it has
+    no length limit and no link copies the text below it."""
     kind = type(t)
+    if kind is App:
+        s = t._text
+        if s is None:
+            fn, parts = t.fn, [print_lcterm(t.arg, 2)]
+            while type(fn) is App and fn._text is None:
+                parts.append(print_lcterm(fn.arg, 2))
+                fn = fn.fn
+            parts.append(print_lcterm(fn, 1))
+            parts.reverse()
+            s = " ".join(parts)
+            _set(t, "_text", s)
+        return f"({s})" if prec > 1 else s
     if kind is LVar:
         return t.name
-    if kind is App:  # the whole spine in one loop and one join
-        fn, parts = t.fn, [print_lcterm(t.arg, 2)]
-        while type(fn) is App:
-            parts.append(print_lcterm(fn.arg, 2))
-            fn = fn.fn
-        parts.append(print_lcterm(fn, 1))
-        parts.reverse()
-        s = " ".join(parts)
-        return f"({s})" if prec > 1 else s
     if kind is Lam:
-        s = f"\\{t.var}. {print_lcterm(t.body, 0)}"
+        s = t._text
+        if s is None:
+            s = f"\\{t.var}. {print_lcterm(t.body, 0)}"
+            _set(t, "_text", s)
         return f"({s})" if prec > 0 else s
     if kind is Cc:
         return "cc"
     if kind is Kont:
         entries = []
         pi = t.stack
-        while isinstance(pi, SPush):
+        while type(pi) is SPush:
             entries.append(print_lcterm(pi.head, 0))
             pi = pi.tail
         return "k[" + ", ".join(entries) + "]"

@@ -288,6 +288,24 @@ def test_json_mode(capsys):
     assert rec["status"] == "valid"
 
 
+@pytest.mark.parametrize("command", [
+    ("validity", "forall z. z != 0"),
+    ("validity", "0 != 1"),
+    ("theta", "--rank", "2", "--element", "3"),
+    ("pole-member", "g{_|_} * []", "--k", "1"),
+    ("pole-member", "g{_|_ -> _|_} * []"),
+])
+def test_json_before_or_after_the_subcommand(capsys, command):
+    name, *rest = command
+    before = run(capsys, "--json", name, *rest)
+    assert json.loads(before[1].splitlines()[-1])
+    assert run(capsys, name, "--json", *rest) == before
+    assert run(capsys, name, *rest, "--json") == before
+    # the copy after the subcommand does not reset one given before it
+    assert run(capsys, "--json", name, *rest, "--json") == before
+    assert run(capsys, name, *rest)[1] != before[1]
+
+
 SEVEN_FORALLS = ("forall a. forall b. forall c. forall d. forall e. "
                  "forall f. forall g. a != 0")
 
