@@ -29,9 +29,9 @@ answers None when the formula holds and its refutation path when it
 fails, so the one run that decides a formula also explains it.
 
 The public functions refuse an open formula at entry, each under its own
-name: `valid_all_bas` and `brute_check` by a `free_vars` walk,
-`model_check` and `TheoryOracle.membership` as they compile.  Past the
-entry a formula is known closed, so a Horn shape is a Horn clause.
+name, by one `formulas.closed` check; nothing past the entry checks
+again.  There a formula is known closed, so a Horn shape is a Horn clause
+and the compile step finds every variable bound.
 
 On top sits a three-valued validity layer for "true in every Boolean
 algebra with at least two elements": complete fragments (ground sentences,
@@ -50,7 +50,7 @@ from typing import Sequence
 
 from .formulas import (
     And, Formula, Forall, HornKind, Impl, Neq, Not, One, Or, UsageError,
-    Var, Zero, eval_formula_01, eval_term_01, free_vars, horn_shape,
+    Var, Zero, closed, eval_formula_01, eval_term_01, horn_shape,
     is_ground, term_vars,
 )
 
@@ -222,10 +222,6 @@ def model_check(A: Formula, spec: BASpec) -> bool:
     others compiles, body unseen, to a closure that raises GuardExceeded,
     so the guard fires only if evaluation reaches it.
 
-    Compiling checks closedness with no `free_vars` walk: a free variable
-    is unbound where its Neq compiles or where a Forall projects, and the
-    unseen body of a Forall past the guard has its free variables read.
-
     A Forall whose body has quantifier rank r caps each finite child size
     at 2^r, and the unit is capped at 2^q for the formula's rank q.  This
     is an Ehrenfeucht-Fraisse argument: two partitions whose finite cells
@@ -259,13 +255,13 @@ def model_check(A: Formula, spec: BASpec) -> bool:
     which `valid_all_bas` and `TheoryOracle.membership` run over each
     member of their family.  Each (size, cap) is split once per compiled
     check too."""
+    closed(A, "model_check")
     return _compile(A)(spec) is None
 
 
-def _compile(A: Formula, who="model_check"):
+def _compile(A: Formula):
     """model_check's compile step: the check of the closed formula A in a
-    spec, which answers None or A's refutation there; `who` names the
-    public caller that refuses an open A."""
+    spec, which answers None or A's refutation there."""
     scopes: dict[int, tuple] = {}  # a Forall's id -> its free names, depth
     memo: dict[tuple, tuple | None] = {}  # (occurrence, sizes) -> refutation
     split_memo: dict[tuple, tuple] = {}  # (size, cap) -> its splits
@@ -289,9 +285,6 @@ def _compile(A: Formula, who="model_check"):
         if not isinstance(f, Forall):
             raise TypeError(f"not a formula: {f!r}")
         if depth == MAX_DEPTH:
-            if _scope(f, scopes)[0] - env.keys():
-                raise UsageError("unbound variable under the guard")
-
             def too_deep(sizes):
                 raise GuardExceeded(
                     f"quantifier depth {depth + 1} exceeds the guard of {MAX_DEPTH}")
@@ -305,8 +298,6 @@ def _compile(A: Formula, who="model_check"):
             # before it where the cell order raises first, or the other
             # way round; such a Forall keeps its cells
             if len(kept) < width and depth + height <= MAX_DEPTH:
-                if kept - env.keys():
-                    raise UsageError("unbound variable in a projection")
                 getters, env = _project(env, width, sorted(kept))
                 width = len(kept)
         half = 1 << width  # cell m + half is cell m inside f.var
@@ -316,11 +307,7 @@ def _compile(A: Formula, who="model_check"):
         return _memoised(f.var, body, rank, getters, next(occurrences), memo,
                          split_memo), rank + 1
 
-    try:
-        check, rank = compile_(A, {}, 0, 0)
-    except UsageError:  # a Neq, a projection or the guard met a free name
-        raise UsageError(f"{who} needs a closed formula, "
-                         f"free: {sorted(_scope(A, scopes)[0])}") from None
+    check, rank = compile_(A, {}, 0, 0)
     top = 1 << rank
 
     def run(spec: BASpec):
@@ -334,9 +321,7 @@ def _compile(A: Formula, who="model_check"):
 
 def brute_check(A: Formula, k: int) -> bool:
     """Truth in {0,1}^k by direct enumeration; elements are k-bit masks."""
-    if free := free_vars(A):
-        raise UsageError(f"brute_check needs a closed formula, "
-                         f"free: {sorted(free)}")
+    closed(A, "brute_check")
     if not 1 <= k <= 3:
         raise UsageError(f"brute_check supports 1 <= k <= 3, got {k}")
     full = (1 << k) - 1
@@ -469,9 +454,7 @@ def valid_all_bas(A: Formula,
     """Three-valued verdict on truth in every Boolean algebra with at
     least two elements.  An empty family would pass every formula, so it
     is refused."""
-    if free := free_vars(A):
-        raise UsageError(f"valid_all_bas needs a closed formula, "
-                         f"free: {sorted(free)}")
+    closed(A, "valid_all_bas")
     if not family:
         raise UsageError("valid_all_bas needs a nonempty family")
     # Ground terms land in the two-element subalgebra {0,1}, which embeds
@@ -520,5 +503,6 @@ class TheoryOracle:
         self.family = tuple(self.family)
 
     def membership(self, A: Formula) -> bool:
-        check = _compile(A, "TheoryOracle.membership")
+        closed(A, "TheoryOracle.membership")
+        check = _compile(A)
         return all(check(spec) is None for spec in self.family)

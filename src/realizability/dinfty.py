@@ -49,10 +49,11 @@ from typing import Callable
 from .bamodels import DEFAULT_FAMILY, valid_all_bas
 from .formulas import (
     Formula, Forall, Impl, Neq, ONE, UsageError, ZERO, eval_term_01,
-    forall_many, free_vars, rows_term,
+    closed, forall_many, rows_term,
 )
 from .lcterms import (
-    App, CC, Cc, Gamma, Kont, LVar, Lam, LcTerm, stack_to_list, walk,
+    App, CC, Cc, EMPTY, Gamma, Kont, LVar, Lam, LcTerm, Process, check_closed,
+    stack_to_list, walk,
 )
 
 
@@ -360,14 +361,14 @@ def cc_elem() -> DElem:
 
 def denote(t: LcTerm) -> DElem:
     """Denotation of a closed machine term.  A tagged instruction denotes
-    bottom; a stack constant denotes the term that replays its entries."""
+    bottom; a stack constant denotes the term that replays its entries.
+    t is checked closed here, the entries of its k[...] and its tags too,
+    as a process facing the empty stack."""
+    check_closed(Process(t, EMPTY))
 
     def go(t: LcTerm, env: dict[str, DElem]) -> DElem:
         if isinstance(t, LVar):
-            try:
-                return env[t.name]
-            except KeyError:
-                raise UsageError(f"unbound variable {t.name!r}") from None
+            return env[t.name]
         if isinstance(t, App):
             return app(go(t.fn, env), go(t.arg, env))
         if isinstance(t, Lam):
@@ -401,9 +402,7 @@ def denote_formula(A: Formula) -> DElem:
     join of its two instances.  Closedness is checked here once, and an
     instance is the body read with its variable bound to a bit in env, so
     no term is rebuilt."""
-    if free := free_vars(A):
-        raise UsageError(f"denote_formula needs a closed formula, "
-                         f"free: {sorted(free)}")
+    closed(A, "denote_formula")
 
     def go(f: Formula, env: dict[str, int]) -> DElem:
         if isinstance(f, Neq):

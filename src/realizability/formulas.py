@@ -261,6 +261,13 @@ def _add_free(f: Formula, bound: frozenset[str], free: set[str]) -> None:
         raise TypeError(f"not a formula: {f!r}")
 
 
+def closed(A: Formula, who: str) -> None:
+    """UsageError, naming the public function `who`, unless A is closed:
+    the one closedness check of a formula, made once where it enters."""
+    if free := free_vars(A):
+        raise UsageError(f"{who} needs a closed formula, free: {sorted(free)}")
+
+
 def subst_formula(A: Formula, zs: Sequence[str], bs: Sequence[BTerm]) -> Formula:
     """Simultaneous capture-avoiding substitution in a formula."""
     if len(zs) != len(bs):

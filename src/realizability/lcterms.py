@@ -6,10 +6,14 @@ all instruction tags occurring in a term, stack or process; and
 canonical keys for alpha-equivalence, which serve `lc_alpha_eq`,
 `proc_alpha_eq` and the tests' reference pole.  Which names and tags a
 term holds is read through `walk` alone: by `free_lvars`, `iter_tags`,
-the closedness checks of the parser (`_closed`) and of the pole
-(`pole._check_closed`), the pole's memo key (`pole._memo_key`, which
-keys on a process as written, not up to alpha), `dinfty._candidates`
-and `typecheck`.
+the closedness check `check_closed`, the pole's memo key
+(`pole._memo_key`, which keys on a process as written, not up to alpha),
+`dinfty._candidates` and `typecheck`.
+
+`check_closed` is the one closedness check of machine input.  The public
+functions that take a process or term call it once, at entry:
+`pole.in_pole`, `pole.realizes_bounded`, `machine.evaluate` and
+`dinfty.denote`.  The parser reads syntax only.
 
 First-order variables (inside tags) and lambda variables are disjoint
 sorts: `subst_lc` never descends into tags.
@@ -28,7 +32,7 @@ from dataclasses import dataclass, fields
 from typing import Iterator
 
 from .formulas import (
-    Formula, UsageError, _set, canon as canon_formula, conj_many,
+    Formula, UsageError, _set, canon as canon_formula, conj_many, free_vars,
 )
 
 
@@ -117,8 +121,8 @@ class SEmpty(StackT):
 
 @dataclass(frozen=True)
 class SPush(StackT):
-    """A closed term on top of a stack.  Checked by the parser, and by
-    `pole.in_pole` for a process's own stack; kept by `machine`."""
+    """A closed term on top of a stack.  Checked by `check_closed`, kept
+    by `machine`."""
     __slots__ = ("head", "tail")
     head: LcTerm
     tail: StackT
@@ -130,8 +134,8 @@ class SPush(StackT):
 
 @dataclass(frozen=True)
 class Process:
-    """A closed term facing a stack.  Checked where processes enter (the
-    parser, `pole.in_pole`, `pole.realizes_bounded`), kept by `machine`."""
+    """A closed term facing a stack.  Checked by `check_closed` where
+    processes enter, kept by `machine`."""
     __slots__ = ("term", "stack")
     term: LcTerm
     stack: StackT
@@ -196,12 +200,21 @@ def free_lvars(x) -> frozenset[str]:
     return frozenset(free)
 
 
-def _closed(t: LcTerm, what: str) -> LcTerm:
-    """t, if no lambda variable is free in it; else a UsageError saying
-    that `what` must be closed."""
-    if free_lvars(t):
-        raise UsageError(f"{what} must be closed: {t!r}")
-    return t
+def check_closed(p: Process) -> None:
+    """UsageError unless p's term, its stack entries, the entries of every
+    k[...] in p and every instruction tag in p are closed, read in one
+    `walk` over p.  A free lambda variable is reported before an open
+    tag, with the closed term it lies in; the process term comes first,
+    then the entries in walk order."""
+    open_tag = None
+    for t, bound, root in walk(p):
+        if type(t) is LVar and t.name not in bound:
+            what = "process terms" if root is p.term else "stack entries"
+            raise UsageError(f"{what} must be closed: {root!r}")
+        if type(t) is Gamma and open_tag is None and free_vars(t.tag):
+            open_tag = t.tag
+    if open_tag is not None:
+        raise UsageError(f"open instruction tag: {open_tag!r}")
 
 
 def subst_lc(t: LcTerm, x: str, u: LcTerm) -> LcTerm:

@@ -12,8 +12,9 @@ Processes where no rule applies are stuck and reported as such; tagged
 instructions never reduce here.  Substitution-based, no closures.
 
 Every rule keeps the terms closed, the entries of each k[...] included, so
-closedness is checked where processes enter (the parser, `pole.in_pole`,
-`pole.realizes_bounded`), each time by one `lcterms.walk`, never per step.
+closedness is checked where processes enter (`evaluate`, `pole.in_pole`,
+`pole.realizes_bounded`), each time by `lcterms.check_closed`, never per
+step.
 Push: t and u are subterms of the closed t u.  Grab: only x is free in v
 and t is closed, so v[x := t] is closed, and no binder in v can capture t.
 Save: t and the entries of k[pi] are entries of pi.  Restore: t is an
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lcterms import App, Cc, Kont, Lam, Process, SPush, subst_lc
+from .lcterms import App, Cc, Kont, Lam, Process, SPush, check_closed, subst_lc
 
 
 def step(p: Process) -> tuple[Process, str] | None:
@@ -52,7 +53,8 @@ class Trace:
 
 
 def evaluate(p: Process, fuel: int = 1000) -> Trace:
-    """Run the machine for at most `fuel` steps."""
+    """Run the machine for at most `fuel` steps from p, checked closed."""
+    check_closed(p)
     steps: list[tuple[Process, str]] = []
     cur = p
     for _ in range(fuel):

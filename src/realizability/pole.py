@@ -36,8 +36,7 @@ Closedness is checked once where a process, term or formula comes in
 (in_pole, realizes_bounded, canonical_falsity_stacks) and relied on
 below: the machine keeps processes closed, and every tag the pole builds
 has each variable replaced by a bit.  A process or term is checked by
-_check_closed in one lcterms.walk, which reads the entries of every
-k[...] where it stands; a formula by formulas.free_vars.
+lcterms.check_closed, a formula by formulas.closed.
 """
 
 from __future__ import annotations
@@ -48,12 +47,12 @@ from typing import Generator, Iterator
 
 from .bamodels import GuardExceeded, MAX_PROP_ATOMS, Verdict, valid_all_bas
 from .formulas import (
-    Decomposition, Formula, Impl, ONE, UsageError, ZERO, bot, decompose,
-    eval_term_01, free_vars, subst_formula,
+    Decomposition, Formula, Impl, ONE, UsageError, ZERO, bot, closed,
+    decompose, eval_term_01, subst_formula,
 )
 from .lcterms import (
-    EMPTY, Gamma, LVar, Lam, LcTerm, Process, SPush, StackT, constraint_of,
-    stack_of, walk,
+    EMPTY, Gamma, LVar, Lam, LcTerm, Process, SPush, StackT, check_closed,
+    constraint_of, stack_of, walk,
 )
 from .machine import step
 
@@ -105,26 +104,10 @@ def _witnesses_of(d: Decomposition, env: dict[str, int]
         yield premises
 
 
-def _check_closed(p: Process) -> None:
-    """UsageError unless p's term, its stack entries, the entries of every
-    k[...] in p and every instruction tag in p are closed, read in one
-    `walk` over p.  A free lambda variable is reported before an open
-    tag, with the closed term it lies in."""
-    open_tag = None
-    for t, bound, root in walk(p):
-        if isinstance(t, LVar) and t.name not in bound:
-            what = "process terms" if root is p.term else "stack entries"
-            raise UsageError(f"{what} must be closed: {root!r}")
-        if isinstance(t, Gamma) and open_tag is None and free_vars(t.tag):
-            open_tag = t.tag
-    if open_tag is not None:
-        raise UsageError(f"open instruction tag: {open_tag!r}")
-
-
 def in_pole(p: Process, k: int, cfg: PoleConfig) -> int | None:
     """The least level ≤ k at which p enters the pole, or None: truthy
     exactly when p ∈ ⫫_k."""
-    _check_closed(p)
+    check_closed(p)
     return _in_pole(p, k, cfg)
 
 
@@ -254,9 +237,7 @@ def canonical_falsity_stacks(A: Formula, depth: int = 2) -> list[StackT]:
     stack and up to `depth` g{_|_} entries over it, 0 <= depth <= 2."""
     if not 0 <= depth <= 2:
         raise UsageError(f"depth must be in 0..2, got {depth}")
-    if free := free_vars(A):
-        raise UsageError(f"canonical_falsity_stacks needs a closed formula, "
-                         f"free: {sorted(free)}")
+    closed(A, "canonical_falsity_stacks")
     seen = set()
     out: list[StackT] = []
     for premises in _witnesses(A):
@@ -288,7 +269,7 @@ def realizes_bounded(t: LcTerm, A: Formula, cfg: PoleConfig | None = None,
     every canonical falsity stack of A.  t is checked here and A by
     canonical_falsity_stacks, once each; the stacks hold only tags with
     every variable a bit, so each process goes to the pole unchecked."""
-    _check_closed(Process(t, EMPTY))
+    check_closed(Process(t, EMPTY))
     cfg = cfg or PoleConfig()
     results = [(pi, _in_pole(Process(t, pi), cfg.k_max, cfg))
                for pi in canonical_falsity_stacks(A, depth)]

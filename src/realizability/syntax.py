@@ -11,9 +11,9 @@ Processes          t * pi
 left-associative, a lambda body extends as far right as possible (so a
 lambda used as a stack entry or argument needs parentheses).  Sugar is
 expanded at parse time; printers emit the primitive syntax and satisfy
-parse(print(x)) alpha-equivalent to x.  The parser checks that process
-terms and stack entries, in k[...] too, are closed: each one by
-`lcterms.free_lvars`, a single `lcterms.walk`.
+parse(print(x)) alpha-equivalent to x.  The parser reads syntax only: an
+open process term or stack entry parses, and the functions that need
+closed input check it once, at entry (`lcterms.check_closed`).
 
 The lexer splits a text with one regex into gap, token, gap, ..., gap;
 a gap that is not all whitespace holds an unexpected character.  Tokens
@@ -33,8 +33,8 @@ from .formulas import (
     Zero, _set, bot, eq, exists,
 )
 from .lcterms import (
-    App, CC, Cc, EMPTY, Gamma, Kont, LVar, Lam, LcTerm, Process, SPush,
-    StackT, _closed, stack_of,
+    App, CC, Cc, Gamma, Kont, LVar, Lam, LcTerm, Process, SPush,
+    StackT, stack_of,
 )
 
 
@@ -231,32 +231,27 @@ class _Parser:
                         self.i += 1
                         entries.append(self.lcterm())
                 self.eat("]")
-                return Kont(stack_of(*(_closed(t, "stack entries")
-                                       for t in entries)))
+                return Kont(stack_of(*entries))
             return LVar(tok)
         raise ParseError(f"expected a machine term, found {tok!r}",
                          self.pos[self.i - 1])
 
     def stack(self) -> StackT:
         """Entries are read in a loop, so a written stack has no length
-        limit.  Every syntax error comes before any closedness error, and
-        the entries are checked from the last to the first."""
+        limit."""
         entries = []
         while self.toks[self.i] != "[":
             entries.append(self.lcterm())
             self.eat(".")
         self.i += 1
         self.eat("]")
-        pi = EMPTY
-        for head in reversed(entries):
-            pi = SPush(_closed(head, "stack entries"), pi)
-        return pi
+        return stack_of(*entries)
 
     def process(self) -> Process:
         t = self.lcterm()
         self.eat("*")
         pi = self.stack()
-        return Process(_closed(t, "process terms"), pi)
+        return Process(t, pi)
 
 
 def _parse(src: str, rule):

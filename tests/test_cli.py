@@ -2,12 +2,13 @@ import hashlib
 import json
 import random
 import shlex
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from realizability import cli, dinfty, suite
+from realizability import cli, dinfty, lcterms, suite
 from realizability.cli import main, parse_family
 from realizability.bamodels import Atomless, PowerFinite
 
@@ -336,10 +337,44 @@ SEVEN_FORALLS = ("forall a. forall b. forall c. forall d. forall e. "
     # an open formula is refused before any algebra's guard
     (("theory", "--contains", "x != 0", "--family", "pf7"), 64,
      "TheoryOracle.membership needs a closed formula, free: ['x']"),
+    # machine input is checked where it enters, the process term first
+    (("pole-member", "x * y . []"), 64, "process terms must be closed"),
+    (("eval", "x * []"), 64, "process terms must be closed"),
+    (("eval", "g{z != 0} * []"), 64, "open instruction tag"),
+    (("denote", "\\y. k[y]"), 64, "stack entries must be closed"),
 ])
 def test_crash_exit_codes(capsys, argv, code, message):
     assert main(list(argv)) == code
     assert message in capsys.readouterr().err
+
+
+def test_parse_reads_syntax_only(capsys):
+    # an open process parses and prints; closedness is checked where a
+    # command needs closed input
+    assert run(capsys, "parse", "process", "x * []") == (0, "x * []\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("pole-member", "(\\x. x) (k[cc, \\y. y]) * g{_|_} . []"),
+    ("eval", "(\\x. x) (k[cc, \\y. y]) * g{_|_} . []"),
+    ("denote", "\\x. x (k[cc, \\y. y])"),
+])
+def test_machine_input_is_checked_once(capsys, monkeypatch, argv):
+    # one request walks its input once, by lcterms.check_closed, and
+    # never through free_lvars, wherever the package binds them
+    calls = {"check_closed": 0, "free_lvars": 0}
+    for name, original in (("check_closed", lcterms.check_closed),
+                           ("free_lvars", lcterms.free_lvars)):
+        def counted(x, name=name, original=original):
+            calls[name] += 1
+            return original(x)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "realizability":
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, counted)
+    assert run(capsys, *argv)[0] == 0
+    assert calls == {"check_closed": 1, "free_lvars": 0}
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):

@@ -18,10 +18,10 @@ from realizability.dinfty import (
 from realizability.bamodels import valid_all_bas
 from realizability.corpus import formula_corpus
 from realizability.formulas import (
-    And, Forall, Impl, Neq, Not, ONE, Or, Var, ZERO, eval_formula_01,
-    forall_many, subst_formula,
+    And, Forall, Impl, Neq, Not, ONE, Or, UsageError, Var, ZERO,
+    eval_formula_01, forall_many, subst_formula,
 )
-from realizability.lcterms import CC, Cc, Lam, LVar, App, walk
+from realizability.lcterms import CC, Cc, Kont, Lam, LVar, App, stack_of, walk
 from realizability.syntax import (
     parse_formula, parse_lcterm, print_formula, print_lcterm,
 )
@@ -298,6 +298,18 @@ def test_denote_identity_and_omega():
     assert not eq_at(i, bottom(), 2)
     omega = denote(parse_lcterm("(\\x. x x) (\\x. x x)"))
     assert eq_at(omega, bottom(), 2)
+
+
+def test_denote_refuses_open_input():
+    # an open k[...] entry under a binder of its own name: the stack
+    # constant's expansion binds y, which would capture the entry's free y
+    with pytest.raises(UsageError, match="stack entries must be closed: "
+                                         "LVar\\(name='y'\\)"):
+        denote(Lam("y", Kont(stack_of(LVar("y")))))
+    with pytest.raises(UsageError, match="process terms must be closed"):
+        denote(LVar("x"))
+    with pytest.raises(UsageError, match="open instruction tag"):
+        denote(parse_lcterm("\\x. g{z != 0}"))
 
 
 def test_denote_application():

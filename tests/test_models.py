@@ -22,6 +22,7 @@ from realizability.formulas import (
     Zero, bot, canon, classify_horn, conj, disj, eq, eval_formula_01,
     eval_term_01, exists, forall_many, free_vars, is_ground, term_vars,
 )
+from realizability.pole import canonical_falsity_stacks
 from realizability.syntax import parse_formula
 
 
@@ -573,16 +574,37 @@ def test_open_formulas_are_refused(text):
     assert classify_horn(A) == HornKind.NOT_HORN
 
 
-def test_model_check_walks_no_free_vars(monkeypatch):
-    # closedness is checked as the formula compiles, with no walk of its own
+def test_formula_entries_walk_free_vars_once(monkeypatch):
+    # each public entry checks a closed formula with one free_vars walk,
+    # and nothing past the entry walks again, wherever the package binds it
     calls = []
-    monkeypatch.setattr(bamodels, "free_vars",
-                        lambda A: calls.append(A) or formulas.free_vars(A))
-    for A in [a for a in formula_corpus(200, seed=3, height=3, max_qdepth=3)
-              if not formulas.free_vars(a)]:
-        for spec in (PowerFinite(2), Atomless()):
-            model_check(A, spec)
-    assert calls == []
+    original = formulas.free_vars
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "realizability":
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(
+                        module, key, lambda A: calls.append(A) or original(A))
+    entries = [
+        lambda A: model_check(A, PowerFinite(2)),
+        lambda A: model_check(A, Atomless()),
+        valid_all_bas,
+        lambda A: brute_check(A, 2),
+        TheoryOracle(DEFAULT_FAMILY).membership,
+        denote_formula,
+        canonical_falsity_stacks,
+    ]
+    corpus = [a for a in formula_corpus(60, seed=3, height=3, max_qdepth=2)
+              if not original(a)]
+    assert len(corpus) > 20
+    for A in corpus:
+        for entry in entries:
+            calls.clear()
+            try:
+                entry(A)
+            except GuardExceeded:
+                pass
+            assert calls == [A], (entry, A)
 
 
 def test_validity_walks_free_vars_once_at_entry(monkeypatch):
@@ -594,7 +616,6 @@ def test_validity_walks_free_vars_once_at_entry(monkeypatch):
         calls.append(A)
         return free_vars(A)
 
-    monkeypatch.setattr(bamodels, "free_vars", counted)
     monkeypatch.setattr(formulas, "free_vars", counted)
     for text in ("forall z. forall w. z /\\ w == w /\\ z",
                  "forall z. (z == 1 -> z != 0)"):

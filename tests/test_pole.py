@@ -12,13 +12,13 @@ from realizability.formulas import (
 )
 from realizability.lcterms import (
     CC, EMPTY, Gamma, Kont, Lam, LVar, App, Process, SPush, canon_process,
-    constraint_of, free_lvars, iter_tags, proc_alpha_eq, stack_of,
-    stack_to_list, subst_lc,
+    check_closed, constraint_of, free_lvars, iter_tags, proc_alpha_eq,
+    stack_of, stack_to_list, subst_lc,
 )
 from realizability import pole
 from realizability.machine import evaluate, step
 from realizability.pole import (
-    PoleConfig, _check_closed as check_closed, _premises, _witnesses,
+    PoleConfig, _premises, _witnesses,
     canonical_falsity_stacks, constraint_check, in_pole, in_pole_limit,
     realizes_bounded,
 )
@@ -425,7 +425,7 @@ def test_premises_are_closed():
 
 
 def test_in_pole_checks_closedness_at_entry():
-    # processes built without the parser, which would reject them first
+    # processes built directly; the parser reads syntax only, so these parse too
     x = LVar("x")
     with pytest.raises(UsageError, match="process terms must be closed"):
         in_pole_limit(Process(x, EMPTY))
@@ -455,7 +455,7 @@ def test_realizes_bounded_checks_once(monkeypatch):
     # t and A are checked at entry; the falsity stacks are closed by
     # construction, so none of them is checked again
     calls = []
-    monkeypatch.setattr(pole, "_check_closed",
+    monkeypatch.setattr(pole, "check_closed",
                         lambda p: calls.append(p) or check_closed(p))
     A = parse_formula("forall z. forall w. z /\\ w == w /\\ z")
     rep = realizes_bounded(Lam("x", LVar("x")), A, PoleConfig(k_max=8))

@@ -2,7 +2,8 @@
 
 The oracles below are the earlier free_lvars, dinfty._uses_cc, the name
 sweep of typecheck._all_lvars, and the root-by-root loops of
-pole._check_closed and lcterms.iter_tags, kept here as they were."""
+the earlier pole._check_closed (now lcterms.check_closed) and
+lcterms.iter_tags, kept here as they were."""
 
 import random
 
@@ -13,10 +14,9 @@ from realizability.corpus import lcterm_corpus, process_corpus
 from realizability.dinfty import _debruijn_terms
 from realizability.formulas import Impl, UsageError, free_vars
 from realizability.lcterms import (
-    App, Cc, Gamma, Kont, LVar, Lam, Process, SPush, free_lvars,
-    iter_tags, stack_of, stack_to_list, walk,
+    App, Cc, Gamma, Kont, LVar, Lam, Process, SPush, check_closed,
+    free_lvars, iter_tags, stack_of, stack_to_list, walk,
 )
-from realizability.pole import _check_closed
 from realizability.syntax import parse_formula, print_formula
 from realizability.typecheck import Derivation, Judgement, _all_lvars
 
@@ -159,7 +159,7 @@ def test_walk_agrees_with_the_earlier_walkers(seed):
     procs, terms = _corpus(seed)
     kinds = set()
     for p in procs:
-        msg = check_message(_check_closed, p)
+        msg = check_message(check_closed, p)
         assert msg == check_message(old_check_closed, p), p
         kinds.add(msg.split(":")[0] if msg else None)
         assert list(iter_tags(p)) == list(old_iter_tags(p))
