@@ -36,7 +36,12 @@ and the compile step finds every variable bound.
 On top sits a three-valued validity layer for "true in every Boolean
 algebra with at least two elements": complete fragments (ground sentences,
 Horn clauses, propositional tautologies over inequation atoms) plus a
-configurable refutation family.
+configurable refutation family.  Ground and Horn sentences are decided in
+{0,1} by `eval_formula_01`, through one helper (`_in_01`) that
+`valid_all_bas` and `TheoryOracle.membership` share: {0,1} answers for
+every algebra with at least two elements, so no family is consulted.
+Only `valid_all_bas` compiles such a sentence, for the refutation path
+of one that {0,1} refutes.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ from typing import Sequence
 from .formulas import (
     And, Formula, Forall, HornKind, Impl, Neq, Not, One, Or, UsageError,
     Var, Zero, closed, eval_formula_01, eval_term_01, horn_shape,
-    is_ground, term_vars,
+    is_ground,
 )
 
 
@@ -125,24 +130,20 @@ def _failing_split(body, options):
     return None
 
 
-def _scope(f: Formula, scopes: dict[int, tuple]) -> tuple[frozenset[str], int]:
-    """f's free variables and its quantifier nesting depth, bottom-up from
-    the terms' kept sets; scopes keeps each Forall's by id."""
-    if isinstance(f, Neq):
-        a, b, height = term_vars(f.lhs), term_vars(f.rhs), 0
-    elif isinstance(f, Impl):
-        (a, h_a), (b, h_b) = _scope(f.ante, scopes), _scope(f.cons, scopes)
-        height = max(h_a, h_b)
-    elif isinstance(f, Forall):
-        scope = scopes.get(id(f))
-        if scope is None:
-            vs, height = _scope(f.body, scopes)
-            scope = scopes[id(f)] = (vs - {f.var} if f.var in vs else vs,
-                                     height + 1)
-        return scope
-    else:
-        raise TypeError(f"not a formula: {f!r}")
-    return (a if b <= a else b if a <= b else a | b), height
+def _height(f: Formula, heights: dict[int, int]) -> int:
+    """f's quantifier nesting depth, bottom-up; heights keeps each
+    Forall's by id, so a compile walks each subformula once."""
+    cls = type(f)
+    if cls is Neq:
+        return 0
+    if cls is Impl:
+        return max(_height(f.ante, heights), _height(f.cons, heights))
+    if cls is Forall:
+        height = heights.get(id(f))
+        if height is None:
+            height = heights[id(f)] = _height(f.body, heights) + 1
+        return height
+    raise TypeError(f"not a formula: {f!r}")
 
 
 def _project(env: dict[str, int], width: int, names: list[str]):
@@ -246,15 +247,15 @@ def model_check(A: Formula, spec: BASpec) -> bool:
     variables, and the sizes of their cells fix those values up to an
     automorphism of the algebra (in the atomless algebra, which cells are
     nonzero do).  A Forall that holds the depth guard is not projected
-    (see `_compile`).  The free variables and nesting depth of each Forall
-    are read once per compile, bottom-up from the terms' kept sets.  The
-    depth guard counts nested quantifiers, not cells.  Each Forall's
-    answer is memoised in one dict per compiled check, keyed on
-    (occurrence number, the sizes it reads), which fix the answer
-    whatever the algebra; the dict lives as long as the compiled check,
-    which `valid_all_bas` and `TheoryOracle.membership` run over each
-    member of their family.  Each (size, cap) is split once per compiled
-    check too."""
+    (see `_compile`).  Each Forall's free variables are kept on the node,
+    and its nesting depth is read once per compile, where a projection
+    needs it.  The depth guard counts nested quantifiers, not cells.
+    Each Forall's answer is memoised in one dict per compiled check,
+    keyed on (occurrence number, the sizes it reads), which fix the
+    answer whatever the algebra; the dict lives as long as the compiled
+    check, which `valid_all_bas` and `TheoryOracle.membership` run over
+    each member of their family.  Each (size, cap) is split once per
+    compiled check too."""
     closed(A, "model_check")
     return _compile(A)(spec) is None
 
@@ -262,7 +263,7 @@ def model_check(A: Formula, spec: BASpec) -> bool:
 def _compile(A: Formula):
     """model_check's compile step: the check of the closed formula A in a
     spec, which answers None or A's refutation there."""
-    scopes: dict[int, tuple] = {}  # a Forall's id -> its free names, depth
+    heights: dict[int, int] = {}  # a Forall's id -> its nesting depth
     memo: dict[tuple, tuple | None] = {}  # (occurrence, sizes) -> refutation
     split_memo: dict[tuple, tuple] = {}  # (size, cap) -> its splits
     occurrences = itertools.count()
@@ -291,13 +292,14 @@ def _compile(A: Formula):
             return too_deep, 0
         getters = None
         if width:
-            kept, height = _scope(f, scopes)
+            kept = f._free
             # projection must not change the answer that the cell order
             # gives: the projected splits come in another order, so a
             # Forall that holds the guard could meet a failing split
             # before it where the cell order raises first, or the other
             # way round; such a Forall keeps its cells
-            if len(kept) < width and depth + height <= MAX_DEPTH:
+            if (len(kept) < width
+                    and depth + _height(f, heights) <= MAX_DEPTH):
                 getters, env = _project(env, width, sorted(kept))
                 width = len(kept)
         half = 1 << width  # cell m + half is cell m inside f.var
@@ -416,7 +418,7 @@ def is_prop_tautology(A: Formula) -> bool:
         elif isinstance(f, Forall):
             collect(f.body, {**env, f.var: next(binders)})
         else:
-            names = sorted(term_vars(f.lhs) | term_vars(f.rhs))
+            names = sorted(f._free)
             i = index.setdefault((f.lhs, f.rhs, *map(env.get, names)),
                                  len(index))
             if i == len(pins):
@@ -449,6 +451,20 @@ def is_prop_tautology(A: Formula) -> bool:
     return table(A) == ones
 
 
+def _in_01(A: Formula) -> tuple[Justification, bool] | None:
+    """For a closed ground or Horn A, its justification and its truth in
+    {0,1}, which is its truth in every Boolean algebra with at least two
+    elements; None for any other A.  Ground terms land in the two-element
+    subalgebra {0,1}, which embeds in every such algebra.  A universal
+    Horn sentence true in {0,1} is true in every Boolean algebra, since
+    each is a subalgebra of a power of {0,1}; one false in {0,1} is false
+    in every algebra that embeds {0,1}."""
+    just = (Justification.GROUND if is_ground(A)
+            else Justification.HORN if horn_shape(A) is not HornKind.NOT_HORN
+            else None)
+    return None if just is None else (just, eval_formula_01(A))
+
+
 def valid_all_bas(A: Formula,
                   family: Sequence[BASpec] = DEFAULT_FAMILY) -> Verdict:
     """Three-valued verdict on truth in every Boolean algebra with at
@@ -457,14 +473,10 @@ def valid_all_bas(A: Formula,
     closed(A, "valid_all_bas")
     if not family:
         raise UsageError("valid_all_bas needs a nonempty family")
-    # Ground terms land in the two-element subalgebra {0,1}, which embeds
-    # in every algebra with at least two elements; Horn clauses transfer
-    # between {0,1} and every algebra >= 2.  Either way {0,1} decides.
-    just = (Justification.GROUND if is_ground(A)
-            else Justification.HORN if horn_shape(A) is not HornKind.NOT_HORN
-            else None)
-    if just is not None:
-        if eval_formula_01(A):
+    decided = _in_01(A)
+    if decided is not None:
+        just, holds = decided
+        if holds:
             return Verdict("valid", just)
         try:  # only for the trace: {0,1} has refuted A already
             refutation = _compile(A)(PowerFinite(1))
@@ -494,7 +506,10 @@ class TheoryOracle:
     """Membership in the intersection of the complete theories of a family
     of Boolean algebras.  Such an intersection is closed under classical
     deduction, and every member algebra has at least two elements, so the
-    background axioms all belong."""
+    background axioms all belong.  For the same reason a ground or Horn
+    sentence is decided in {0,1}, as `valid_all_bas` decides it, whatever
+    the family: no guard of the family's algebras is reached.  Any other
+    sentence is compiled once and checked in each member."""
     family: tuple[BASpec, ...] = DEFAULT_FAMILY
 
     def __post_init__(self):
@@ -504,5 +519,8 @@ class TheoryOracle:
 
     def membership(self, A: Formula) -> bool:
         closed(A, "TheoryOracle.membership")
+        decided = _in_01(A)
+        if decided is not None:
+            return decided[1]
         check = _compile(A)
         return all(check(spec) is None for spec in self.family)

@@ -365,6 +365,12 @@ def denote(t: LcTerm) -> DElem:
     t is checked closed here, the entries of its k[...] and its tags too,
     as a process facing the empty stack."""
     check_closed(Process(t, EMPTY))
+    return _denote(t)
+
+
+def _denote(t: LcTerm) -> DElem:
+    """`denote` of a term known closed, unchecked: the term search's
+    candidates are built closed."""
 
     def go(t: LcTerm, env: dict[str, DElem]) -> DElem:
         if isinstance(t, LVar):
@@ -504,14 +510,15 @@ def _debruijn_terms(size: int, depth: int, allow_cc: bool):
 def _candidates(size: int, allow_cc: bool) -> tuple[tuple[LcTerm, DElem], ...]:
     """The terms of one size that `term_search` tries, in enumeration
     order, each with its denotation, whose components at ranks 0-2 are
-    already built.  The cc pass keeps only terms that use cc, since the
+    already built.  `_debruijn_terms` builds each closed, so none is
+    checked again.  The cc pass keeps only terms that use cc, since the
     pure pass tried the rest, and a term whose components need a rank
     above MAX_RANK is dropped (see `term_search`)."""
     out = []
     for t in _debruijn_terms(size, 0, allow_cc):
         if allow_cc and not any(type(n) is Cc for n, _, _ in walk(t)):
             continue
-        d = denote(t)
+        d = _denote(t)
         try:
             for n in range(3):
                 d.component(n)

@@ -32,42 +32,74 @@ class BTerm:
     __slots__ = ()
 
     def __reduce__(self):
-        # copy and pickle rebuild a term from its fields, so what an Or or
-        # And keeps (a hash of this process's strings) is recomputed
+        # copy and pickle rebuild a node from its fields, so what it keeps
+        # (its variable set; an Or's or And's hash of this process's
+        # strings) is recomputed
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
+# Every term and formula node is a slotted frozen dataclass that sets its
+# slots in its own __init__ through `_set`, as `lcterms` nodes do, and
+# keeps a variable set, computed from its children's when it is built: a
+# term its variables in the slot `_vars`, a formula its free variables in
+# the slot `_free`.  So `term_vars` and `free_vars` read an attribute, and
+# no question about a chain's variables costs Python recursion.  A Var's
+# set is its name, Zero's and One's the class-level empty set, a Not's its
+# argument's, a Forall's its body's without its variable, and an Or, And,
+# Neq or Impl reuses a child's set when it holds the other's.  A child
+# that lacks the slot its parent reads is not a term (or not a formula),
+# and the parent raises TypeError as it is built.  Terms are DAGs
+# (rows_term shares its minterm prefixes), so Or and And also keep their
+# hash and printed text (unparenthesized, set by `syntax._bterm`) once
+# computed, in the slots `_hash` and `_text`, which their __init__ sets to
+# None.  No kept slot is a dataclass field, so ==, repr and `fields` are
+# the plain dataclass's, and the hash is the dataclass's own hash of the
+# field tuple.
+
+_set = object.__setattr__  # how a frozen dataclass sets its slots
+_NO_VARS: frozenset[str] = frozenset()
+
+
+def _not_a(kind: str, *children) -> TypeError:
+    """The TypeError of a node built from children that are not all of
+    the kind it reads."""
+    cls = BTerm if kind == "term" else Formula
+    bad = next((c for c in children if not isinstance(c, cls)), children[0])
+    return TypeError(f"not a {kind}: {bad!r}")
 
 
 @dataclass(frozen=True)
 class Var(BTerm):
+    __slots__ = ("name", "_vars")
     name: str
+
+    def __init__(self, name: str) -> None:
+        _set(self, "name", name)
+        _set(self, "_vars", frozenset({name}))
 
 
 @dataclass(frozen=True)
 class Zero(BTerm):
-    pass
+    __slots__ = ()
+    _vars = _NO_VARS
 
 
 @dataclass(frozen=True)
 class One(BTerm):
-    pass
-
-
-# Terms are DAGs (rows_term shares its minterm prefixes), so Or and And
-# keep their hash, variable set and printed text (unparenthesized, set by
-# `syntax._bterm`) once computed, in the slots `_hash`, `_vars` and
-# `_text`, which their own __init__ sets to None.  None is a dataclass
-# field, so ==, repr and `fields` are the plain dataclass's, and the hash
-# is the dataclass's own hash of the field tuple.  A Not's are one step
-# from its argument's, so it keeps none.
-
-_set = object.__setattr__  # how a frozen dataclass sets its slots
+    __slots__ = ()
+    _vars = _NO_VARS
 
 
 def _pair_init(self, lhs: BTerm, rhs: BTerm) -> None:
+    try:
+        left, right = lhs._vars, rhs._vars
+    except AttributeError:
+        raise _not_a("term", lhs, rhs) from None
     _set(self, "lhs", lhs)
     _set(self, "rhs", rhs)
+    _set(self, "_vars", left if right <= left else right if left <= right
+         else left | right)
     _set(self, "_hash", None)
-    _set(self, "_vars", None)
     _set(self, "_text", None)
 
 
@@ -81,7 +113,7 @@ def _pair_hash(self) -> int:
 
 @dataclass(frozen=True)
 class Or(BTerm):
-    __slots__ = ("lhs", "rhs", "_hash", "_vars", "_text")
+    __slots__ = ("lhs", "rhs", "_vars", "_hash", "_text")
     lhs: BTerm
     rhs: BTerm
     __init__ = _pair_init
@@ -90,7 +122,7 @@ class Or(BTerm):
 
 @dataclass(frozen=True)
 class And(BTerm):
-    __slots__ = ("lhs", "rhs", "_hash", "_vars", "_text")
+    __slots__ = ("lhs", "rhs", "_vars", "_hash", "_text")
     lhs: BTerm
     rhs: BTerm
     __init__ = _pair_init
@@ -99,33 +131,28 @@ class And(BTerm):
 
 @dataclass(frozen=True)
 class Not(BTerm):
+    __slots__ = ("arg", "_vars")
     arg: BTerm
+
+    def __init__(self, arg: BTerm) -> None:
+        try:
+            vs = arg._vars
+        except AttributeError:
+            raise _not_a("term", arg) from None
+        _set(self, "arg", arg)
+        _set(self, "_vars", vs)
 
 
 ZERO = Zero()
 ONE = One()
-_NO_VARS: frozenset[str] = frozenset()
 
 
 def term_vars(a: BTerm) -> frozenset[str]:
-    """The variables of a.  An Or or And computes its set on first use
-    and keeps it, so a DAG is walked once per distinct node; a parent
-    reuses a child's set when that set contains the other child's."""
-    if isinstance(a, (Or, And)):
-        vs = a._vars
-        if vs is None:
-            left, right = term_vars(a.lhs), term_vars(a.rhs)
-            vs = (left if right <= left else right if left <= right
-                  else left | right)
-            _set(a, "_vars", vs)
-        return vs
-    if isinstance(a, Not):
-        return term_vars(a.arg)
-    if isinstance(a, Var):
-        return frozenset((a.name,))
-    if isinstance(a, (Zero, One)):
-        return _NO_VARS
-    raise TypeError(f"not a term: {a!r}")
+    """The variables of a, kept on the node since it was built."""
+    try:
+        return a._vars
+    except AttributeError:
+        raise TypeError(f"not a term: {a!r}") from None
 
 
 def _subst_term(a: BTerm, mapping: Mapping[str, BTerm]) -> BTerm:
@@ -152,22 +179,24 @@ def eval_term_01(a: BTerm, env: Mapping[str, int], ones: int = 1) -> int:
     ones = 2^n - 1 and each variable mapped to an n-bit int, bit m of the
     result is the term's value under the assignment given by bit m of the
     variables.  brute_check keeps its own evaluator on purpose, so that it
-    stays an independent check of model_check."""
-    if isinstance(a, Var):
+    stays an independent check of model_check.  Dispatched on the node's
+    exact class."""
+    cls = type(a)
+    if cls is Var:
         try:
             return env[a.name]
         except KeyError:
             raise UsageError(f"unbound variable {a.name!r}") from None
-    if isinstance(a, Zero):
-        return 0
-    if isinstance(a, One):
-        return ones
-    if isinstance(a, Not):
+    if cls is Not:
         return ones ^ eval_term_01(a.arg, env, ones)
-    if isinstance(a, Or):
+    if cls is Or:
         return eval_term_01(a.lhs, env, ones) | eval_term_01(a.rhs, env, ones)
-    if isinstance(a, And):
+    if cls is And:
         return eval_term_01(a.lhs, env, ones) & eval_term_01(a.rhs, env, ones)
+    if cls is Zero:
+        return 0
+    if cls is One:
+        return ones
     raise TypeError(f"not a term: {a!r}")
 
 
@@ -215,50 +244,66 @@ def _minterm_prefixes(us: tuple[str, ...]) -> tuple[BTerm, ...]:
 
 @dataclass(frozen=True)
 class Formula:
-    pass
+    __slots__ = ()
+    __reduce__ = BTerm.__reduce__
 
 
 @dataclass(frozen=True)
 class Neq(Formula):
+    __slots__ = ("lhs", "rhs", "_free")
     lhs: BTerm
     rhs: BTerm
+
+    def __init__(self, lhs: BTerm, rhs: BTerm) -> None:
+        try:
+            left, right = lhs._vars, rhs._vars
+        except AttributeError:
+            raise _not_a("term", lhs, rhs) from None
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+        _set(self, "_free", left if right <= left else right if left <= right
+             else left | right)
 
 
 @dataclass(frozen=True)
 class Impl(Formula):
+    __slots__ = ("ante", "cons", "_free")
     ante: Formula
     cons: Formula
+
+    def __init__(self, ante: Formula, cons: Formula) -> None:
+        try:
+            a, c = ante._free, cons._free
+        except AttributeError:
+            raise _not_a("formula", ante, cons) from None
+        _set(self, "ante", ante)
+        _set(self, "cons", cons)
+        _set(self, "_free", a if c <= a else c if a <= c else a | c)
 
 
 @dataclass(frozen=True)
 class Forall(Formula):
+    __slots__ = ("var", "body", "_free")
     var: str
     body: Formula
 
+    def __init__(self, var: str, body: Formula) -> None:
+        try:
+            vs = body._free
+        except AttributeError:
+            raise _not_a("formula", body) from None
+        _set(self, "var", var)
+        _set(self, "body", body)
+        _set(self, "_free", vs - {var} if var in vs else vs)
+
 
 def free_vars(A: Formula) -> frozenset[str]:
-    """The variables that occur free in A.  One walk of the formula
-    carries the names bound so far and adds each inequation's free term
-    variables to one set, so a closed formula adds nothing and builds a
-    set only at its quantifiers; the terms' sets are `term_vars`'s, kept
-    on the nodes."""
-    free: set[str] = set()
-    _add_free(A, frozenset(), free)
-    return frozenset(free)
-
-
-def _add_free(f: Formula, bound: frozenset[str], free: set[str]) -> None:
-    if isinstance(f, Neq):
-        lhs, rhs = term_vars(f.lhs), term_vars(f.rhs)
-        if not (lhs <= bound and rhs <= bound):
-            free.update(lhs - bound, rhs - bound)
-    elif isinstance(f, Impl):
-        _add_free(f.ante, bound, free)
-        _add_free(f.cons, bound, free)
-    elif isinstance(f, Forall):
-        _add_free(f.body, bound | {f.var}, free)
-    else:
-        raise TypeError(f"not a formula: {f!r}")
+    """The variables that occur free in A, kept on the node since it was
+    built."""
+    try:
+        return A._free
+    except AttributeError:
+        raise TypeError(f"not a formula: {A!r}") from None
 
 
 def closed(A: Formula, who: str) -> None:
@@ -501,9 +546,10 @@ def decompose(A: Formula) -> Decomposition:
 
 
 def is_ground(A: Formula) -> bool:
-    """No variable occurrences in any term (quantifiers may be vacuous)."""
+    """No variable occurrences in any term (quantifiers may be vacuous):
+    no inequation of A keeps a variable."""
     if isinstance(A, Neq):
-        return not (term_vars(A.lhs) | term_vars(A.rhs))
+        return not A._free
     if isinstance(A, Impl):
         return is_ground(A.ante) and is_ground(A.cons)
     if isinstance(A, Forall):

@@ -32,7 +32,7 @@ from dataclasses import dataclass, fields
 from typing import Iterator
 
 from .formulas import (
-    Formula, UsageError, _set, canon as canon_formula, conj_many, free_vars,
+    Formula, UsageError, _set, canon as canon_formula, conj_many,
 )
 
 
@@ -205,13 +205,14 @@ def check_closed(p: Process) -> None:
     k[...] in p and every instruction tag in p are closed, read in one
     `walk` over p.  A free lambda variable is reported before an open
     tag, with the closed term it lies in; the process term comes first,
-    then the entries in walk order."""
+    then the entries in walk order.  A tag's free variables are kept on
+    its node."""
     open_tag = None
     for t, bound, root in walk(p):
         if type(t) is LVar and t.name not in bound:
             what = "process terms" if root is p.term else "stack entries"
             raise UsageError(f"{what} must be closed: {root!r}")
-        if type(t) is Gamma and open_tag is None and free_vars(t.tag):
+        if type(t) is Gamma and open_tag is None and t.tag._free:
             open_tag = t.tag
     if open_tag is not None:
         raise UsageError(f"open instruction tag: {open_tag!r}")

@@ -17,10 +17,12 @@ closed input check it once, at entry (`lcterms.check_closed`).
 
 The lexer splits a text with one regex into gap, token, gap, ..., gap;
 a gap that is not all whitespace holds an unexpected character.  Tokens
-are plain strings, and a token's kind is read from its text.  A ( where
-a formula starts opens a parenthesized formula or a comparison's left
-term.  A group that holds !=, == or _|_, which no term holds, is read as
-a formula at once; any other group is tried as a comparison first.
+are plain strings, and a token's kind is read from its text.  Their
+positions are found only when an error is raised, by the same split.
+A ( where a formula starts opens a parenthesized formula or a
+comparison's left term.  A group that holds !=, == or _|_, which no term
+holds, is read as a formula at once; any other group is tried as a
+comparison first.
 """
 
 from __future__ import annotations
@@ -54,18 +56,25 @@ _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ"
                          "abcdefghijklmnopqrstuvwxyz_")
 
 
-def _lex(src: str) -> tuple[list[str], list[int]]:
-    """The token texts, ending with "" for the end of the input, and
-    their positions."""
+def _lex(src: str) -> list[str]:
+    """The token texts, ending with "" for the end of the input.  Their
+    positions are found only for an error (`_positions`)."""
     parts = _TOKEN_RE.split(src)
-    pos = list(accumulate(map(len, parts)))[::2]
-    if "".join(parts[::2]).strip():
-        for gap, end in zip(parts[::2], pos):
+    gaps = parts[::2]
+    if "".join(gaps).strip():
+        for gap, end in zip(gaps, _positions(src)):
             junk = gap.lstrip()
             if junk:
                 raise ParseError(f"unexpected character {junk[0]!r}",
                                  end - len(junk))
-    return parts[1::2] + [""], pos
+    toks = parts[1::2]
+    toks.append("")
+    return toks
+
+
+def _positions(src: str) -> list[int]:
+    """The position of each of `_lex`'s tokens in src, the end's too."""
+    return list(accumulate(map(len, _TOKEN_RE.split(src))))[::2]
 
 
 def _is_ident(tok: str) -> bool:
@@ -74,14 +83,19 @@ def _is_ident(tok: str) -> bool:
 
 class _Parser:
     def __init__(self, src: str):
-        self.toks, self.pos = _lex(src)
+        self.src = src
+        self.toks = _lex(src)
         self.i = 0
+
+    def at(self, i: int) -> int:
+        """The position of token i, for an error message."""
+        return _positions(self.src)[i]
 
     def eat(self, text: str):
         tok = self.toks[self.i]
         if tok != text:
             raise ParseError(f"expected {text!r}, found "
-                             f"{tok or 'end of input'!r}", self.pos[self.i])
+                             f"{tok or 'end of input'!r}", self.at(self.i))
         self.i += 1
 
     def holds_formula(self) -> bool:
@@ -125,7 +139,7 @@ class _Parser:
             return ONE
         if _is_ident(tok):
             return Var(tok)
-        pos = self.pos[self.i - 1]
+        pos = self.at(self.i - 1)
         if tok[:1].isdecimal():
             raise ParseError(f"numeric constants are 0 and 1, found {tok}", pos)
         raise ParseError(f"expected a term, found {tok!r}", pos)
@@ -154,7 +168,7 @@ class _Parser:
             var = self.toks[self.i + 1]
             if not _is_ident(var):
                 raise ParseError(f"expected a variable after {tok}",
-                                 self.pos[self.i + 1])
+                                 self.at(self.i + 1))
             self.i += 2
             self.eat(".")
             body = self.formula()
@@ -186,7 +200,7 @@ class _Parser:
         if tok == "==":
             return eq(a, self.bterm())
         raise ParseError(f"expected != or ==, found {tok!r}",
-                         self.pos[self.i - 1])
+                         self.at(self.i - 1))
 
     # -- Machine terms, stacks, processes ---------------------------------
 
@@ -206,7 +220,7 @@ class _Parser:
             var = self.toks[self.i]
             if not _is_ident(var) or var == "cc":
                 raise ParseError(f"expected a variable after \\, found {var!r}",
-                                 self.pos[self.i])
+                                 self.at(self.i))
             self.i += 1
             self.eat(".")
             return Lam(var, self.lcterm())
@@ -234,7 +248,7 @@ class _Parser:
                 return Kont(stack_of(*entries))
             return LVar(tok)
         raise ParseError(f"expected a machine term, found {tok!r}",
-                         self.pos[self.i - 1])
+                         self.at(self.i - 1))
 
     def stack(self) -> StackT:
         """Entries are read in a loop, so a written stack has no length
@@ -258,7 +272,7 @@ def _parse(src: str, rule):
     p = _Parser(src)
     x = rule(p)
     if p.toks[p.i]:
-        raise ParseError(f"trailing input {p.toks[p.i]!r}", p.pos[p.i])
+        raise ParseError(f"trailing input {p.toks[p.i]!r}", p.at(p.i))
     return x
 
 

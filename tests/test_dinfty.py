@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from realizability import dinfty, formulas
+from realizability import dinfty, formulas, lcterms
 from realizability.dinfty import (
     DElem, RankCapError, app, arrow, bottom, cc_elem, denote, denote_formula,
     elem, eq_at, idx_join, idx_leq, idx_of, join, lam, leq, level,
@@ -583,8 +583,8 @@ def test_warm_term_search_denotes_nothing(monkeypatch):
     # shared by every alpha until the cache is cleared
     dinfty._candidates.cache_clear()
     denoted = []
-    original = dinfty.denote
-    monkeypatch.setattr(dinfty, "denote",
+    original = dinfty._denote
+    monkeypatch.setattr(dinfty, "_denote",
                         lambda t: denoted.append(t) or original(t))
     assert term_search(top(), 5) is None  # builds every size of both passes
     assert len(denoted) == sum(_searched_count(size, allow_cc)
@@ -605,6 +605,20 @@ def _searched_count(size, allow_cc):
     """The terms of one size that the search tries, before any is dropped."""
     return sum(1 for t in dinfty._debruijn_terms(size, 0, allow_cc)
                if not allow_cc or any(type(n) is Cc for n, _, _ in walk(t)))
+
+
+def test_candidates_are_denoted_without_the_entry_check(monkeypatch):
+    # _debruijn_terms builds every candidate closed, so building them walks
+    # none for closedness; the public denote keeps its entry check
+    checked = []
+    _patch_everywhere(monkeypatch, lcterms.check_closed,
+                      lambda p: checked.append(p))
+    dinfty._candidates.cache_clear()
+    built = [dinfty._candidates(size, allow_cc)
+             for allow_cc in (False, True) for size in range(1, 7)]
+    assert sum(map(len, built)) > 150 and checked == []
+    denote(parse_lcterm("\\x. x"))
+    assert len(checked) == 1
 
 
 def test_candidates_drop_only_rank_cap_terms():
@@ -712,39 +726,39 @@ def _patch_everywhere(monkeypatch, original, replacement):
 
 
 def test_seq_check_walks_each_theta_term_node_once(monkeypatch):
-    # cost guard: term_vars descends only below an Or or And whose
-    # variable set is not kept yet, so one rank-3 seq_check descends at
-    # most once per distinct such node of its theta (a tree walk of this
-    # theta visits about 15,000 nodes), and a second free_vars walk
-    # descends nowhere
+    # cost guard: an Or or And computes its variable set once, in its
+    # __init__, so one rank-3 seq_check runs that __init__ once per
+    # distinct term node of its theta (a tree walk of this theta visits
+    # about 15,000 nodes), and a second free_vars walk builds and asks
+    # nothing
     formulas._minterm_prefixes.cache_clear()
     dinfty._selcode.cache_clear()
-    built, calls, descents = [], [], []
-    original = formulas.term_vars
+    built, inits, calls = [], [], []
+    original_init, original_vars = formulas._pair_init, formulas.term_vars
 
-    def counted(a):
-        calls.append(a)
-        if isinstance(a, (Or, And)) and a._vars is None:
-            descents.append(a)
-        return original(a)
+    def counted(self, lhs, rhs):
+        inits.append(self)
+        original_init(self, lhs, rhs)
 
     def recorded(alpha):
         built.append(theta(alpha))
         return built[-1]
 
-    _patch_everywhere(monkeypatch, original, counted)
+    for cls in (Or, And):
+        monkeypatch.setattr(cls, "__init__", counted)
+    _patch_everywhere(monkeypatch, original_vars,
+                      lambda a: calls.append(a) or original_vars(a))
     monkeypatch.setattr(dinfty, "theta", recorded)
     seq_check(elem(3, val(3, 33481)))
     (A,) = built
-    nodes = _distinct_nodes(A)
-    terms = [x for x in nodes if isinstance(x, (Or, And))]
-    assert 1000 < len(descents) <= len(terms)
-    assert len({id(t) for t in descents}) == len(descents)
+    terms = [x for x in _distinct_nodes(A) if isinstance(x, (Or, And))]
+    assert len(terms) > 1000
+    assert len({id(t) for t in inits}) == len(inits)
+    assert {id(t) for t in terms} <= {id(t) for t in inits}
+    inits.clear()
     calls.clear()
-    descents.clear()
     assert formulas.free_vars(A) == frozenset()
-    sides = [s for x in nodes if isinstance(x, Neq) for s in (x.lhs, x.rhs)]
-    assert not descents and len(calls) == len(sides)
+    assert not inits and not calls
 
 
 def _distinct_nodes(A):

@@ -15,8 +15,8 @@ from realizability.dinfty import elem, level_size, theta, val
 from realizability.formulas import (
     And, BTerm, Forall, HornKind, Impl, Neq, Not, ONE, Or, UsageError, Var,
     ZERO, alpha_eq, bot, canon, classify_horn, conj, conj_many, decompose,
-    disj, eq, eval_formula_01, eval_term_01, exists, free_vars, horn_shape,
-    is_ground, rows_term, subst_formula, tbool_axioms, term_vars,
+    disj, eq, eval_formula_01, eval_term_01, exists, forall_many, free_vars,
+    horn_shape, is_ground, rows_term, subst_formula, tbool_axioms, term_vars,
 )
 from realizability.syntax import print_bterm
 
@@ -187,24 +187,35 @@ def test_free_vars_and_shadowing():
     assert free_vars(A) == {"w"}
 
 
-def _reference_term_vars(a):
-    # a set per node, and nothing kept on the nodes
-    if isinstance(a, Var):
-        return frozenset((a.name,))
-    if isinstance(a, Not):
-        return _reference_term_vars(a.arg)
-    if isinstance(a, (Or, And)):
-        return _reference_term_vars(a.lhs) | _reference_term_vars(a.rhs)
-    return frozenset()
+def _reference_term_vars(a, memo=None):
+    # a set per node, by recursion over the fields alone; memo, keyed on
+    # id, computes a node that a DAG shares once
+    memo = {} if memo is None else memo
+    vs = memo.get(id(a))
+    if vs is None:
+        if isinstance(a, Var):
+            vs = frozenset((a.name,))
+        elif isinstance(a, Not):
+            vs = _reference_term_vars(a.arg, memo)
+        elif isinstance(a, (Or, And)):
+            vs = (_reference_term_vars(a.lhs, memo)
+                  | _reference_term_vars(a.rhs, memo))
+        else:
+            vs = frozenset()
+        memo[id(a)] = vs
+    return vs
 
 
-def _reference_free_vars(A):
-    # the set-per-node recursion that the one-set walk replaced
+def _reference_free_vars(A, memo=None):
+    # the set-per-node recursion that the kept sets replaced
+    memo = {} if memo is None else memo
     if isinstance(A, Neq):
-        return _reference_term_vars(A.lhs) | _reference_term_vars(A.rhs)
+        return (_reference_term_vars(A.lhs, memo)
+                | _reference_term_vars(A.rhs, memo))
     if isinstance(A, Impl):
-        return _reference_free_vars(A.ante) | _reference_free_vars(A.cons)
-    return _reference_free_vars(A.body) - {A.var}
+        return (_reference_free_vars(A.ante, memo)
+                | _reference_free_vars(A.cons, memo))
+    return _reference_free_vars(A.body, memo) - {A.var}
 
 
 def test_free_vars_matches_reference():
@@ -219,16 +230,20 @@ def test_free_vars_matches_reference():
     A = Forall("z", Impl(Neq(Var("z"), Var("w")), Forall("w", Neq(Var("w"), ZERO))))
     assert free_vars(A) == {"w"}
     assert free_vars(Forall("w", A)) == frozenset()
-    with pytest.raises(TypeError):
-        free_vars(Impl(Neq(ZERO, ONE), "z"))
-    with pytest.raises(TypeError):
-        free_vars(Neq(Or(Var("z"), "w"), ZERO))
-    # a bad child raises TypeError also under a node that keeps its set
-    for bad in (Or(Var("z"), "w"), And("w", ONE), Not(None)):
+    # a child that is not a term, or not a formula, raises TypeError as
+    # its parent is built
+    for build in (lambda: Impl(Neq(ZERO, ONE), "z"),
+                  lambda: Neq(Or(Var("z"), "w"), ZERO),
+                  lambda: Or(Var("z"), "w"), lambda: And("w", ONE),
+                  lambda: Not(None), lambda: Neq(bot(), ZERO),
+                  lambda: Impl(ZERO, bot()), lambda: Forall("z", ONE)):
+        with pytest.raises(TypeError, match="not a (term|formula): "):
+            build()
+    for read, x in ((term_vars, "w"), (term_vars, bot()),
+                    (free_vars, ZERO), (free_vars, None),
+                    (is_ground, Var("z"))):
         with pytest.raises(TypeError):
-            term_vars(bad)
-        with pytest.raises(TypeError):
-            is_ground(Neq(Not(bad), ZERO))
+            read(x)
 
 
 def _nodes(*roots):
@@ -268,17 +283,54 @@ def test_kept_hashes_are_the_dataclass_hashes(top_first):
 
 
 def test_kept_variable_sets_match_the_reference():
-    thetas = _seeded_rank3_thetas()
+    # every term node keeps the variable set, and every formula node the
+    # free variables, that the recursion over its fields computes: on
+    # corpus formulas, on substitution and canon outputs, and on 40
+    # seeded rank-3 thetas, whose terms are DAGs
+    rng = random.Random(8)
     corpus = formula_corpus(300, seed=21, height=4)
-    for t in _nodes(*corpus):
-        if isinstance(t, BTerm):
-            assert term_vars(t) == _reference_term_vars(t), t
-    for A in thetas[:5]:
-        for n in _nodes(A):
-            if isinstance(n, Neq):
-                assert term_vars(n.lhs) == _reference_term_vars(n.lhs)
-    for A in thetas:
-        assert free_vars(A) == _reference_free_vars(A) == frozenset()
+    loose = [random_formula(rng, height=3, vars=("z", "w"))
+             for _ in range(150)]
+    substituted = [subst_formula(A, ["z", "w"],
+                                 [random_bterm(rng, ("z", "w", "z_0"), 2),
+                                  Var("z")])
+                   for A in loose]
+    roots = corpus + loose + substituted + [canon(A) for A in corpus + loose]
+    roots += _seeded_rank3_thetas()
+    memo, counts = {}, {BTerm: 0, formulas.Formula: 0}
+    for x in _nodes(*roots):
+        if isinstance(x, BTerm):
+            assert term_vars(x) == _reference_term_vars(x, memo), x
+            counts[BTerm] += 1
+        else:
+            assert free_vars(x) == _reference_free_vars(x, memo), x
+            counts[formulas.Formula] += 1
+    assert counts[BTerm] > 5000 and counts[formulas.Formula] > 2000
+    assert any(map(free_vars, substituted))
+    assert not any(free_vars(A) for A in corpus + roots[-40:])
+
+
+def test_chains_answer_their_variables_without_recursion():
+    # the sets are kept as each link is built, so no question about them
+    # descends a chain
+    z = Var("z")
+    ors = z
+    for i in range(5000):
+        ors = Or(ors, Var(f"v{i % 7}"))
+    nots = z
+    for _ in range(5000):
+        nots = Not(nots)
+    impls = Neq(nots, ZERO)
+    for _ in range(2000):
+        impls = Impl(Neq(z, ors), impls)
+    assert term_vars(ors) == {"z", *(f"v{i}" for i in range(7))}
+    assert term_vars(nots) == {"z"}
+    assert free_vars(impls) == term_vars(ors)
+    with pytest.raises(UsageError, match="free: \\['v0', .*'z'\\]"):
+        formulas.closed(impls, "f")
+    A = forall_many(sorted(term_vars(ors)), impls)
+    assert free_vars(A) == frozenset()
+    formulas.closed(A, "f")
 
 
 def test_kept_values_are_not_fields():
@@ -300,6 +352,17 @@ def test_kept_values_are_not_fields():
                  pickle.loads(pickle.dumps(t))):
         assert twin == t and hash(twin) == hash(t)
         assert term_vars(twin) == {"z", "w"}
+    # formula nodes too: fields only, and a copy keeps its free variables
+    assert [f.name for f in dataclasses.fields(Neq)] == ["lhs", "rhs"]
+    assert [f.name for f in dataclasses.fields(Forall)] == ["var", "body"]
+    A = Forall("z", Impl(Neq(t, ZERO), bot()))
+    assert repr(A).startswith("Forall(var='z', body=Impl(ante=Neq(lhs=And(")
+    for twin in (copy.copy(A), copy.deepcopy(A),
+                 pickle.loads(pickle.dumps(A))):
+        assert twin == A and hash(twin) == hash(A)
+        assert free_vars(twin) == {"w"}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        A.var = "w"
 
 
 def test_subst_capture_avoiding():

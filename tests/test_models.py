@@ -864,3 +864,42 @@ def test_quantifier_cache_spans_the_family(monkeypatch):
     # each (size, cap) is split once per compiled check: (4, 2) for z, and
     # (0, 1), (1, 1), (2, 1) for the cells of w's five distinct sizes
     assert alone == 4
+
+
+def test_theory_decides_ground_and_horn_sentences_as_the_family_sweep():
+    # {0,1} decides a ground or Horn sentence for every algebra with at
+    # least two elements, so membership answers as the compiled sweep over
+    # any family does, wherever that sweep answers
+    sentences = [a for height in range(2, 6) for seed in range(4)
+                 for a in formula_corpus(400, seed=seed, height=height,
+                                         max_qdepth=4)
+                 if is_ground(a) or classify_horn(a) is not HornKind.NOT_HORN]
+    families = (DEFAULT_FAMILY, (Atomless(),), (PowerFinite(3),),
+                (PowerFinite(1), Atomless()))
+    compared = 0
+    for A in sentences:
+        check = bamodels._compile(A)
+        for family in families:
+            try:
+                swept = all(check(spec) is None for spec in family)
+            except GuardExceeded:
+                continue
+            assert TheoryOracle(family).membership(A) == swept, (family, A)
+            compared += 1
+    assert compared == 4 * len(sentences) == 17036
+
+
+def test_theory_answers_a_horn_sentence_past_the_guards():
+    # no algebra of the family is consulted: seven quantifiers and a
+    # 7-atom algebra answer, as validity does
+    seven = parse_formula("forall a. forall b. forall c. forall d. "
+                          "forall e. forall f. forall g. a != 0")
+    assert valid_all_bas(seven).is_refuted
+    for family in (DEFAULT_FAMILY, (PowerFinite(7),)):
+        assert TheoryOracle(family).membership(seven) is False
+        assert TheoryOracle(family).membership(
+            parse_formula("forall z. z \\/ ~z == 1")) is True
+    with pytest.raises(GuardExceeded, match="guard of 6"):
+        TheoryOracle().membership(parse_formula(
+            "forall a. forall b. forall c. forall d. forall e. forall f. "
+            "forall g. a != 0 -> a != 1"))

@@ -16,9 +16,9 @@ from realizability.lcterms import (
     LVar, Lam, check_closed, lc_alpha_eq, proc_alpha_eq,
 )
 from realizability.syntax import (
-    ParseError, _lex, parse_bterm, parse_formula, parse_lcterm, parse_process,
-    parse_stack, print_bterm, print_formula, print_lcterm, print_process,
-    print_stack,
+    ParseError, _lex, _positions, parse_bterm, parse_formula, parse_lcterm,
+    parse_process, parse_stack, print_bterm, print_formula, print_lcterm,
+    print_process, print_stack,
 )
 
 
@@ -375,8 +375,12 @@ def test_lexer_matches_the_per_token_reference():
         texts.append(text)
     for src in texts:
         expected = _lex_outcome(_reference_lex, src)
-        got = _lex_outcome(lambda s: list(zip(*_lex(s))), src)
-        assert got == expected, src
+        got = _lex_outcome(_lex, src)
+        if isinstance(expected, tuple):  # an error: its text and position
+            assert got == expected, src
+        else:  # the tokens; their positions are found only for an error
+            assert got == [tok for tok, _ in expected], src
+            assert _positions(src) == [pos for _, pos in expected], src
 
 
 def test_nested_groups_raise_no_parse_error(monkeypatch):
