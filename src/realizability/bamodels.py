@@ -20,13 +20,13 @@ The compiled check reads nothing but the tuple of cell sizes.  It caps
 each finite cell size at 2^r, with r quantifiers still to come;
 `model_check` gives the Ehrenfeucht-Fraisse argument.  The infinite
 cells of the atomless algebra are never capped.  A quantifier
-occurrence that reads fewer variables than the cells split, and holds
-no depth guard, sees only the cells of its own free variables, whose
-sizes are sums of the finer ones (Feferman-Vaught).  One dict per
-compiled check memoises every quantifier occurrence on (occurrence,
-sizes), so nothing outlives the call that compiled it.  The check
-answers None when the formula holds and its refutation path when it
-fails, so the one run that decides a formula also explains it.
+occurrence that reads fewer variables than the cells split sees only
+the cells of its own free variables, whose sizes are sums of the finer
+ones (Feferman-Vaught).  Each quantifier occurrence memoises its
+answers in its own dict, keyed on the sizes it reads, so nothing
+outlives the call that compiled it.  The check answers None when the
+formula holds and its refutation path when it fails, so the one run
+that decides a formula also explains it.
 
 The public functions refuse an open formula at entry, each under its own
 name, by one `formulas.closed` check; nothing past the entry checks
@@ -46,6 +46,7 @@ of one that {0,1} refutes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -97,12 +98,16 @@ MAX_DEPTH = 6        # deepest quantifier nesting that model_check accepts
 MAX_PROP_ATOMS = 14  # most inequation atoms is_prop_tautology truth-tables
 
 
+@functools.lru_cache(maxsize=None)
 def _splits(size, cap=math.inf):
     """The splits of a cell of `size` into (outside, inside), in the order
     model_check tries them, with both parts capped at `cap` and each
     capped pair kept at its first occurrence.  An infinite cell is an
     atomless one and is never capped; a finite size past 2 * cap splits
-    into the same capped pairs as 2 * cap, in the same order."""
+    into the same capped pairs as 2 * cap, in the same order.  The check
+    splits with caps 2^0 .. 2^5 under the depth guard, each finite size
+    capped at twice its cap first, so the cache holds at most
+    sum(2 * cap + 2) = 138 entries."""
     if size == math.inf:
         return ((math.inf, math.inf), (math.inf, 0), (0, math.inf))
     if size <= cap:
@@ -130,22 +135,6 @@ def _failing_split(body, options):
     return None
 
 
-def _height(f: Formula, heights: dict[int, int]) -> int:
-    """f's quantifier nesting depth, bottom-up; heights keeps each
-    Forall's by id, so a compile walks each subformula once."""
-    cls = type(f)
-    if cls is Neq:
-        return 0
-    if cls is Impl:
-        return max(_height(f.ante, heights), _height(f.cons, heights))
-    if cls is Forall:
-        height = heights.get(id(f))
-        if height is None:
-            height = heights[id(f)] = _height(f.body, heights) + 1
-        return height
-    raise TypeError(f"not a formula: {f!r}")
-
-
 def _project(env: dict[str, int], width: int, names: list[str]):
     """The projection of the 2^width cells onto the cells of names: one
     getter per names-cell that reads the sizes of the cells inside it, and
@@ -164,29 +153,27 @@ def _project(env: dict[str, int], width: int, names: list[str]):
 _UNSEEN = object()  # a memo miss; None is the answer of a Forall that holds
 
 
-def _memoised(var: str, body, rank: int, getters, occ: int, memo: dict,
-              split_memo: dict):
+def _memoised(var: str, body, rank: int, getters):
     """The closure of a Forall over var whose body has rank `rank`: it
-    projects its sizes with getters (unless None), capping each sum at
-    2^(rank + 1), and enumerates splits capped at 2^rank on a memo miss.
-    It answers None or (var, its first failing split, body's refutation)."""
+    projects its sizes with getters (unless None), and on a miss of its
+    own memo, keyed on the sizes it reads, enumerates splits capped at
+    2^rank.  Projected sums, and the sizes split on a miss, are capped at
+    2^(rank + 1), which changes no split.  It answers None or (var, its
+    first failing split, body's refutation)."""
     cap, bound = 1 << rank, 2 << rank
+    memo: dict[tuple, tuple | None] = {}  # sizes -> refutation
+
+    def capped(sizes):  # an infinite size stays infinite
+        return [bound if bound < s < math.inf else s for s in sizes]
 
     def forall(sizes):
-        if getters is not None:  # an infinite sum stays infinite
-            sizes = tuple([bound if bound < s < math.inf else s
-                           for s in [sum(g(sizes)) for g in getters]])
-        key = (occ, sizes)
-        refutation = memo.get(key, _UNSEEN)
+        if getters is not None:
+            sizes = tuple(capped([sum(g(sizes)) for g in getters]))
+        refutation = memo.get(sizes, _UNSEEN)
         if refutation is _UNSEEN:
-            options = []
-            for s in sizes:
-                o = split_memo.get((s, cap))
-                if o is None:
-                    o = split_memo[s, cap] = _splits(s, cap)
-                options.append(o)
-            found = _failing_split(body, options)
-            refutation = memo[key] = None if found is None else (var, *found)
+            found = _failing_split(body, [_splits(s, cap)
+                                          for s in capped(sizes)])
+            refutation = memo[sizes] = None if found is None else (var, *found)
         return refutation
     return forall
 
@@ -246,16 +233,16 @@ def model_check(A: Formula, spec: BASpec) -> bool:
     partition: the Forall's truth depends only on the values of its free
     variables, and the sizes of their cells fix those values up to an
     automorphism of the algebra (in the atomless algebra, which cells are
-    nonzero do).  A Forall that holds the depth guard is not projected
-    (see `_compile`).  Each Forall's free variables are kept on the node,
-    and its nesting depth is read once per compile, where a projection
-    needs it.  The depth guard counts nested quantifiers, not cells.
-    Each Forall's answer is memoised in one dict per compiled check,
-    keyed on (occurrence number, the sizes it reads), which fix the
+    nonzero do).  Each Forall's free variables are kept on the node.
+    The depth guard counts nested quantifiers, not cells, so projection
+    does not move it; but a projected Forall tries its splits in the
+    order of its own cells, and that order decides whether a failing
+    split or the guard is reached first.  Each Forall memoises its
+    answer in its own dict, keyed on the sizes it reads, which fix the
     answer whatever the algebra; the dict lives as long as the compiled
     check, which `valid_all_bas` and `TheoryOracle.membership` run over
-    each member of their family.  Each (size, cap) is split once per
-    compiled check too."""
+    each member of their family.  Each (size, cap) is split once, in
+    one cache that every check shares."""
     closed(A, "model_check")
     return _compile(A)(spec) is None
 
@@ -263,11 +250,6 @@ def model_check(A: Formula, spec: BASpec) -> bool:
 def _compile(A: Formula):
     """model_check's compile step: the check of the closed formula A in a
     spec, which answers None or A's refutation there."""
-    heights: dict[int, int] = {}  # a Forall's id -> its nesting depth
-    memo: dict[tuple, tuple | None] = {}  # (occurrence, sizes) -> refutation
-    split_memo: dict[tuple, tuple] = {}  # (size, cap) -> its splits
-    occurrences = itertools.count()
-
     def compile_(f: Formula, env: dict[str, int], width: int, depth: int):
         """f's closure and quantifier rank under depth quantifiers; env maps
         each variable to its column over the 2^width cells."""
@@ -291,23 +273,14 @@ def _compile(A: Formula):
                     f"quantifier depth {depth + 1} exceeds the guard of {MAX_DEPTH}")
             return too_deep, 0
         getters = None
-        if width:
-            kept = f._free
-            # projection must not change the answer that the cell order
-            # gives: the projected splits come in another order, so a
-            # Forall that holds the guard could meet a failing split
-            # before it where the cell order raises first, or the other
-            # way round; such a Forall keeps its cells
-            if (len(kept) < width
-                    and depth + _height(f, heights) <= MAX_DEPTH):
-                getters, env = _project(env, width, sorted(kept))
-                width = len(kept)
+        if len(f._free) < width:
+            getters, env = _project(env, width, sorted(f._free))
+            width = len(f._free)
         half = 1 << width  # cell m + half is cell m inside f.var
         cols = {name: col | col << half for name, col in env.items()}
         cols[f.var] = (1 << half) - 1 << half
         body, rank = compile_(f.body, cols, width + 1, depth + 1)
-        return _memoised(f.var, body, rank, getters, next(occurrences), memo,
-                         split_memo), rank + 1
+        return _memoised(f.var, body, rank, getters), rank + 1
 
     check, rank = compile_(A, {}, 0, 0)
     top = 1 << rank

@@ -122,8 +122,9 @@ def cmd_validity(args) -> int:
     v = valid_all_bas(parse_formula(args.formula), args.family)
     just = f" ({v.justification.value})" if v.justification else ""
     wit = f" witness {v.witness}" if v.witness else ""
+    detail = f" ({v.detail})" if v.detail else ""
     tr = "".join(f"\n  {line}" for line in v.trace)
-    _emit(args, _verdict_payload(v), f"{v.status}{just}{wit}{tr}")
+    _emit(args, _verdict_payload(v), f"{v.status}{just}{wit}{detail}{tr}")
     return _verdict_exit(v)
 
 

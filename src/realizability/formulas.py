@@ -378,6 +378,8 @@ def eval_formula_01(A: Formula, env: Mapping[str, int] | None = None) -> bool:
         if isinstance(f, Impl):
             return (not go(f.ante, env)) or go(f.cons, env)
         if isinstance(f, Forall):
+            if f.var not in f.body._free:  # vacuous: one value answers
+                return go(f.body, env)
             return (go(f.body, {**env, f.var: 0})
                     and go(f.body, {**env, f.var: 1}))
         raise TypeError(f"not a formula: {f!r}")

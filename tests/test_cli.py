@@ -220,6 +220,15 @@ def test_denote(capsys):
     assert code == 0 and "component(1)" in out
 
 
+def test_validity_unknown_says_why(capsys):
+    # as seq-check does: a family pass, and the atom guard, which is
+    # reached before the family passes
+    src = "forall z. forall w. z /\\ w != 0 -> z != 0"
+    assert run(capsys, "validity", src) == (2, "unknown (family-passed)\n")
+    assert run(capsys, "validity", "--family", "pf7", src) == (
+        2, "unknown (guard: 7 atoms exceeds the guard of 6)\n")
+
+
 def test_theta_and_seq(capsys):
     code, out = run(capsys, "theta", "--rank", "1", "--element", "1")
     assert code == 0 and "->" in out

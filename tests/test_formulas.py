@@ -182,6 +182,31 @@ def test_forall_two_valued():
     assert eval_formula_01(Forall("z", Neq(Var("z"), ZERO)), {}) == 0
 
 
+def test_vacuous_quantifiers_evaluate_their_body_once(monkeypatch):
+    # forall a0. ... forall a<n-1>. a0 \/ ~a0 == 1: only a0 is read, so
+    # the body's terms are evaluated at a0 = 0 and 1, whatever n is
+    calls = []
+    real = formulas.eval_term_01
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(formulas, "eval_term_01", counting)
+    counts = []
+    for n in (8, 16):
+        calls.clear()
+        assert eval_formula_01(forall_many(
+            [f"a{i}" for i in range(n)],
+            eq(Or(Var("a0"), Not(Var("a0"))), ONE)))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+    # a vacuous binder leaves the outer binders' values in place
+    assert eval_formula_01(Forall("z", Impl(Neq(Var("z"), ZERO), Forall(
+        "w", Neq(Var("z"), ZERO)))))
+    assert not eval_formula_01(Forall("z", Forall("w", Neq(Var("z"), ZERO))))
+
+
 def test_free_vars_and_shadowing():
     A = Forall("z", Impl(Neq(Var("z"), Var("w")), Forall("w", Neq(Var("w"), ZERO))))
     assert free_vars(A) == {"w"}

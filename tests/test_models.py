@@ -168,9 +168,19 @@ def test_guards():
         assert str(err.value) == "quantifier depth 7 exceeds the guard of 6"
 
 
+def test_atom_guard():
+    # past the cap 2^q a bigger algebra answers as PowerFinite(2^q) does,
+    # but the atom guard refuses it before the check runs
+    A = parse_formula("forall z. z != 0")
+    assert not model_check(A, PowerFinite(6))
+    with pytest.raises(GuardExceeded) as err:
+        model_check(A, PowerFinite(7))
+    assert str(err.value) == "7 atoms exceeds the guard of 6"
+
+
 def test_guard_counts_nesting_under_a_closed_block():
-    # the closed block b..g under a holds the guard, so it is not
-    # projected; the guard counts the seven quantifiers above its body
+    # the closed block b..g under a is projected onto no variable, but
+    # the guard counts nested quantifiers, not cells: seven above its body
     A = parse_formula("forall a. (" + SEVEN_FORALLS[len("forall a. "):]
                       + "b != 0) -> a != 0")
     for spec in (PowerFinite(1), Atomless()):
@@ -186,23 +196,26 @@ GUARD_ORDER = ("forall x. forall y. y /\\ x != 0 -> y /\\ x != x -> "
 GUARD = "forall a. forall b. forall c. forall d. a != 0"
 
 
-def test_guard_fires_as_in_the_cell_order():
-    # projecting forall z onto x's cells would try z = ~x before the
-    # splits of the y-cells that reach the guard, and so answer where the
-    # enumeration over every cell raises, or raise where it answers
-    reaches_guard_first = parse_formula(
+def test_guard_fires_as_in_the_projected_order():
+    # forall z is projected onto x's cells, like any other Forall, so it
+    # tries z = ~x before the splits of the y-cells that reach the guard:
+    # the first sentence fails there, and the uncapped per-cell reference
+    # refutes it in PowerFinite(4) too; the second reaches the guard
+    # before its failing split
+    reaches_guard_later = parse_formula(
         GUARD_ORDER + f"((z /\\ x == x -> z != 1 -> {GUARD}) -> "
         "z != ~x -> _|_) -> _|_")
+    v = valid_all_bas(reaches_guard_later)
+    assert (v.status, v.witness) == ("refuted", PowerFinite(4))
+    assert v.trace[1] == "forall z: failing split {0: (0, 2), 1: (2, 0)}"
+    assert not TheoryOracle().membership(reaches_guard_later)
+    reaches_guard_first = parse_formula(
+        GUARD_ORDER + "((z /\\ x == x -> z != 1 -> _|_) -> "
+        f"(z == ~x -> {GUARD}) -> _|_) -> _|_")
     assert valid_all_bas(reaches_guard_first) == Verdict(
         "unknown", detail="guard: quantifier depth 7 exceeds the guard of 6")
     with pytest.raises(GuardExceeded):
         TheoryOracle().membership(reaches_guard_first)
-    fails_first = parse_formula(
-        GUARD_ORDER + "((z /\\ x == x -> z != 1 -> _|_) -> "
-        f"(z == ~x -> {GUARD}) -> _|_) -> _|_")
-    v = valid_all_bas(fails_first)
-    assert (v.status, v.witness) == ("refuted", PowerFinite(4))
-    assert not TheoryOracle().membership(fails_first)
 
 
 def _trace_of(A, spec):
@@ -842,28 +855,44 @@ def test_oracle_closed_under_weakening_spot():
     assert oracle.membership(B)
 
 
-def test_quantifier_cache_spans_the_family(monkeypatch):
+def test_quantifier_cache_spans_the_family():
     # the capped sizes fix each quantifier's verdict, so once PowerFinite(4)
-    # has been checked the cache answers for 5 and 6 with no new splits
+    # has been checked the memo answers for 5 and 6 with no new splits
     A = parse_formula("forall z. forall w. 0 != z /\\ ~w -> z /\\ ~w != 0")
-    splits = bamodels._splits
 
-    def count(family):
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return splits(*args)
-
-        monkeypatch.setattr(bamodels, "_splits", counting)
+    def misses(family):
+        bamodels._splits.cache_clear()
         assert TheoryOracle(family).membership(A)
-        return len(calls)
+        return bamodels._splits.cache_info().misses
 
-    alone = count((PowerFinite(4),))
-    assert count((PowerFinite(4), PowerFinite(5), PowerFinite(6))) == alone
-    # each (size, cap) is split once per compiled check: (4, 2) for z, and
-    # (0, 1), (1, 1), (2, 1) for the cells of w's five distinct sizes
+    alone = misses((PowerFinite(4),))
+    assert misses((PowerFinite(4), PowerFinite(5), PowerFinite(6))) == alone
+    # each (size, cap) is split once: (4, 2) for z, and (0, 1), (1, 1),
+    # (2, 1) for the cells of w's five distinct sizes
     assert alone == 4
+
+
+def test_split_cache_stays_within_its_bound(monkeypatch):
+    # caps are 2^0 .. 2^5 under the depth guard and each size split is at
+    # most twice its cap or infinite: at most sum(2 * cap + 2) entries.  A
+    # quantifier of lower rank than its binder's body reads sizes past
+    # twice its cap, here w's, which are capped before they are split
+    calls = _counting(monkeypatch, "_splits")
+    _splits.cache_clear()
+    inputs = [a for seed in (1, 2, 3, 4)
+              for a in formula_corpus(200, seed=seed, height=4)]
+    inputs.append(parse_formula(
+        "forall x. (forall y. forall z. y /\\ z != 0 -> y /\\ x != 0) -> "
+        "forall w. w /\\ x != 0"))
+    for a in inputs:
+        check = bamodels._compile(a)
+        for spec in CAP_SPECS:
+            check(spec)
+    sizes = {args for args, _ in calls}
+    assert all(s <= 2 * cap or s == math.inf for s, cap in sizes)
+    assert (2, 1) in sizes and (math.inf, 4) in sizes
+    assert _splits.cache_info().currsize == len(sizes) <= sum(
+        2 * (1 << r) + 2 for r in range(6)) == 138
 
 
 def test_theory_decides_ground_and_horn_sentences_as_the_family_sweep():
