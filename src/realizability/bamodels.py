@@ -36,7 +36,8 @@ and the compile step finds every variable bound.
 On top sits a three-valued validity layer for "true in every Boolean
 algebra with at least two elements": complete fragments (ground sentences,
 Horn clauses, propositional tautologies over inequation atoms) plus a
-configurable refutation family.  Ground and Horn sentences are decided in
+configurable refutation family.  Ground sentences, and Horn sentences
+whose quantifiers read at most MAX_PROP_ATOMS variables, are decided in
 {0,1} by `eval_formula_01`, through one helper (`_in_01`) that
 `valid_all_bas` and `TheoryOracle.membership` share: {0,1} answers for
 every algebra with at least two elements, so no family is consulted.
@@ -95,7 +96,8 @@ class GuardExceeded(Exception):
 
 MAX_ATOMS = 6        # largest PowerFinite that model_check accepts
 MAX_DEPTH = 6        # deepest quantifier nesting that model_check accepts
-MAX_PROP_ATOMS = 14  # most inequation atoms is_prop_tautology truth-tables
+MAX_PROP_ATOMS = 14  # most atoms is_prop_tautology truth-tables, and most
+                     # read variables of a Horn sentence decided in {0,1}
 
 
 @functools.lru_cache(maxsize=None)
@@ -425,17 +427,27 @@ def is_prop_tautology(A: Formula) -> bool:
 
 
 def _in_01(A: Formula) -> tuple[Justification, bool] | None:
-    """For a closed ground or Horn A, its justification and its truth in
+    """For a closed ground A, or a closed Horn A whose prefix reads at
+    most MAX_PROP_ATOMS variables, its justification and its truth in
     {0,1}, which is its truth in every Boolean algebra with at least two
     elements; None for any other A.  Ground terms land in the two-element
     subalgebra {0,1}, which embeds in every such algebra.  A universal
     Horn sentence true in {0,1} is true in every Boolean algebra, since
     each is a subalgebra of a power of {0,1}; one false in {0,1} is false
-    in every algebra that embeds {0,1}."""
-    just = (Justification.GROUND if is_ground(A)
-            else Justification.HORN if horn_shape(A) is not HornKind.NOT_HORN
-            else None)
-    return None if just is None else (just, eval_formula_01(A))
+    in every algebra that embeds {0,1}.  `eval_formula_01` tries both
+    values of each read variable and one of a vacuous quantifier's, so
+    the bound keeps it to 2^MAX_PROP_ATOMS assignments; a larger Horn
+    sentence goes on to `is_prop_tautology` and the family, whose depth
+    guard answers."""
+    if is_ground(A):
+        return Justification.GROUND, eval_formula_01(A)
+    reads, body = 0, A
+    while isinstance(body, Forall):
+        reads += body.var in body.body._free
+        body = body.body
+    if reads > MAX_PROP_ATOMS or horn_shape(A) is HornKind.NOT_HORN:
+        return None
+    return Justification.HORN, eval_formula_01(A)
 
 
 def valid_all_bas(A: Formula,
@@ -479,10 +491,11 @@ class TheoryOracle:
     """Membership in the intersection of the complete theories of a family
     of Boolean algebras.  Such an intersection is closed under classical
     deduction, and every member algebra has at least two elements, so the
-    background axioms all belong.  For the same reason a ground or Horn
-    sentence is decided in {0,1}, as `valid_all_bas` decides it, whatever
-    the family: no guard of the family's algebras is reached.  Any other
-    sentence is compiled once and checked in each member."""
+    background axioms all belong.  For the same reason a ground sentence,
+    or a Horn one that reads at most MAX_PROP_ATOMS variables, is decided
+    in {0,1}, as `valid_all_bas` decides it, whatever the family: no guard
+    of the family's algebras is reached.  Any other sentence is compiled
+    once and checked in each member."""
     family: tuple[BASpec, ...] = DEFAULT_FAMILY
 
     def __post_init__(self):

@@ -1,14 +1,15 @@
 """Lambda calculus with call/cc, stack constants and tagged instructions.
 
-Terms, stacks and processes; one iterative pre-order walk over them;
-substitution of a closed term for a lambda variable; the conjunction of
-all instruction tags occurring in a term, stack or process; and
-canonical keys for alpha-equivalence, which serve `lc_alpha_eq`,
-`proc_alpha_eq` and the tests' reference pole.  Which names and tags a
-term holds is read through `walk` alone: by `free_lvars`, `iter_tags`,
-the closedness check `check_closed`, the pole's memo key
-(`pole._memo_key`, which keys on a process as written, not up to alpha),
-`dinfty._candidates` and `typecheck`.
+Terms, stacks and processes; one iterative pre-order walk over them,
+which numbers their binders; substitution of a closed term for a lambda
+variable; the conjunction of all instruction tags occurring in a term,
+stack or process; and canonical keys for alpha-equivalence, which serve
+`lc_alpha_eq`, `proc_alpha_eq` and the tests' reference pole.  Which
+names and tags a term holds is read through `walk` alone: by
+`free_lvars`, `iter_tags`, the closedness check `check_closed`, the
+canonical key `canon_term` (an LVar by its binder's number), the pole's
+memo key (`pole._memo_key`, which keys on a process as written, not up
+to alpha), `dinfty._candidates` and `typecheck`.
 
 `check_closed` is the one closedness check of machine input.  The public
 functions that take a process or term call it once, at entry:
@@ -27,7 +28,6 @@ reuses its id, and the machine makes and drops nodes at every step.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, fields
 from typing import Iterator
 
@@ -168,13 +168,17 @@ def walk(x) -> Iterator[tuple]:
     """(node, the lambda names bound above it, its root) for every node of
     a term, stack or process x, in pre-order: term before stack, function
     before argument, head before tail, and a k[...]'s entries where it
-    stands.  A root is x's term or stack, or a stack entry (in a k[...]
-    too), and nothing is bound at a root, since entries are closed.  The
-    to-do list is the walk's own, so no depth costs Python recursion."""
+    stands.  The bound names map each to its binder's number, binders
+    numbered from 0 in walk order across all of x, the innermost binder
+    of a name shadowing the others.  A root is x's term or stack, or a
+    stack entry (in a k[...] too), and nothing is bound at a root, since
+    entries are closed.  The to-do list is the walk's own, so no depth
+    costs Python recursion."""
     if isinstance(x, Process):
-        todo = [(x.stack, frozenset(), x.stack), (x.term, frozenset(), x.term)]
+        todo = [(x.stack, {}, x.stack), (x.term, {}, x.term)]
     else:
-        todo = [(x, frozenset(), x)]
+        todo = [(x, {}, x)]
+    binders = 0
     while todo:
         item = todo.pop()
         yield item
@@ -183,9 +187,10 @@ def walk(x) -> Iterator[tuple]:
         if cls is App:
             todo += ((t.arg, bound, root), (t.fn, bound, root))
         elif cls is Lam:
-            todo.append((t.body, bound | {t.var}, root))
+            todo.append((t.body, {**bound, t.var: binders}, root))
+            binders += 1
         elif cls is SPush:
-            todo += ((t.tail, bound, root), (t.head, frozenset(), t.head))
+            todo += ((t.tail, bound, root), (t.head, {}, t.head))
         elif cls is Kont:
             todo.append((t.stack, bound, root))
 
@@ -253,48 +258,26 @@ def constraint_of(x) -> Formula:
 # Alpha-equivalence and canonical keys
 # --------------------------------------------------------------------------
 
-def canon_term(t: LcTerm, env: dict[str, int] | None = None,
-               counter=None) -> tuple:
-    """Hashable canonical form (de Bruijn-style binder naming, canonical
-    formula tags); equal keys iff alpha-equivalent."""
-    env = env or {}
-    counter = counter if counter is not None else itertools.count()
-    if isinstance(t, LVar):
-        return ("var", env.get(t.name, t.name))
-    if isinstance(t, App):
-        return ("app", canon_term(t.fn, env, counter),
-                canon_term(t.arg, env, counter))
-    if isinstance(t, Lam):
-        lvl = next(counter)
-        env2 = dict(env)
-        env2[t.var] = lvl
-        return ("lam", canon_term(t.body, env2, counter))
-    if isinstance(t, Cc):
-        return ("cc",
-)
-    if isinstance(t, Kont):
-        return ("kont", canon_stack(t.stack, counter))
-    if isinstance(t, Gamma):
-        return ("gamma", canon_formula(t.tag))
-    raise TypeError(f"not a term: {t!r}")
-
-
-def canon_stack(pi: StackT, counter=None) -> tuple:
-    """("stack", key of each entry, head to tail); the entries' binders
-    are numbered in that order.  A loop, so a long stack costs no Python
-    recursion."""
-    counter = counter if counter is not None else itertools.count()
-    key = ["stack"]
-    while isinstance(pi, SPush):
-        key.append(canon_term(pi.head, None, counter))
-        pi = pi.tail
+def canon_term(x) -> tuple:
+    """x, a term, stack or process, as a flat tuple read in one `walk`:
+    each node's class, followed by an LVar's binder number (its name if
+    free) or a Gamma's canonical tag.  Each class has a fixed arity, so
+    two keys are equal iff the terms are alpha-equivalent.  Building or
+    hashing a key recurses through no lambda nest, stack or application
+    spine, however deep; only a tag's key is hashed as a whole."""
+    key = []
+    for t, bound, _ in walk(x):
+        cls = type(t)
+        key.append(cls)
+        if cls is LVar:
+            key.append(bound.get(t.name, t.name))
+        elif cls is Gamma:
+            key.append(canon_formula(t.tag))
     return tuple(key)
 
 
 def canon_process(p: Process) -> tuple:
-    counter = itertools.count()
-    return ("proc", canon_term(p.term, None, counter),
-            canon_stack(p.stack, counter))
+    return canon_term(p)
 
 
 def lc_alpha_eq(t: LcTerm, u: LcTerm) -> bool:

@@ -320,6 +320,48 @@ SEVEN_FORALLS = ("forall a. forall b. forall c. forall d. forall e. "
                  "forall f. forall g. a != 0")
 
 
+def _conjunction_clause(n, goal):
+    # forall a0. ... forall a<n-1>. a0 /\ ... /\ a<n-1> != 0 (a goal
+    # clause) or == itself (a definite one); every quantifier is read
+    names = [f"a{i}" for i in range(n)]
+    conj = " /\\ ".join(names)
+    return ("".join(f"forall {v}. " for v in names)
+            + (f"{conj} != 0" if goal else f"{conj} == {conj}"))
+
+
+def test_horn_clause_at_the_read_bound_is_decided_in_01(capsys):
+    definite = _conjunction_clause(14, False)
+    goal = _conjunction_clause(14, True)
+    assert run(capsys, "validity", definite) == (0, "valid (horn)\n")
+    assert run(capsys, "theory", "--contains", definite) == (0, "true\n")
+    assert run(capsys, "validity", goal) == (
+        1, "refuted witness PowerFinite(1)\n")
+    assert run(capsys, "theory", "--contains", goal) == (1, "false\n")
+
+
+DEPTH_GUARD = "quantifier depth 7 exceeds the guard of 6"
+
+
+@pytest.mark.parametrize("n", [15, 20, 30])
+@pytest.mark.parametrize("goal, validity, theory", [
+    (False, (0, "valid (tautology)"), (2, DEPTH_GUARD)),
+    (True, (2, f"unknown (guard: {DEPTH_GUARD})"), (2, DEPTH_GUARD)),
+], ids=["definite", "goal"])
+def test_horn_clause_past_the_read_bound_answers_at_once(
+        capsys, n, goal, validity, theory):
+    # {0,1} would try 2^n assignments: past 14 read variables the clause
+    # goes on to the tautology check and the family, whose depth guard
+    # answers
+    src = _conjunction_clause(n, goal)
+    for argv, (code, text) in ((("validity",), validity),
+                               (("theory", "--contains"), theory)):
+        start = time.perf_counter()
+        assert main([*argv, src]) == code
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert text in captured.out + captured.err
+
+
 @pytest.mark.parametrize("argv, code, message", [
     (("denote", "\\x. x", "--rank", "4"), 2, "rank cap 3"),
     # SEVEN_FORALLS is a Horn goal clause, which {0,1} decides; this
@@ -478,6 +520,16 @@ def test_eval_prints_a_long_application_spine(capsys):
     assert all(line.count("(\\x. x)") == 3000 for line in lines)
     assert lines[-1].endswith(
         " * (\\x. x) . (\\x. x) . g{0 != 0} . []")
+
+
+def test_eval_prints_the_omega_loop(capsys):
+    # 20,000 steps of the Push/Grab cycle and the final line, as printed
+    code, out = run(capsys, "eval", "(\\x. x x) (\\x. x x) * []",
+                    "--fuel", "20000")
+    assert code == 0
+    assert (out.count("\n"), hashlib.sha256(out.encode()).hexdigest()) == (
+        20001,
+        "e2218f4a1391b7b9b6c6e7b8802704d5e4b0cb750ab51c0bb39d4d041db9f08c")
 
 
 @pytest.mark.parametrize("only", ["99", "xyz"])

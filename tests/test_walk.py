@@ -1,10 +1,12 @@
 """lcterms.walk against the recursive and per-root walkers it replaced.
 
 The oracles below are the earlier free_lvars, dinfty._uses_cc, the name
-sweep of typecheck._all_lvars, and the root-by-root loops of
+sweep of typecheck._all_lvars, the root-by-root loops of
 the earlier pole._check_closed (now lcterms.check_closed) and
-lcterms.iter_tags, kept here as they were."""
+lcterms.iter_tags, and the recursive alpha-canonical keys canon_term and
+canon_stack, kept here as they were."""
 
+import itertools
 import random
 
 import pytest
@@ -12,12 +14,13 @@ import pytest
 from realizability.cli import main
 from realizability.corpus import lcterm_corpus, process_corpus
 from realizability.dinfty import _debruijn_terms
-from realizability.formulas import Impl, UsageError, free_vars
+from realizability.formulas import Impl, UsageError, canon, free_vars
 from realizability.lcterms import (
     App, Cc, Gamma, Kont, LVar, Lam, Process, SPush, check_closed,
-    free_lvars, iter_tags, stack_of, stack_to_list, walk,
+    free_lvars, iter_tags, lc_alpha_eq, proc_alpha_eq, stack_of,
+    stack_to_list, walk,
 )
-from realizability.syntax import parse_formula, print_formula
+from realizability.syntax import parse_formula, parse_lcterm, print_formula
 from realizability.typecheck import Derivation, Judgement, _all_lvars
 
 
@@ -100,6 +103,43 @@ def old_check_closed(p):
                 open_tag = t.tag if free_vars(t.tag) else None
     if open_tag is not None:
         raise UsageError(f"open instruction tag: {open_tag!r}")
+
+
+def old_canon_term(t, env=None, counter=None):
+    env = env or {}
+    counter = counter if counter is not None else itertools.count()
+    if isinstance(t, LVar):
+        return ("var", env.get(t.name, t.name))
+    if isinstance(t, App):
+        return ("app", old_canon_term(t.fn, env, counter),
+                old_canon_term(t.arg, env, counter))
+    if isinstance(t, Lam):
+        lvl = next(counter)
+        env2 = dict(env)
+        env2[t.var] = lvl
+        return ("lam", old_canon_term(t.body, env2, counter))
+    if isinstance(t, Cc):
+        return ("cc",)
+    if isinstance(t, Kont):
+        return ("kont", old_canon_stack(t.stack, counter))
+    if isinstance(t, Gamma):
+        return ("gamma", canon(t.tag))
+    raise TypeError(f"not a term: {t!r}")
+
+
+def old_canon_stack(pi, counter=None):
+    counter = counter if counter is not None else itertools.count()
+    key = ["stack"]
+    while isinstance(pi, SPush):
+        key.append(old_canon_term(pi.head, None, counter))
+        pi = pi.tail
+    return tuple(key)
+
+
+def old_canon_process(p):
+    counter = itertools.count()
+    return ("proc", old_canon_term(p.term, None, counter),
+            old_canon_stack(p.stack, counter))
 
 
 def check_message(check, p):
@@ -220,14 +260,14 @@ def test_walk_names_the_closed_term_each_node_lies_in():
     inner = Lam("z", LVar("z"))
     t = Lam("y", App(LVar("y"), Kont(stack_of(inner))))
     p = Process(t, stack_of(Gamma(parse_formula("0 != 1"))))
-    got = [(type(n).__name__, sorted(bound), root)
-           for n, bound, root in walk(p)]
+    got = [(type(n).__name__, bound, root) for n, bound, root in walk(p)]
+    # binders are numbered in walk order: y is 0, z is 1
     assert got == [
-        ("Lam", [], t), ("App", ["y"], t), ("LVar", ["y"], t),
-        ("Kont", ["y"], t), ("SPush", ["y"], t), ("Lam", [], inner),
-        ("LVar", ["z"], inner), ("SEmpty", ["y"], t),
-        ("SPush", [], p.stack), ("Gamma", [], p.stack.head),
-        ("SEmpty", [], p.stack)]
+        ("Lam", {}, t), ("App", {"y": 0}, t), ("LVar", {"y": 0}, t),
+        ("Kont", {"y": 0}, t), ("SPush", {"y": 0}, t), ("Lam", {}, inner),
+        ("LVar", {"z": 1}, inner), ("SEmpty", {"y": 0}, t),
+        ("SPush", {}, p.stack), ("Gamma", {}, p.stack.head),
+        ("SEmpty", {}, p.stack)]
 
 
 def test_free_lvars_on_a_deep_lambda_nest():
@@ -254,3 +294,89 @@ def test_a_flat_implication_chain_parses_and_prints(capsys):
     assert print_formula(parse_formula(text)) == text
     assert main(["parse", "formula", src]) == 0
     assert capsys.readouterr().out.count("->") == 2000
+
+
+NAMES = ("x0", "x1", "x2", "y")
+
+
+def rename_binders(t, rng, env=None):
+    """t with each binder renamed at random from NAMES, and the variables
+    it binds with it; a new name may capture or be shadowed, so the result
+    is alpha-equivalent to t or not."""
+    env = env or {}
+    if isinstance(t, LVar):
+        return LVar(env.get(t.name, t.name))
+    if isinstance(t, App):
+        return App(rename_binders(t.fn, rng, env),
+                   rename_binders(t.arg, rng, env))
+    if isinstance(t, Lam):
+        v = rng.choice(NAMES)
+        return Lam(v, rename_binders(t.body, rng, {**env, t.var: v}))
+    if isinstance(t, Kont):
+        return Kont(rename_stack(t.stack, rng))
+    return t
+
+
+def rename_stack(pi, rng):
+    return stack_of(*(rename_binders(u, rng) for u in stack_to_list(pi)))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_alpha_eq_agrees_with_the_recursive_keys(seed):
+    rng = random.Random(seed)
+    procs, terms = _corpus(seed)
+    equal = unequal = 0
+    term_pairs = [(t, rename_binders(t, rng)) for t in terms]
+    term_pairs += [(rng.choice(terms), rng.choice(terms)) for _ in terms]
+    term_pairs += [(u, rename_binders(t, rng)) for t, u in term_pairs[-300:]]
+    for t, u in term_pairs:
+        old = old_canon_term(t) == old_canon_term(u)
+        assert lc_alpha_eq(t, u) == old, (t, u)
+        equal += old
+        unequal += not old
+    proc_pairs = [(p, Process(rename_binders(p.term, rng),
+                              rename_stack(p.stack, rng))) for p in procs]
+    proc_pairs += [(rng.choice(procs), rng.choice(procs)) for _ in procs]
+    for p, q in proc_pairs:
+        old = old_canon_process(p) == old_canon_process(q)
+        assert proc_alpha_eq(p, q) == old, (p, q)
+        equal += old
+        unequal += not old
+    assert equal > 500 and unequal > 500, (equal, unequal)
+
+
+@pytest.mark.parametrize("a, b, same", [
+    ("\\x. \\x. x", "\\y. \\x. x", True),
+    ("\\x. \\x. x", "\\x. \\y. x", False),
+    ("\\x. \\y. x", "\\y. \\x. y", True),
+    ("\\x. (\\x. x) x", "\\y. (\\x. x) y", True),
+    ("\\x. (\\x. x) x", "\\x. (\\y. x) x", False),
+    ("\\x. k[\\x. x]", "\\y. k[\\z. z]", True),
+    ("\\x. k[\\x. x, \\y. \\x. y]", "\\y. k[\\z. z, \\y. \\z. z]", False),
+    # a free name is read as itself, never as a binder's number
+    ("(\\y. y) x", "(\\x. x) x", True),
+    ("\\z. x", "\\z. y", False),
+    ("\\z. z x", "\\x. x x", False),
+])
+def test_alpha_eq_on_shadowed_binders_and_free_names(a, b, same):
+    t, u = parse_lcterm(a), parse_lcterm(b)
+    assert lc_alpha_eq(t, u) == same
+    assert (old_canon_term(t) == old_canon_term(u)) == same
+
+
+def _nest(names, body):
+    for v in reversed(names):
+        body = Lam(v, body)
+    return body
+
+
+def test_alpha_eq_on_a_deep_lambda_nest():
+    n = 3000
+    t = _nest([f"x{i}" for i in range(n)], App(LVar("x0"), LVar("x2999")))
+    u = _nest([f"y{i}" for i in range(n)], App(LVar("y0"), LVar("y2999")))
+    deeper = Lam("w", t)
+    assert lc_alpha_eq(t, u)
+    assert not lc_alpha_eq(t, deeper)
+    assert proc_alpha_eq(Process(t, stack_of(u)), Process(u, stack_of(t)))
+    with pytest.raises(RecursionError):
+        old_canon_term(t)
