@@ -19,8 +19,8 @@ from .bamodels import (
 )
 from .corpus import formula_corpus, lcterm_corpus
 from .dinfty import (
-    DElem, RankCapError, denote, elem, level_size, seq_check, tables, theta,
-    val,
+    DElem, RankCapError, denote, elem, level_size, seq_check, tables,
+    term_search, theta, val,
 )
 from .formulas import UsageError
 from .machine import evaluate
@@ -200,6 +200,15 @@ def cmd_seq_check(args) -> int:
             "unknown": EX_UNKNOWN}[sv.status]
 
 
+def cmd_term_search(args) -> int:
+    alpha = _element(args)
+    w = term_search(alpha, args.size_budget)
+    wit = print_lcterm(w) if w is not None else None
+    _emit(args, {"rank": args.rank, "element": args.element, "witness": wit},
+          wit or "none")
+    return EX_OK if w is not None else EX_FALSE
+
+
 def cmd_corpus(args) -> int:
     if args.kind == "formulas":
         for a in formula_corpus(args.size, args.seed):
@@ -226,7 +235,7 @@ def cmd_suite(args) -> int:
 
 def _check_naturals(args) -> None:
     """Reject negative counts."""
-    for key in ("k", "k_max", "depth", "fuel", "size", "rank"):
+    for key in ("k", "k_max", "depth", "fuel", "size", "rank", "size_budget"):
         value = getattr(args, key, None)
         if value is not None and value < 0:
             raise UsageError(f"--{key.replace('_', '-')} must not be "
@@ -311,6 +320,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--element", type=int, required=True)
     fam(p)
     p.set_defaults(fn=cmd_seq_check)
+
+    p = command("term-search", help="first small term dominating an element")
+    p.add_argument("--rank", type=int, required=True)
+    p.add_argument("--element", type=int, required=True)
+    p.add_argument("--size-budget", type=int, default=5)
+    p.set_defaults(fn=cmd_term_search)
 
     p = command("corpus", help="reproducible random corpora")
     p.add_argument("kind", choices=("formulas", "terms"))

@@ -15,9 +15,12 @@ each state is memoised (`_count`; rank 3 has 417 states), so
 index i by walking the entries and subtracting completion counts.
 `tables(n)` streams the tables by a depth-first walk over the same states,
 in order, and `level(n)` keeps them; only ranks 1 and 2 are kept, for
-`idx_of`.  The order and the join of each rank are cached functions of
-enumeration indices (`idx_leq`, `idx_join`); the table forms `tbl_leq`
-and `tbl_join` lift them entrywise.
+`idx_of`.  The order and the join of each rank below MAX_RANK are one
+pair of index matrices, built once per rank from `level(n)` (`_matrices`),
+not a memo per pair of indices: `idx_leq` and `idx_join` read them, the
+table forms `tbl_leq` and `tbl_join` read them entrywise, and so do
+`_moves`, `arrow` and `lam`'s monotonicity check.  Rank 3 has no matrix;
+its order and join are taken entrywise from rank 2's.
 
 The projection pair between ranks n and n+1 is cached the same way, as
 maps of enumeration indices (`phi_idx`, `psi_idx`), and the table forms
@@ -32,11 +35,12 @@ are never built.  The truncated control element is built once.
 On top: step functions (arrow), application and abstraction through the
 retraction, the truncated control-operator element, denotations of machine
 terms and of closed formulas, formula synthesis from an element, and the
-sequentialisability check.  The term search's candidates of each size,
-with their components at ranks 0-2, are built once, when a search first
-reaches that size, and kept until the cache is cleared; a candidate whose
-rank-2 component needs a rank above MAX_RANK is dropped when it is built,
-as no search could return it (`_candidates`).
+sequentialisability check.  The term search's candidates of each size
+are built once, when a search first reaches that size, and kept until the
+cache is cleared (`_candidates`); their components are computed on
+demand, when a comparison first reads them, and a candidate whose rank-2
+component needs a rank above MAX_RANK does not dominate.  θ codes read the
+values of rank n - 1 by index from `level(n - 1)`.
 """
 
 from __future__ import annotations
@@ -109,12 +113,14 @@ def _moves(n: int, i: int, lows: tuple) -> tuple:
     table[k] >= table[j].  Lexicographic index order is a linear
     extension, so each constraint bounds an entry by an earlier one, and
     lower bounds are all a state needs."""
+    order, joins = _matrices(n - 1)
+    above_i = order[i][i + 1:]
     out = []
-    for c in range(i + len(lows)):
-        if idx_leq(n - 1, lows[0], c):
-            out.append((c, tuple(
-                idx_join(n - 1, lo, c) if idx_leq(n - 1, i, k) else lo
-                for k, lo in enumerate(lows[1:], i + 1))))
+    for c, ok in enumerate(order[lows[0]]):
+        if ok:
+            with_c = joins[c]
+            out.append((c, tuple(with_c[lo] if up else lo
+                                 for up, lo in zip(above_i, lows[1:]))))
     return tuple(out)
 
 
@@ -160,15 +166,40 @@ def idx_of(n: int, v) -> int:
     return v if n == 0 else _index_map(n)[v]
 
 
+@lru_cache(maxsize=None)
+def _matrices(n: int) -> tuple[tuple[tuple[bool, ...], ...],
+                               tuple[tuple[int, ...], ...]]:
+    """Rank n's order and join as index matrices, for n < MAX_RANK: row i
+    of the first holds idx_leq(n, i, j) at column j, row i of the second
+    idx_join(n, i, j).  Built once per rank from level(n), pointwise from
+    the matrices of rank n - 1."""
+    if n < 0:
+        raise UsageError("negative rank")
+    if n >= MAX_RANK:
+        raise RankCapError(f"rank {n} has no order matrix")
+    if n == 0:
+        return ((True, True), (False, True)), ((0, 1), (1, 1))
+    order, joins = _matrices(n - 1)
+    vs, index = level(n), _index_map(n)
+    leq_rows = tuple(
+        tuple(all(order[a][b] for a, b in zip(x, y)) for y in vs) for x in vs)
+    join_rows = tuple(
+        tuple(index[tuple(joins[a][b] for a, b in zip(x, y))] for y in vs)
+        for x in vs)
+    return leq_rows, join_rows
+
+
 def tbl_leq(n: int, x, y) -> bool:
     """Pointwise order on rank-n values."""
     if n == 0:
         return x <= y
-    return all(idx_leq(n - 1, a, b) for a, b in zip(x, y))
+    order = _matrices(n - 1)[0]
+    return all(order[a][b] for a, b in zip(x, y))
 
 
-@lru_cache(maxsize=None)
 def idx_leq(n: int, i: int, j: int) -> bool:
+    if n < MAX_RANK:
+        return _matrices(n)[0][i][j]
     return tbl_leq(n, val(n, i), val(n, j))
 
 
@@ -176,11 +207,13 @@ def tbl_join(n: int, x, y):
     """Pointwise join on rank-n values."""
     if n == 0:
         return x | y
-    return tuple(idx_join(n - 1, a, b) for a, b in zip(x, y))
+    joins = _matrices(n - 1)[1]
+    return tuple(joins[a][b] for a, b in zip(x, y))
 
 
-@lru_cache(maxsize=None)
 def idx_join(n: int, i: int, j: int) -> int:
+    if n < MAX_RANK:
+        return _matrices(n)[1][i][j]
     return idx_of(n, tbl_join(n, val(n, i), val(n, j)))
 
 
@@ -303,11 +336,9 @@ def arrow(x: DElem, y: DElem) -> DElem:
     h = max(x.home, y.home) + 1
 
     def fn(n: int):
-        xc = x.component(n - 1)
+        above_x = _matrices(n - 1)[0][idx_of(n - 1, x.component(n - 1))]
         yi = idx_of(n - 1, y.component(n - 1))
-        return tuple(
-            yi if tbl_leq(n - 1, xc, val(n - 1, i)) else 0
-            for i in range(level_size(n - 1)))
+        return tuple(yi if ok else 0 for ok in above_x)
 
     return DElem(h, fn)
 
@@ -330,13 +361,13 @@ def lam(body: Callable[[DElem], DElem]) -> DElem:
     def fn(n: int):
         if n == 0:
             return body(bottom()).component(0)
-        m = level_size(n - 1)
-        tbl = tuple(idx_of(n - 1, body(elem(n - 1, val(n - 1, i)))
-                           .component(n - 1))
-                    for i in range(m))
-        for i in range(m):
-            for j in range(m):
-                if idx_leq(n - 1, i, j) and not idx_leq(n - 1, tbl[i], tbl[j]):
+        order = _matrices(n - 1)[0]
+        tbl = tuple(idx_of(n - 1, body(elem(n - 1, v)).component(n - 1))
+                    for v in level(n - 1))
+        for i, row in enumerate(order):
+            above = order[tbl[i]]
+            for j, ok in enumerate(row):
+                if ok and not above[tbl[j]]:
                     raise UsageError("non-monotone abstraction body")
         return tbl
 
@@ -455,7 +486,8 @@ def _famcode(n: int, fam: list, us: tuple[str, ...],
     r, sel = _selectors(n)
     vs = tuple(f"u{i}" for i in range(start, start + r))
     ante, start = _selcode(n - 1, len(fam), us + vs, start + r)
-    cons, start = _famcode(n - 1, [val(n - 1, t[s]) for t in fam for s in sel],
+    values = level(n - 1)
+    cons, start = _famcode(n - 1, [values[t[s]] for t in fam for s in sel],
                            us + vs, start)
     return forall_many(vs, Impl(ante, cons)), start
 
@@ -464,8 +496,8 @@ def _famcode(n: int, fam: list, us: tuple[str, ...],
 def _selcode(n: int, count: int, us: tuple[str, ...],
              start: int) -> tuple[Formula, int]:
     """`_famcode` of count copies of the rank-(n+1) selector values."""
-    sel = _selectors(n + 1)[1]
-    return _famcode(n, [val(n, s) for _ in range(count) for s in sel],
+    values, sel = level(n), _selectors(n + 1)[1]
+    return _famcode(n, [values[s] for _ in range(count) for s in sel],
                     us, start)
 
 
@@ -509,40 +541,37 @@ def _debruijn_terms(size: int, depth: int, allow_cc: bool):
 @lru_cache(maxsize=None)
 def _candidates(size: int, allow_cc: bool) -> tuple[tuple[LcTerm, DElem], ...]:
     """The terms of one size that `term_search` tries, in enumeration
-    order, each with its denotation, whose components at ranks 0-2 are
-    already built.  `_debruijn_terms` builds each closed, so none is
-    checked again.  The cc pass keeps only terms that use cc, since the
-    pure pass tried the rest, and a term whose components need a rank
-    above MAX_RANK is dropped (see `term_search`)."""
-    out = []
-    for t in _debruijn_terms(size, 0, allow_cc):
-        if allow_cc and not any(type(n) is Cc for n, _, _ in walk(t)):
-            continue
-        d = _denote(t)
-        try:
-            for n in range(3):
-                d.component(n)
-        except RankCapError:
-            continue
-        out.append((t, d))
-    return tuple(out)
+    order, each with its denotation, whose components are left unbuilt:
+    a search computes one when it first compares it, and the element
+    keeps it for every later search until this cache is cleared.
+    `_debruijn_terms` builds each term closed, so none is checked again.
+    The cc pass keeps only terms that use cc, since the pure pass tried
+    the rest."""
+    return tuple((t, _denote(t)) for t in _debruijn_terms(size, 0, allow_cc)
+                 if not allow_cc or any(type(n) is Cc for n, _, _ in walk(t)))
 
 
 def term_search(alpha: DElem, size_budget: int = 5) -> LcTerm | None:
     """First closed machine term (abstraction, application, control
     operator) whose denotation dominates alpha at rank 2.  Terms without
     the control operator are tried first at every size.  The candidates
-    of each size and their denotations at ranks 0-2 do not depend on
-    alpha: they are built once, when a search first reaches that size,
-    and kept by `_candidates` until its cache is cleared.  The seven cc
-    terms of size 5 and 6 whose rank-2 component needs rank 4 are left
-    out there, which changes no answer: dominance at rank 2 reads that
-    component, so no search could return such a term."""
+    of each size do not depend on alpha: they are built once, when a
+    search first reaches that size, and kept by `_candidates` until its
+    cache is cleared.  A candidate's components at ranks 0-2 are computed
+    on demand, rank by rank, and only as far as the comparison reads
+    them.  The seven cc terms of size 5 and 6 whose rank-2 component needs
+    rank 4 raise RankCapError when it is read, and such a term does not
+    dominate: no search could return it."""
+    want = [alpha.component(n) for n in range(3)]
     for allow_cc in (False, True):
         for size in range(1, size_budget + 1):
             for t, d in _candidates(size, allow_cc):
-                if leq(alpha, d, 2):
-                    return t
+                try:
+                    if all(tbl_leq(n, a, d.component(n))
+                           for n, a in enumerate(want)):
+                        return t
+                except RankCapError:
+                    continue
     return None
 
 

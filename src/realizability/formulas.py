@@ -52,9 +52,13 @@ class BTerm:
 # (rows_term shares its minterm prefixes), so Or and And also keep their
 # hash and printed text (unparenthesized, set by `syntax._bterm`) once
 # computed, in the slots `_hash` and `_text`, which their __init__ sets to
-# None.  No kept slot is a dataclass field, so ==, repr and `fields` are
-# the plain dataclass's, and the hash is the dataclass's own hash of the
-# field tuple.
+# None.  Formulas share subformulas too: the selector codes that every
+# rank-3 theta holds are quantifiers, so a Forall keeps its printed text
+# the same way (set by `syntax._formula`).  A Neq keeps none: one more
+# slot to fill in each inequation cost `decide`, which builds many and
+# prints none, about 3% of its requests/s.  No kept slot is a dataclass
+# field, so ==, repr and `fields` are the plain dataclass's, and the hash
+# is the dataclass's own hash of the field tuple.
 
 _set = object.__setattr__  # how a frozen dataclass sets its slots
 _NO_VARS: frozenset[str] = frozenset()
@@ -104,10 +108,19 @@ def _pair_init(self, lhs: BTerm, rhs: BTerm) -> None:
 
 
 def _pair_hash(self) -> int:
+    """The dataclass's hash of (lhs, rhs), kept once computed.  A
+    left-nested chain of \\/ and /\\ is filled in a loop, down its links
+    that keep no hash yet and then up, so each link hashes a left operand
+    whose hash is kept and the chain's length costs no recursion."""
     h = self._hash
     if h is None:
-        h = hash((self.lhs, self.rhs))
-        _set(self, "_hash", h)
+        links, link = [], self
+        while type(link) in _PAIRS and link._hash is None:
+            links.append(link)
+            link = link.lhs
+        for link in reversed(links):
+            h = hash((link.lhs, link.rhs))
+            _set(link, "_hash", h)
     return h
 
 
@@ -143,6 +156,7 @@ class Not(BTerm):
         _set(self, "_vars", vs)
 
 
+_PAIRS = (Or, And)
 ZERO = Zero()
 ONE = One()
 
@@ -283,7 +297,7 @@ class Impl(Formula):
 
 @dataclass(frozen=True)
 class Forall(Formula):
-    __slots__ = ("var", "body", "_free")
+    __slots__ = ("var", "body", "_free", "_text")
     var: str
     body: Formula
 
@@ -295,6 +309,7 @@ class Forall(Formula):
         _set(self, "var", var)
         _set(self, "body", body)
         _set(self, "_free", vs - {var} if var in vs else vs)
+        _set(self, "_text", None)
 
 
 def free_vars(A: Formula) -> frozenset[str]:

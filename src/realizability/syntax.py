@@ -352,8 +352,11 @@ def _bterm(t: BTerm, prec: int) -> str:
 def _formula(f: Formula, prec: int) -> str:
     """f's text at precedence prec.  -> has precedence 1 and nests to
     the right; atoms and quantifiers are tight, except that a quantifier
-    body extends right, so it parenthesizes at prec > 0.  A chain of ->
-    is printed with one loop and one join, so it has no length limit."""
+    body extends right, so it parenthesizes at prec > 0.  A quantifier
+    keeps its text, unparenthesized, in its `_text` slot from its first
+    print on, as \\/ and /\\ do in `_bterm`, so the selector codes that
+    rank-3 thetas share are printed once.  A chain of -> is printed with
+    one loop and one join, so it has no length limit."""
     if isinstance(f, Neq):
         return f"{_bterm(f.lhs, 0)} != {_bterm(f.rhs, 0)}"
     if isinstance(f, Impl):
@@ -365,7 +368,10 @@ def _formula(f: Formula, prec: int) -> str:
         s = " -> ".join(parts)
         return f"({s})" if prec > 1 else s
     if isinstance(f, Forall):
-        s = f"forall {f.var}. {_formula(f.body, 0)}"
+        s = f._text
+        if s is None:
+            s = f"forall {f.var}. {_formula(f.body, 0)}"
+            _set(f, "_text", s)
         return f"({s})" if prec > 0 else s
     raise TypeError(f"not a formula: {f!r}")
 

@@ -37,6 +37,7 @@ def test_cache_clearers_find_the_minterm_prefixes():
     assert dinfty._selcode.cache_clear in clearers
     assert dinfty.level.cache_clear in clearers
     assert dinfty._candidates.cache_clear in clearers
+    assert dinfty._matrices.cache_clear in clearers
 
 
 def test_traced_names_resolve():

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from realizability import cli, dinfty, lcterms, suite
+from realizability import cli, dinfty, lcterms, suite, syntax
 from realizability.cli import main, parse_family
 from realizability.bamodels import Atomless, PowerFinite
 
@@ -285,6 +285,23 @@ def test_rank_3_requests_list_no_rank_3_table(capsys, monkeypatch):
     assert [run(capsys, *argv) for argv in rank3] == want
 
 
+def test_term_search_prints_the_witness_or_none(capsys):
+    # every rank 0-2 element at budget 6: the first dominating term, exit
+    # 0, or "none", exit 1; the identity arrow's witness is \x0. x0
+    seen = set()
+    for n in (0, 1, 2):
+        for i in range(dinfty.level_size(n)):
+            code, out = run(capsys, "term-search", "--rank", str(n),
+                            "--element", str(i), "--size-budget", "6")
+            w = dinfty.term_search(dinfty.elem(n, dinfty.val(n, i)), 6)
+            want = "none" if w is None else syntax.print_lcterm(w)
+            assert (code, out) == (0 if w else 1, want + "\n"), (n, i)
+            seen.add(code)
+    assert seen == {0, 1}
+    assert run(capsys, "term-search", "--rank", "1", "--element", "1") \
+        == (0, "\\x0. x0\n")
+
+
 def test_corpus_reproducible(capsys):
     _, out1 = run(capsys, "corpus", "formulas", "--size", "5", "--seed", "8")
     _, out2 = run(capsys, "corpus", "formulas", "--size", "5", "--seed", "8")
@@ -454,6 +471,8 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     ("denote", "\\x. x", "--rank", "-2"),
     ("seq-check", "--rank", "-1", "--element", "0"),
     ("theta", "--rank", "-1", "--element", "0"),
+    ("term-search", "--rank", "2", "--element", "10"),
+    ("term-search", "--rank", "1", "--element", "0", "--size-budget", "-1"),
 ])
 def test_out_of_range_numbers_are_usage_errors(capsys, argv):
     assert main(list(argv)) == 64
@@ -506,6 +525,14 @@ def test_cc_context_variable_is_usage_error(tmp_path, capsys):
 def test_deep_nesting_is_unknown(capsys, argv):
     assert main(list(argv)) == 2
     assert "nests too deeply" in capsys.readouterr().err
+
+
+def test_validity_answers_under_a_long_disjunction_chain(capsys):
+    # the chain's hash is filled in a loop, so validity reaches its answer
+    chain = " \\/ ".join(["z"] * 601)
+    code, out = run(capsys, "validity",
+                    f"forall z. ({chain} != 0 -> z != 1) -> z != 0")
+    assert (code, out.splitlines()[0]) == (1, "refuted witness PowerFinite(1)")
 
 
 def test_eval_prints_a_long_application_spine(capsys):

@@ -12,7 +12,7 @@ from realizability import dinfty, formulas, lcterms
 from realizability.dinfty import (
     DElem, RankCapError, app, arrow, bottom, cc_elem, denote, denote_formula,
     elem, eq_at, idx_join, idx_leq, idx_of, join, lam, leq, level,
-    level_size, phi_tbl, psi_tbl, seq_check, tbl_join,
+    level_size, phi_tbl, psi_tbl, seq_check, tbl_join, tbl_leq,
     term_search, theta, top, val,
 )
 from realizability.bamodels import valid_all_bas
@@ -156,6 +156,53 @@ def _reference_join(n, x, y):
     return tuple(idx_of(n - 1, _reference_join(n - 1, val(n - 1, a),
                                                val(n - 1, b)))
                  for a, b in zip(x, y))
+
+
+def test_matrices_match_the_pointwise_order_and_join():
+    # each rank's order and join, read from one matrix per rank, against
+    # tbl_leq and tbl_join on the tables of level(n), and against both
+    # recomputed entry by entry from the rank-0 order of bits
+    def leq_ref(n, x, y):
+        if n == 0:
+            return x <= y
+        below = level(n - 1)
+        return all(leq_ref(n - 1, below[a], below[b]) for a, b in zip(x, y))
+
+    def join_ref(n, x, y):
+        if n == 0:
+            return x | y
+        below = level(n - 1)
+        return tuple(below.index(join_ref(n - 1, below[a], below[b]))
+                     for a, b in zip(x, y))
+
+    for n in (0, 1, 2):
+        order, joins = dinfty._matrices(n)
+        vs = level(n)
+        assert len(order) == len(joins) == len(vs) == level_size(n)
+        for i, x in enumerate(vs):
+            for j, y in enumerate(vs):
+                assert order[i][j] == idx_leq(n, i, j) == tbl_leq(n, x, y) \
+                    == leq_ref(n, x, y)
+                assert vs[joins[i][j]] == vs[idx_join(n, i, j)] \
+                    == tbl_join(n, x, y) == join_ref(n, x, y)
+    with pytest.raises(RankCapError):
+        dinfty._matrices(3)
+    assert tuple(level_size(n) for n in range(4)) == (2, 3, 10, 120549)
+
+
+def test_rank_tables_are_lru_caches():
+    # perfbench/run.py clears every package lru_cache before each pass, so
+    # a table kept anywhere else would carry one pass's work into the
+    # next; idx_leq and idx_join read the matrices and keep nothing
+    for f in (dinfty._matrices, dinfty._moves, dinfty._count,
+              dinfty._candidates, dinfty.level, dinfty._index_map):
+        assert isinstance(f, functools._lru_cache_wrapper), f
+    for f in (dinfty.idx_leq, dinfty.idx_join):
+        assert not hasattr(f, "cache_clear"), f
+    module_dicts = [k for k, v in vars(dinfty).items()
+                    if isinstance(v, (dict, list, set))
+                    and not k.startswith("__")]
+    assert module_dicts == []
 
 
 def test_idx_join_matches_reference_join():
@@ -621,19 +668,62 @@ def test_candidates_are_denoted_without_the_entry_check(monkeypatch):
     assert len(checked) == 1
 
 
-def test_candidates_drop_only_rank_cap_terms():
-    # every bucket is built whole, so a term that raised UsageError (a
-    # non-monotone abstraction body) at ranks 0-2 would fail here; the
-    # dropped terms are the cc terms whose rank-2 component needs rank 4
+def test_only_seven_cc_candidates_raise_rank_cap():
+    # candidates are built without their components; forcing components
+    # 0-2 of every one of sizes 1-6 here means a term that raised
+    # UsageError (a non-monotone abstraction body) would fail this test,
+    # and the only terms that cannot be compared at rank 2 are the seven
+    # cc terms whose rank-2 component needs rank 4
     dinfty._candidates.cache_clear()
-    dropped = {False: 0, True: 0}
+    dinfty.cc_elem.cache_clear()
+    buckets = {(size, allow_cc): dinfty._candidates(size, allow_cc)
+               for allow_cc in (False, True) for size in range(1, 7)}
+    capped = {False: [], True: []}
+    for (size, allow_cc), built in buckets.items():
+        assert len(built) == _searched_count(size, allow_cc)
+        assert all(d._memo == {} for _, d in built), (size, allow_cc)
+    for (size, allow_cc), built in buckets.items():
+        for t, d in built:
+            try:
+                for n in range(3):
+                    d.component(n)
+            except RankCapError:
+                capped[allow_cc].append(t)
+    assert capped[False] == [] and len(capped[True]) == 7
+    assert all(any(type(n) is Cc for n, _, _ in walk(t)) for t in capped[True])
+
+
+def _eager_term_search(alpha, size_budget):
+    """term_search as a scan that denotes every term afresh and builds its
+    components at ranks 0-2 before comparing any; a term whose components
+    need a rank above MAX_RANK is skipped."""
     for allow_cc in (False, True):
-        for size in range(1, 7):
-            built = dinfty._candidates(size, allow_cc)
-            dropped[allow_cc] += _searched_count(size, allow_cc) - len(built)
-            for t, d in built:
-                assert all(n in d._memo for n in range(3)), print_lcterm(t)
-    assert dropped == {False: 0, True: 7}
+        for size in range(1, size_budget + 1):
+            for t in dinfty._debruijn_terms(size, 0, allow_cc):
+                if allow_cc and not any(type(n) is Cc for n, _, _ in walk(t)):
+                    continue
+                d = denote(t)
+                try:
+                    comps = [d.component(n) for n in range(3)]
+                except RankCapError:
+                    continue
+                if all(dinfty.tbl_leq(n, alpha.component(n), c)
+                       for n, c in enumerate(comps)):
+                    return t
+    return None
+
+
+def test_lazy_term_search_matches_an_eager_scan():
+    dinfty._candidates.cache_clear()
+    for n in (0, 1, 2):
+        for i in range(level_size(n)):
+            alpha = elem(n, val(n, i))
+            for budget in range(1, 7):
+                assert term_search(alpha, budget) \
+                    == _eager_term_search(alpha, budget), (n, i, budget)
+    for i in random.Random(36).sample(range(level_size(3)), 40):
+        alpha = elem(3, val(3, i))
+        assert term_search(alpha, 5) == _eager_term_search(alpha, 5), i
 
 
 @pytest.mark.xfail(strict=True, reason=(

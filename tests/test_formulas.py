@@ -307,6 +307,26 @@ def test_kept_hashes_are_the_dataclass_hashes(top_first):
             assert hash(t) == hash(_field_tuple(t)), t
 
 
+def test_a_long_chain_hashes_in_a_loop():
+    # a left-nested chain of \/ and /\ fills its links' hashes in a loop,
+    # down and then up, so 5,000 links hash under the default recursion
+    # limit, each to the dataclass's hash of its field tuple
+    def chain():
+        t = Var("z")
+        for i in range(5000):
+            t = (Or if i % 3 else And)(t, Var(f"v{i % 7}"))
+        return t
+
+    first, second = chain(), chain()
+    assert hash(first) == hash(second)
+    link, links = first, 0
+    while isinstance(link, (Or, And)):
+        assert link._hash is not None
+        assert hash(link) == hash(_field_tuple(link))
+        link, links = link.lhs, links + 1
+    assert links == 5000
+
+
 def test_kept_variable_sets_match_the_reference():
     # every term node keeps the variable set, and every formula node the
     # free variables, that the recursion over its fields computes: on

@@ -248,6 +248,26 @@ def test_kept_text_takes_no_parentheses(under_first):
     assert print_formula(Neq(o, under)) == "z \\/ w != (z \\/ w) /\\ v"
 
 
+@pytest.mark.parametrize("under_first", [False, True])
+def test_kept_formula_text_takes_no_parentheses(under_first):
+    # a quantifier keeps its text once printed, as \/ and /\ do; a kept
+    # quantifier is parenthesized where it is an operand of -> and bare at
+    # the top, whichever print comes first
+    A = Forall("z", Neq(Var("z"), Zero()))
+    both = Impl(A, A)
+    prints = [(A, "forall z. z != 0"),
+              (both, "(forall z. z != 0) -> (forall z. z != 0)")]
+    if under_first:
+        prints.reverse()
+    for f, want in prints + prints:
+        assert print_formula(f) == want == _reference_print_formula(f)
+    assert A._text == "forall z. z != 0"
+    fresh = Forall("z", Neq(Var("z"), Zero()))
+    assert fresh._text is None
+    assert fresh == A and hash(fresh) == hash(A) and repr(fresh) == repr(A)
+    assert [f.name for f in dataclasses.fields(A)] == ["var", "body"]
+
+
 def test_kept_text_is_no_field():
     # a printed node equals, hashes and shows as a node never printed
     printed = And(Or(Var("z"), Not(Var("w"))), Var("v"))
