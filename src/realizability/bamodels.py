@@ -41,8 +41,9 @@ whose quantifiers read at most MAX_PROP_ATOMS variables, are decided in
 {0,1} by `eval_formula_01`, through one helper (`_in_01`) that
 `valid_all_bas` and `TheoryOracle.membership` share: {0,1} answers for
 every algebra with at least two elements, so no family is consulted.
-Only `valid_all_bas` compiles such a sentence, for the refutation path
-of one that {0,1} refutes.
+A Horn sentence that reads more is refuted there when one of its first
+2^MAX_PROP_ATOMS assignments fails it.  Only `valid_all_bas` compiles
+such a sentence, for the refutation path of one that {0,1} refutes.
 """
 
 from __future__ import annotations
@@ -427,27 +428,33 @@ def is_prop_tautology(A: Formula) -> bool:
 
 
 def _in_01(A: Formula) -> tuple[Justification, bool] | None:
-    """For a closed ground A, or a closed Horn A whose prefix reads at
-    most MAX_PROP_ATOMS variables, its justification and its truth in
+    """For a closed ground or Horn A, its justification and its truth in
     {0,1}, which is its truth in every Boolean algebra with at least two
     elements; None for any other A.  Ground terms land in the two-element
     subalgebra {0,1}, which embeds in every such algebra.  A universal
     Horn sentence true in {0,1} is true in every Boolean algebra, since
     each is a subalgebra of a power of {0,1}; one false in {0,1} is false
     in every algebra that embeds {0,1}.  `eval_formula_01` tries both
-    values of each read variable and one of a vacuous quantifier's, so
-    the bound keeps it to 2^MAX_PROP_ATOMS assignments; a larger Horn
-    sentence goes on to `is_prop_tautology` and the family, whose depth
-    guard answers."""
+    values of each read variable and one of a vacuous quantifier's.  A
+    Horn A that reads more than MAX_PROP_ATOMS variables holds its
+    outermost extra ones at 0, so at most 2^MAX_PROP_ATOMS assignments
+    are tried: it is false if one of them fails it, and None otherwise.
+    A None sentence goes on to `is_prop_tautology` and the family, whose
+    depth guard answers."""
     if is_ground(A):
         return Justification.GROUND, eval_formula_01(A)
-    reads, body = 0, A
+    reads, body = [], A
     while isinstance(body, Forall):
-        reads += body.var in body.body._free
+        if body.var in body.body._free:
+            reads.append(body)
         body = body.body
-    if reads > MAX_PROP_ATOMS or horn_shape(A) is HornKind.NOT_HORN:
+    if horn_shape(A) is HornKind.NOT_HORN:
         return None
-    return Justification.HORN, eval_formula_01(A)
+    # a shadowed binder reads nothing, so the held names are distinct
+    held = reads[:-MAX_PROP_ATOMS]
+    holds = eval_formula_01(held[-1].body if held else A,
+                            {f.var: 0 for f in held})
+    return None if held and holds else (Justification.HORN, holds)
 
 
 def valid_all_bas(A: Formula,
@@ -495,7 +502,8 @@ class TheoryOracle:
     or a Horn one that reads at most MAX_PROP_ATOMS variables, is decided
     in {0,1}, as `valid_all_bas` decides it, whatever the family: no guard
     of the family's algebras is reached.  Any other sentence is compiled
-    once and checked in each member."""
+    once and checked in each member; if a member's guard is met, a
+    propositional tautology still answers True."""
     family: tuple[BASpec, ...] = DEFAULT_FAMILY
 
     def __post_init__(self):
@@ -509,4 +517,9 @@ class TheoryOracle:
         if decided is not None:
             return decided[1]
         check = _compile(A)
-        return all(check(spec) is None for spec in self.family)
+        try:
+            return all(check(spec) is None for spec in self.family)
+        except GuardExceeded:
+            if is_prop_tautology(A):
+                return True
+            raise

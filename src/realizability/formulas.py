@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 
 class UsageError(ValueError):
@@ -525,14 +525,14 @@ def horn_shape(A: Formula) -> HornKind:
 # One-level decomposition
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """A formula's spine read in place: quantifier blocks, each with the
     premise it guards, then trailing quantifiers and an inequation head.
     Names, premises and head are the formula's own.  Scoping: a premise
     sees its own block's variables and every earlier block's, the head
     sees them all, and where a name is bound twice the later binder
-    shadows the earlier."""
+    shadows the earlier.  A named tuple, so that building one costs little
+    and the pole can read a spine again rather than keep it."""
     blocks: tuple[tuple[tuple[str, ...], Formula], ...]
     tail_vars: tuple[str, ...]
     head: Neq

@@ -26,9 +26,9 @@ evaluating its head equality in {0,1}.
 The two-level decomposition is formulas.decompose applied twice: once
 to the tag, then once to each premise, whose witnesses are read under
 the bits in scope at its block.  Both reads keep the formula's own
-binder names.  PoleConfig.decomposed keeps both reads for each tag that
-_tag_level meets, so a tag that faces many stacks or budgets is read
-once.
+binder names.  Neither read is kept: a tag is read again for each
+stack and budget it meets, and formulas.Decomposition is a named tuple,
+so reading a spine costs about what keeping it would save.
 Every variable the pole reads gets a bit, and a bit cannot be captured,
 so nothing is renamed.
 
@@ -47,8 +47,8 @@ from typing import Generator, Iterator
 
 from .bamodels import GuardExceeded, MAX_PROP_ATOMS, Verdict, valid_all_bas
 from .formulas import (
-    Decomposition, Formula, Impl, ONE, UsageError, ZERO, bot, closed,
-    decompose, eval_term_01, subst_formula,
+    Formula, Impl, ONE, UsageError, ZERO, bot, closed, decompose,
+    eval_term_01, subst_formula,
 )
 from .lcterms import (
     EMPTY, Gamma, LVar, Lam, LcTerm, Process, SPush, StackT, check_closed,
@@ -61,9 +61,6 @@ from .machine import step
 class PoleConfig:
     k_max: int = 32
     memo: dict = field(default_factory=dict, repr=False)
-    # id of a tag -> (the tag, its decomposition, those of its premises);
-    # holding the tag keeps its id from passing to another formula
-    decomposed: dict = field(default_factory=dict, repr=False, init=False)
 
 
 def _subst_bits(A: Formula, env: dict[str, int]) -> Formula:
@@ -79,15 +76,12 @@ def _witnesses(A: Formula, env: dict[str, int] | None = None
     itertools.product order, the first variable most significant.  A
     binder that a later one of its own block shadows gets no bit, since
     decompose leaves it out; a name bound in two blocks takes the later
-    binder's bit from that binder on.  A call visits at most
-    2^MAX_PROP_ATOMS choices and raises GuardExceeded on the next one."""
-    return _witnesses_of(decompose(A), env or {})
-
-
-def _witnesses_of(d: Decomposition, env: dict[str, int]
-                  ) -> Iterator[list[tuple[Formula, dict[str, int]]]]:
-    """_witnesses of the formula that d decomposes."""
-    names = [v for vs, _ in d.blocks for v in vs] + list(d.tail_vars)
+    binder's bit from that binder on.  Each call decomposes A afresh.  A
+    call visits at most 2^MAX_PROP_ATOMS choices and raises GuardExceeded
+    on the next one."""
+    blocks, tail_vars, head = decompose(A)
+    env = env or {}
+    names = [v for vs, _ in blocks for v in vs] + list(tail_vars)
     rows = itertools.product((0, 1), repeat=len(names))
     for row, bits in enumerate(rows):
         if row == 1 << MAX_PROP_ATOMS:
@@ -95,10 +89,10 @@ def _witnesses_of(d: Decomposition, env: dict[str, int]
                 f"a tag with {len(names)} spine variables exceeds the guard "
                 f"of 2^{MAX_PROP_ATOMS} bit choices")
         scope = {**env, **dict(zip(names, bits))}
-        if eval_term_01(d.head.lhs, scope) != eval_term_01(d.head.rhs, scope):
+        if eval_term_01(head.lhs, scope) != eval_term_01(head.rhs, scope):
             continue
         scope, rest, premises = env, iter(bits), []
-        for vs, premise in d.blocks:
+        for vs, premise in blocks:
             scope = {**scope, **dict(zip(vs, rest))}  # takes len(vs) bits
             premises.append((premise, scope))
         yield premises
@@ -133,8 +127,7 @@ def _least_level(p: Process, k: int, cfg: PoleConfig) -> Generator:
             key = (_memo_key(p), k - steps)
             level = cfg.memo.get(key)
             if level is None:
-                level = cfg.memo[key] = yield from _tag_level(
-                    p, k - steps, cfg.decomposed)
+                level = cfg.memo[key] = yield from _tag_level(p, k - steps)
             return steps + level if level else None
         s = step(p)
         if s is None:
@@ -163,19 +156,13 @@ def _memo_key(p: Process) -> tuple:
     return tuple(key)
 
 
-def _tag_level(p: Process, k: int, decomposed: dict) -> Generator:
+def _tag_level(p: Process, k: int) -> Generator:
     """The least level ≤ k of a tagged instruction facing a stack, or 0;
-    it asks its premise questions as _least_level does.  A tag and each
-    of its premises are decomposed once per PoleConfig: the same tag
-    meets many stacks and budgets, and every witness names the same
-    premises in the same order."""
-    tag = p.term.tag
-    kept = decomposed.get(id(tag))
-    if kept is None:
-        kept = decomposed[id(tag)] = (tag, decompose(tag), [])
-    _, d, premise_ds = kept
+    it asks its premise questions as _least_level does.  The tag is
+    decomposed once per call, and each premise once per witness that
+    reaches it."""
     best = 0
-    for premises in _witnesses_of(d, {}):
+    for premises in _witnesses(p.term.tag):
         ts, pi = [], p.stack
         for _ in premises:
             if not isinstance(pi, SPush):
@@ -183,7 +170,7 @@ def _tag_level(p: Process, k: int, decomposed: dict) -> Generator:
             ts.append(pi.head)
             pi = pi.tail
         worst = 1
-        for q in _premises(premises, ts, pi, premise_ds):
+        for q in _premises(premises, ts, pi):
             level = yield q, k - 1
             if not level:
                 break
@@ -196,17 +183,12 @@ def _tag_level(p: Process, k: int, decomposed: dict) -> Generator:
 
 
 def _premises(premises: list[tuple[Formula, dict[str, int]]],
-              ts: list[LcTerm], pi: StackT,
-              decomposed: list[Decomposition]) -> Iterator[Process]:
+              ts: list[LcTerm], pi: StackT) -> Iterator[Process]:
     """The processes that one witness obliges to enter the pole: each
     stack entry facing the sub-tags of every true-head instance of its
-    premise.  decomposed holds the decompositions of the first premises,
-    kept for the tag, and one is added for each premise reached for the
-    first time."""
-    for i, (t, (premise, scope)) in enumerate(zip(ts, premises)):
-        if i == len(decomposed):
-            decomposed.append(decompose(premise))
-        for subs in _witnesses_of(decomposed[i], scope):
+    premise, the premise decomposed by _witnesses as it is reached."""
+    for t, (premise, scope) in zip(ts, premises):
+        for subs in _witnesses(premise, scope):
             tags = (Gamma(_subst_bits(sub, env)) for sub, env in subs)
             yield Process(t, stack_of(*tags, tail=pi))
 

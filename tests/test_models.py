@@ -932,3 +932,46 @@ def test_theory_answers_a_horn_sentence_past_the_guards():
         TheoryOracle().membership(parse_formula(
             "forall a. forall b. forall c. forall d. forall e. forall f. "
             "forall g. a != 0 -> a != 1"))
+
+
+SEVEN = ("forall a. forall b. forall c. forall d. forall e. forall f. "
+         "forall g. ")
+
+
+def test_theory_answers_a_tautology_past_the_guards(monkeypatch):
+    # neither ground nor Horn: the family sweep meets the depth guard, and
+    # the tautology step answers as validity's does; a sweep that answers
+    # never runs the step
+    taut = parse_formula(SEVEN + "a != 0 -> a != 0")
+    assert valid_all_bas(taut) == Verdict("valid", Justification.TAUTOLOGY)
+    calls = _counting(monkeypatch, "is_prop_tautology")
+    assert TheoryOracle().membership(taut) is True
+    assert len(calls) == 1
+    assert TheoryOracle().membership(
+        parse_formula("forall z. z != 0 -> z != 1")) is False
+    assert len(calls) == 1
+
+
+def _wide_goal(n, text):
+    return parse_formula("".join(f"forall a{i}. " for i in range(n)) + text)
+
+
+def test_horn_goal_past_the_read_bound_is_refuted_with_the_extra_held_at_0():
+    # fifteen read variables: a0 is held at 0 and a1..a14 are tried
+    n = MAX_PROP_ATOMS + 1
+    names = [f"a{i}" for i in range(n)]
+    fails_at_0 = _wide_goal(n, " \\/ ".join(names) + " != 0")
+    assert bamodels._in_01(fails_at_0) == (Justification.HORN, False)
+    v = valid_all_bas(fails_at_0)
+    assert (v.status, v.witness) == ("refuted", PowerFinite(1))
+    assert TheoryOracle().membership(fails_at_0) is False
+    # false only with a0 = 1, which is never tried: {0,1} does not
+    # answer, and the family's depth guard does
+    fails_at_1 = _wide_goal(n, " \\/ ".join(["~a0"] + names[1:]) + " != 0")
+    assert bamodels._in_01(fails_at_1) is None
+    assert valid_all_bas(fails_at_1).status == "unknown"
+    with pytest.raises(GuardExceeded):
+        TheoryOracle().membership(fails_at_1)
+    # a definite clause true in {0,1} is not decided there either
+    holds = _wide_goal(n, " /\\ ".join(names) + " == " + " /\\ ".join(names))
+    assert bamodels._in_01(holds) is None

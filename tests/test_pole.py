@@ -411,13 +411,12 @@ def test_premises_are_closed():
         for pi in canonical_falsity_stacks(a):
             assert _open_parts(pi) == [], (a, pi)
             assert not any(map(free_vars, iter_tags(pi))), (a, pi)
-            decomposed = []
             for witness in _witnesses(a):
                 ts = stack_to_list(pi)[:len(witness)]
                 rest = pi
                 for _ in ts:
                     rest = rest.tail
-                for q in _premises(witness, ts, rest, decomposed):
+                for q in _premises(witness, ts, rest):
                     assert _open_parts(q) == [], (a, q)
                     assert not any(map(free_vars, iter_tags(q))), (a, q)
                     premises += 1
