@@ -19,10 +19,13 @@ The lexer splits a text with one regex into gap, token, gap, ..., gap;
 a gap that is not all whitespace holds an unexpected character.  Tokens
 are plain strings, and a token's kind is read from its text.  Their
 positions are found only when an error is raised, by the same split.
+`forall`, `exists` and `_|_` are reserved: none of them names a
+variable, so every name that parses prints to a text that parses back.
 A ( where a formula starts opens a parenthesized formula or a
-comparison's left term.  A group that holds !=, == or _|_, which no term
-holds, is read as a formula at once; any other group is tried as a
-comparison first.
+comparison's left term, and one lookahead decides which: a group that
+holds !=, ==, _|_, forall or exists is a formula, since every formula
+holds one of them and no term can, and any other group is the left term
+of a comparison.  So no parse path backtracks.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ _TOKEN_RE = re.compile(r"""(
 )""", re.VERBOSE)
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ"
                          "abcdefghijklmnopqrstuvwxyz_")
+_RESERVED = frozenset({"_|_", "forall", "exists"})
 
 
 def _lex(src: str) -> list[str]:
@@ -78,7 +82,7 @@ def _positions(src: str) -> list[int]:
 
 
 def _is_ident(tok: str) -> bool:
-    return tok[:1] in _IDENT_START and tok != "_|_"
+    return tok[:1] in _IDENT_START and tok not in _RESERVED
 
 
 class _Parser:
@@ -100,11 +104,12 @@ class _Parser:
 
     def holds_formula(self) -> bool:
         """Whether the ( at the cursor opens a group, to its matching )
-        or the end, that holds !=, == or _|_, which no term can hold."""
+        or the end, that holds !=, ==, _|_, forall or exists, which every
+        formula holds and no term can."""
         depth = 0
         for tok in islice(self.toks, self.i, None):
             depth += (tok == "(") - (tok == ")")
-            if not depth or tok in ("!=", "==", "_|_"):
+            if not depth or tok in ("!=", "==", "_|_", "forall", "exists"):
                 return depth > 0
         return False
 
@@ -173,19 +178,7 @@ class _Parser:
             self.eat(".")
             body = self.formula()
             return Forall(var, body) if tok == "forall" else exists(var, body)
-        if tok == "(":
-            # Either a parenthesized formula or the left term of a
-            # comparison.  A group that holds a formula token is the
-            # former; any other is tried as a comparison first.
-            if not self.holds_formula():
-                save = self.i
-                try:
-                    a = self.bterm()
-                    if self.toks[self.i] in ("!=", "=="):
-                        return self._relop(a)
-                except ParseError:
-                    pass
-                self.i = save
+        if tok == "(" and self.holds_formula():
             self.i += 1
             f = self.formula()
             self.eat(")")

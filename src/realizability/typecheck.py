@@ -13,6 +13,7 @@ a builder for its full derivation, and a weakening transform.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from .formulas import (
     BTerm, Formula, Forall, Impl, Neq, UsageError, ZERO, alpha_eq, canon,
@@ -320,29 +321,24 @@ def eq_elim_derivation(d: Derivation, z: str, a: BTerm, b: BTerm,
 #   (premises <node> ...)
 #   (judgement ((x "<formula>") ...) "<term>" "<formula>"))
 
+# one match per blank run, ; comment, parenthesis, string or atom; a "
+# with no closing " matches with an empty third group
+_SEXPR_RE = re.compile(r'\s+|;.*|([()])|"([^"]*)("?)|([^\s()";]+)')
+
+
 def _sexpr_tokens(src: str):
-    i = 0
-    while i < len(src):
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "()":
-            yield ch
-            i += 1
-        elif ch == '"':
-            j = src.find('"', i + 1)
-            if j < 0:
+    """The tokens of src, lazily, so that a lexical error is raised only
+    where the reader reaches it; None ends them."""
+    for m in _SEXPR_RE.finditer(src):
+        paren, text, close, atom = m.groups()
+        if paren:
+            yield paren
+        elif atom:
+            yield ("atom", atom)
+        elif text is not None:
+            if not close:
                 raise UsageError("unterminated string in derivation text")
-            yield ("str", src[i + 1:j])
-            i = j + 1
-        elif ch == ";":
-            i = src.index("\n", i) if "\n" in src[i:] else len(src)
-        else:
-            j = i
-            while j < len(src) and not src[j].isspace() and src[j] not in '()";':
-                j += 1
-            yield ("atom", src[i:j])
-            i = j
+            yield ("str", text)
     yield None  # end of input
 
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from realizability.formulas import (
@@ -7,7 +9,7 @@ from realizability.lcterms import App, CC, Lam, LVar
 from realizability.syntax import parse_formula, parse_lcterm
 from realizability.typecheck import (
     Derivation, Judgement, TypingError, check_derivation, eq_elim_derivation,
-    eq_elim_macro, parse_derivation, weaken,
+    _sexpr_tokens, eq_elim_macro, parse_derivation, weaken,
 )
 
 
@@ -153,3 +155,51 @@ def test_parse_derivation_rejects_cc_as_context_variable(name):
 def test_judgement_rejects_unbound_subject():
     with pytest.raises(Exception):
         Judgement((), LVar("x"), bot())
+
+
+def _reference_sexpr_tokens(src):
+    # the character loop that the one-regex lexer replaced, kept as an oracle
+    i = 0
+    while i < len(src):
+        ch = src[i]
+        if ch.isspace():
+            i += 1
+        elif ch in "()":
+            yield ch
+            i += 1
+        elif ch == '"':
+            j = src.find('"', i + 1)
+            if j < 0:
+                raise UsageError("unterminated string in derivation text")
+            yield ("str", src[i + 1:j])
+            i = j + 1
+        elif ch == ";":
+            i = src.index("\n", i) if "\n" in src[i:] else len(src)
+        else:
+            j = i
+            while j < len(src) and not src[j].isspace() and src[j] not in '()";':
+                j += 1
+            yield ("atom", src[i:j])
+            i = j
+    yield None  # end of input
+
+
+def _lexed(lex, src):
+    """The tokens, and the error text if one is raised after them."""
+    toks = []
+    try:
+        toks.extend(lex(src))
+    except UsageError as e:
+        return toks, str(e)
+    return toks, None
+
+
+def test_sexpr_lexer_matches_the_character_loop():
+    rng = random.Random(38)
+    chars = '()";\n\t \x0ba1_.\\!=\'|'
+    texts = ["", ";", '"', '""', "; a\n(b)", '(a "x ; y" ;z\n)', "a;b", '"\n"']
+    texts += ["".join(rng.choices(chars, k=rng.randrange(16)))
+              for _ in range(100_000)]
+    for src in texts:
+        assert _lexed(_sexpr_tokens, src) == \
+            _lexed(_reference_sexpr_tokens, src), src
