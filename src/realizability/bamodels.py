@@ -106,16 +106,16 @@ def _splits(size, cap=math.inf):
     """The splits of a cell of `size` into (outside, inside), in the order
     model_check tries them, with both parts capped at `cap` and each
     capped pair kept at its first occurrence.  An infinite cell is an
-    atomless one and is never capped; a finite size past 2 * cap splits
-    into the same capped pairs as 2 * cap, in the same order.  The check
-    splits with caps 2^0 .. 2^5 under the depth guard, each finite size
-    capped at twice its cap first, so the cache holds at most
+    atomless one and is never capped.  A finite size past 2 * cap splits
+    into the same capped pairs as 2 * cap, in the same order, so this
+    needs no cap of its own: its one caller, `_memoised`, caps each finite
+    size at 2 * cap before it splits.  The check splits with caps
+    2^0 .. 2^5 under the depth guard, so the cache holds at most
     sum(2 * cap + 2) = 138 entries."""
     if size == math.inf:
         return ((math.inf, math.inf), (math.inf, 0), (0, math.inf))
     if size <= cap:
         return tuple((i, size - i) for i in range(size + 1))
-    size = min(size, 2 * cap)
     return tuple(dict.fromkeys((min(i, cap), min(size - i, cap))
                                for i in range(size + 1)))
 

@@ -17,10 +17,10 @@ index i by walking the entries and subtracting completion counts.
 in order, and `level(n)` keeps them; only ranks 1 and 2 are kept, for
 `idx_of`.  The order and the join of each rank below MAX_RANK are one
 pair of index matrices, built once per rank from `level(n)` (`_matrices`),
-not a memo per pair of indices: `idx_leq` and `idx_join` read them, the
-table forms `tbl_leq` and `tbl_join` read them entrywise, and so do
-`_moves`, `arrow` and `lam`'s monotonicity check.  Rank 3 has no matrix;
-its order and join are taken entrywise from rank 2's.
+not a memo per pair of indices.  `tbl_leq` and `tbl_join`, the one order
+and join, read them entrywise, and so do `_moves`, `arrow` and `lam`'s
+monotonicity check.  Rank 3 has no matrix; its order and join are taken
+entrywise from rank 2's, so neither builds rank 3's index map.
 
 The projection pair between ranks n and n+1 is cached the same way, as
 maps of enumeration indices (`phi_idx`, `psi_idx`), and the table forms
@@ -170,9 +170,9 @@ def idx_of(n: int, v) -> int:
 def _matrices(n: int) -> tuple[tuple[tuple[bool, ...], ...],
                                tuple[tuple[int, ...], ...]]:
     """Rank n's order and join as index matrices, for n < MAX_RANK: row i
-    of the first holds idx_leq(n, i, j) at column j, row i of the second
-    idx_join(n, i, j).  Built once per rank from level(n), pointwise from
-    the matrices of rank n - 1."""
+    of the first holds at column j whether value i <= value j, row i of
+    the second the index of their join.  Built once per rank from
+    level(n), pointwise from the matrices of rank n - 1."""
     if n < 0:
         raise UsageError("negative rank")
     if n >= MAX_RANK:
@@ -197,24 +197,12 @@ def tbl_leq(n: int, x, y) -> bool:
     return all(order[a][b] for a, b in zip(x, y))
 
 
-def idx_leq(n: int, i: int, j: int) -> bool:
-    if n < MAX_RANK:
-        return _matrices(n)[0][i][j]
-    return tbl_leq(n, val(n, i), val(n, j))
-
-
 def tbl_join(n: int, x, y):
     """Pointwise join on rank-n values."""
     if n == 0:
         return x | y
     joins = _matrices(n - 1)[1]
     return tuple(joins[a][b] for a, b in zip(x, y))
-
-
-def idx_join(n: int, i: int, j: int) -> int:
-    if n < MAX_RANK:
-        return _matrices(n)[1][i][j]
-    return idx_of(n, tbl_join(n, val(n, i), val(n, j)))
 
 
 # --------------------------------------------------------------------------

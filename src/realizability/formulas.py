@@ -27,15 +27,16 @@ class UsageError(ValueError):
 # Terms
 # --------------------------------------------------------------------------
 
+def _reduce(self):
+    """Every node's `__reduce__`, here and in `lcterms`: copy and pickle
+    rebuild a node from its fields, so what it keeps is computed again."""
+    return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
 @dataclass(frozen=True)
 class BTerm:
     __slots__ = ()
-
-    def __reduce__(self):
-        # copy and pickle rebuild a node from its fields, so what it keeps
-        # (its variable set; an Or's or And's hash of this process's
-        # strings) is recomputed
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+    __reduce__ = _reduce
 
 
 # Every term and formula node is a slotted frozen dataclass that sets its
@@ -259,7 +260,7 @@ def _minterm_prefixes(us: tuple[str, ...]) -> tuple[BTerm, ...]:
 @dataclass(frozen=True)
 class Formula:
     __slots__ = ()
-    __reduce__ = BTerm.__reduce__
+    __reduce__ = _reduce
 
 
 @dataclass(frozen=True)

@@ -28,22 +28,18 @@ reuses its id, and the machine makes and drops nodes at every step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Iterator
 
 from .formulas import (
-    Formula, UsageError, _set, canon as canon_formula, conj_many,
+    Formula, UsageError, _reduce, _set, canon as canon_formula, conj_many,
 )
 
 
 @dataclass(frozen=True)
 class LcTerm:
     __slots__ = ()
-
-    def __reduce__(self):
-        # copy and pickle rebuild a term from its fields, so what an App or
-        # Lam keeps (its printed text) is printed again
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+    __reduce__ = _reduce
 
 
 # The one- and two-field classes set their slots in their own __init__
@@ -111,7 +107,7 @@ class Gamma(LcTerm):
 @dataclass(frozen=True)
 class StackT:
     __slots__ = ()
-    __reduce__ = LcTerm.__reduce__
+    __reduce__ = _reduce
 
 
 @dataclass(frozen=True)
@@ -139,7 +135,7 @@ class Process:
     __slots__ = ("term", "stack")
     term: LcTerm
     stack: StackT
-    __reduce__ = LcTerm.__reduce__
+    __reduce__ = _reduce
 
     def __init__(self, term: LcTerm, stack: StackT) -> None:
         _set(self, "term", term)

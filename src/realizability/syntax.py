@@ -90,6 +90,7 @@ class _Parser:
         self.src = src
         self.toks = _lex(src)
         self.i = 0
+        self.formula_groups: set[int] = set()  # ( known to hold a formula
 
     def at(self, i: int) -> int:
         """The position of token i, for an error message."""
@@ -105,12 +106,18 @@ class _Parser:
     def holds_formula(self) -> bool:
         """Whether the ( at the cursor opens a group, to its matching )
         or the end, that holds !=, ==, _|_, forall or exists, which every
-        formula holds and no term can."""
-        depth = 0
-        for tok in islice(self.toks, self.i, None):
-            depth += (tok == "(") - (tok == ")")
-            if not depth or tok in ("!=", "==", "_|_", "forall", "exists"):
-                return depth > 0
+        formula holds and no term can.  A scan that meets one of them, or a
+        marked (, marks every ( still open there, so nesting costs O(n)."""
+        opened = []
+        for k, tok in enumerate(islice(self.toks, self.i, None), self.i):
+            if k in self.formula_groups or tok in (
+                    "!=", "==", "_|_", "forall", "exists"):
+                self.formula_groups.update(opened)
+                return True
+            if tok == "(":
+                opened.append(k)
+            elif tok == ")" and opened.pop() == self.i:
+                return False
         return False
 
     # -- Boolean terms ----------------------------------------------------

@@ -86,6 +86,13 @@ def _require(cond: bool, path: str, msg: str):
         raise TypingError(path, msg)
 
 
+def _unchanged(p: Judgement, c: Judgement, path: str) -> None:
+    """The premise keeps the conclusion's context, then its subject."""
+    _require(ctx_eq(p.context, c.context), path, "context must be unchanged")
+    _require(lc_alpha_eq(p.subject, c.subject), path,
+             "subject must be unchanged")
+
+
 def check_derivation(d: Derivation, path: str = "root") -> Judgement:
     """Verify every node and return the root conclusion."""
     for i, p in enumerate(d.premises):
@@ -137,9 +144,7 @@ def check_derivation(d: Derivation, path: str = "root") -> Judgement:
         p = d.premises[0].conclusion
         _require(isinstance(c.type, Forall), path, "type must be quantified")
         z = c.type.var
-        _require(ctx_eq(p.context, ctx), path, "context must be unchanged")
-        _require(lc_alpha_eq(p.subject, c.subject), path,
-                 "subject must be unchanged")
+        _unchanged(p, c, path)
         _require(alpha_eq(c.type.body, p.type), path,
                  "quantifier body does not match the premise type")
         _require(all(z not in free_vars(A) for _, A in ctx), path,
@@ -152,9 +157,7 @@ def check_derivation(d: Derivation, path: str = "root") -> Judgement:
                  "rule_data must be the instantiating term")
         _require(isinstance(p.type, Forall), path,
                  "premise type must be quantified")
-        _require(ctx_eq(p.context, ctx), path, "context must be unchanged")
-        _require(lc_alpha_eq(p.subject, c.subject), path,
-                 "subject must be unchanged")
+        _unchanged(p, c, path)
         inst = subst_formula(p.type.body, [p.type.var], [b])
         _require(alpha_eq(c.type, inst), path,
                  "conclusion type is not the instantiated quantifier body")
@@ -181,9 +184,7 @@ def check_derivation(d: Derivation, path: str = "root") -> Judgement:
 
     elif d.rule == "NeqElim":
         p = d.premises[0].conclusion
-        _require(ctx_eq(p.context, ctx), path, "context must be unchanged")
-        _require(lc_alpha_eq(p.subject, c.subject), path,
-                 "subject must be unchanged")
+        _unchanged(p, c, path)
         _require(isinstance(p.type, Neq) and p.type.lhs == p.type.rhs, path,
                  "premise type must be a reflexive inequation a != a")
 

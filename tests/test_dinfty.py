@@ -11,7 +11,7 @@ import pytest
 from realizability import dinfty, formulas, lcterms
 from realizability.dinfty import (
     DElem, RankCapError, app, arrow, bottom, cc_elem, denote, denote_formula,
-    elem, eq_at, idx_join, idx_leq, idx_of, join, lam, leq, level,
+    elem, eq_at, idx_of, join, lam, leq, level,
     level_size, phi_tbl, psi_tbl, seq_check, tbl_join, tbl_leq,
     term_search, theta, top, val,
 )
@@ -37,9 +37,8 @@ def test_levels_are_sorted_with_bottom_and_top():
     for n in (0, 1, 2):
         vs = level(n)
         assert list(vs) == sorted(vs)
-        top_i = len(vs) - 1
-        for i in range(len(vs)):
-            assert idx_leq(n, 0, i) and idx_leq(n, i, top_i)
+        order = dinfty._matrices(n)[0]
+        assert all(order[0]) and all(row[-1] for row in order)
 
 
 def test_level_3_is_strictly_increasing():
@@ -54,6 +53,7 @@ def _reference_level(n):
     bound from the placed prefix, as the enumeration did before it counted
     states."""
     m = level_size(n - 1)
+    order, joins = dinfty._matrices(n - 1)
     out, prefix = [], []
 
     def dfs():
@@ -63,10 +63,10 @@ def _reference_level(n):
             return
         lo = 0
         for j in range(i):
-            if idx_leq(n - 1, j, i):
-                lo = idx_join(n - 1, lo, prefix[j])
+            if order[j][i]:
+                lo = joins[lo][prefix[j]]
         for c in range(m):
-            if idx_leq(n - 1, lo, c):
+            if order[lo][c]:
                 prefix.append(c)
                 dfs()
                 prefix.pop()
@@ -113,44 +113,53 @@ def test_idx_of_inverts_val():
 def test_levels_match_brute_force():
     for n in (1, 2):
         m = level_size(n - 1)
+        order = dinfty._matrices(n - 1)[0]
         monotone = [f for f in itertools.product(range(m), repeat=m)
-                    if all(idx_leq(n - 1, f[i], f[j])
+                    if all(order[f[i]][f[j]]
                            for i, j in itertools.product(range(m), repeat=2)
-                           if idx_leq(n - 1, i, j))]
+                           if order[i][j])]
         assert level(n) == tuple(monotone)
 
 
 def test_monotone_tables_only():
+    order = dinfty._matrices(1)[0]
     for f in level(2):
         for i, j in itertools.product(range(3), repeat=2):
-            if idx_leq(1, i, j):
-                assert idx_leq(1, f[i], f[j])
+            if order[i][j]:
+                assert order[f[i]][f[j]]
 
 
 def test_lattice_laws_rank_2():
     size = level_size(2)
+    order, joins = dinfty._matrices(2)
     for a, b in itertools.product(range(size), repeat=2):
-        j = idx_join(2, a, b)
-        assert idx_leq(2, a, j) and idx_leq(2, b, j)
+        j = joins[a][b]
+        assert order[a][j] and order[b][j]
         # greatest lower bound by scan; the lattice is finite
         m = 0
         for k in range(size):
-            if idx_leq(2, k, a) and idx_leq(2, k, b) and idx_leq(2, m, k):
+            if order[k][a] and order[k][b] and order[m][k]:
                 m = k
-        assert idx_leq(2, m, a) and idx_leq(2, m, b)
-        assert idx_join(2, a, a) == a
+        assert order[m][a] and order[m][b]
+        assert joins[a][a] == a
 
 
 def test_join_is_least_upper_bound():
     for n in (0, 1, 2):
-        size = level_size(n)
-        for a, b, c in itertools.product(range(size), repeat=3):
-            above_both = idx_leq(n, a, c) and idx_leq(n, b, c)
-            assert above_both == idx_leq(n, idx_join(n, a, b), c)
+        order, joins = dinfty._matrices(n)
+        for a, b, c in itertools.product(range(level_size(n)), repeat=3):
+            above_both = order[a][c] and order[b][c]
+            assert above_both == order[joins[a][b]][c]
+    # rank 3 has no matrix: its tables' order and join, on a sample
+    rng = random.Random(3)
+    for _ in range(300):
+        x, y, z = (val(3, rng.randrange(level_size(3))) for _ in range(3))
+        above_both = tbl_leq(3, x, z) and tbl_leq(3, y, z)
+        assert above_both == tbl_leq(3, tbl_join(3, x, y), z)
 
 
 def _reference_join(n, x, y):
-    # the entry-by-entry table recursion that idx_join replaces
+    # the entry-by-entry table recursion that the join matrices replace
     if n == 0:
         return x | y
     return tuple(idx_of(n - 1, _reference_join(n - 1, val(n - 1, a),
@@ -181,10 +190,9 @@ def test_matrices_match_the_pointwise_order_and_join():
         assert len(order) == len(joins) == len(vs) == level_size(n)
         for i, x in enumerate(vs):
             for j, y in enumerate(vs):
-                assert order[i][j] == idx_leq(n, i, j) == tbl_leq(n, x, y) \
-                    == leq_ref(n, x, y)
-                assert vs[joins[i][j]] == vs[idx_join(n, i, j)] \
-                    == tbl_join(n, x, y) == join_ref(n, x, y)
+                assert order[i][j] == tbl_leq(n, x, y) == leq_ref(n, x, y)
+                assert vs[joins[i][j]] == tbl_join(n, x, y) \
+                    == join_ref(n, x, y)
     with pytest.raises(RankCapError):
         dinfty._matrices(3)
     assert tuple(level_size(n) for n in range(4)) == (2, 3, 10, 120549)
@@ -193,11 +201,11 @@ def test_matrices_match_the_pointwise_order_and_join():
 def test_rank_tables_are_lru_caches():
     # perfbench/run.py clears every package lru_cache before each pass, so
     # a table kept anywhere else would carry one pass's work into the
-    # next; idx_leq and idx_join read the matrices and keep nothing
+    # next; tbl_leq and tbl_join read the matrices and keep nothing
     for f in (dinfty._matrices, dinfty._moves, dinfty._count,
               dinfty._candidates, dinfty.level, dinfty._index_map):
         assert isinstance(f, functools._lru_cache_wrapper), f
-    for f in (dinfty.idx_leq, dinfty.idx_join):
+    for f in (dinfty.tbl_leq, dinfty.tbl_join):
         assert not hasattr(f, "cache_clear"), f
     module_dicts = [k for k, v in vars(dinfty).items()
                     if isinstance(v, (dict, list, set))
@@ -205,11 +213,12 @@ def test_rank_tables_are_lru_caches():
     assert module_dicts == []
 
 
-def test_idx_join_matches_reference_join():
+def test_join_matrix_matches_reference_join():
     for n in (0, 1, 2):
+        joins = dinfty._matrices(n)[1]
         for a, b in itertools.product(range(level_size(n)), repeat=2):
             x, y = val(n, a), val(n, b)
-            assert val(n, idx_join(n, a, b)) == _reference_join(n, x, y)
+            assert val(n, joins[a][b]) == _reference_join(n, x, y)
             assert tbl_join(n, x, y) == _reference_join(n, x, y)
 
 
@@ -220,18 +229,16 @@ def test_projection_pair_laws():
     for n in (1, 2):
         for f in level(n):
             low = phi_tbl(n - 1, psi_tbl(n - 1, f))
-            assert idx_leq(n, idx_of(n, low), idx_of(n, f))
+            assert tbl_leq(n, low, f)
 
 
 def test_projections_monotone():
-    for i, j in itertools.product(range(level_size(0)), repeat=2):
-        if idx_leq(0, i, j):
-            assert idx_leq(1, idx_of(1, phi_tbl(0, val(0, i))),
-                           idx_of(1, phi_tbl(0, val(0, j))))
-    for i, j in itertools.product(range(level_size(1)), repeat=2):
-        if idx_leq(1, i, j):
-            assert idx_leq(0, idx_of(0, psi_tbl(0, val(1, i))),
-                           idx_of(0, psi_tbl(0, val(1, j))))
+    for x, y in itertools.product(level(0), repeat=2):
+        if tbl_leq(0, x, y):
+            assert tbl_leq(1, phi_tbl(0, x), phi_tbl(0, y))
+    for f, g in itertools.product(level(1), repeat=2):
+        if tbl_leq(1, f, g):
+            assert tbl_leq(0, psi_tbl(0, f), psi_tbl(0, g))
 
 
 def _reference_phi(n, a):
@@ -283,6 +290,8 @@ def test_rank_3_components_need_no_rank_3_index(monkeypatch):
     c = cc_elem()
     for v in level(2):
         leq(elem(2, v), c, 3)
+    x, y = val(3, 5), val(3, 7)
+    assert tbl_leq(3, x, tbl_join(3, x, y))
     for text in ("\\x. x", "cc", "\\x. \\y. y x"):
         assert len(denote(parse_lcterm(text)).component(3)) == level_size(2)
 
@@ -314,8 +323,7 @@ def test_arrow_application_law():
     for i, j in itertools.product(range(level_size(1)), repeat=2):
         x, y = elem(1, val(1, i)), elem(1, val(1, j))
         r = app(arrow(x, y), x)
-        assert idx_leq(1, idx_of(1, y.component(1)),
-                       idx_of(1, r.component(1)))
+        assert tbl_leq(1, y.component(1), r.component(1))
         if i > 0:
             assert app(arrow(x, y), bottom()).component(1) == val(1, 0)
 

@@ -16,6 +16,7 @@ from realizability.formulas import (
 from realizability.lcterms import (
     LVar, Lam, check_closed, lc_alpha_eq, proc_alpha_eq,
 )
+from realizability import syntax
 from realizability.syntax import (
     ParseError, _lex, _positions, parse_bterm, parse_formula, parse_lcterm,
     parse_process, parse_stack, print_bterm, print_formula, print_lcterm,
@@ -476,3 +477,22 @@ def test_nested_groups_raise_no_parse_error(monkeypatch):
     for src in texts:
         parse_formula(src)
     assert raised == []
+
+
+def test_nested_formula_groups_are_scanned_in_linear_time(monkeypatch):
+    # the lookahead marks every ( still open where it meets a formula
+    # token, so the groups inside one it scanned are not scanned again
+    scanned = 0
+    real_islice = syntax.islice
+
+    def counting_islice(*args):
+        nonlocal scanned
+        for tok in real_islice(*args):
+            scanned += 1
+            yield tok
+
+    monkeypatch.setattr(syntax, "islice", counting_islice)
+    n = 400
+    f = parse_formula("(" * n + "z != 0" + ")" * n)
+    assert f == parse_formula("z != 0")
+    assert 0 < scanned < 20 * n

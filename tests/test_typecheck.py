@@ -102,6 +102,34 @@ def test_neq_elim():
         check_derivation(bad)
 
 
+_A = parse_formula("0 != 1")
+_KEEPS_PREMISE = {  # rule: premise type, conclusion type, rule_data
+    "ForallIntro": (_A, Forall("z", _A), None),
+    "ForallElim": (Forall("z", _A), _A, ONE),
+    "NeqElim": (Neq(ZERO, ZERO), bot(), None),
+}
+
+
+@pytest.mark.parametrize("rule", _KEEPS_PREMISE)
+def test_unchanged_premise_messages(rule):
+    # the context is checked before the subject, and either message is
+    # reported at the node whose premise changed, not at the premise
+    prem_type, concl_type, rule_data = _KEEPS_PREMISE[rule]
+    ctx = (("x", prem_type), ("y", prem_type))
+    prem = Derivation("Axiom", (), Judgement(ctx, LVar("x"), prem_type))
+    wider = ctx + (("w", prem_type),)
+    for concl_ctx, msg in ((wider, "context must be unchanged"),
+                           (ctx, "subject must be unchanged")):
+        node = Derivation(rule, (prem,),
+                          Judgement(concl_ctx, LVar("y"), concl_type),
+                          rule_data=rule_data)
+        parent = Derivation("NeqElim", (node,),
+                            Judgement(concl_ctx, LVar("y"), bot()))
+        with pytest.raises(TypingError) as e:
+            check_derivation(parent)
+        assert (e.value.path, e.value.msg) == ("root.0", msg)
+
+
 def test_weaken_property():
     A = parse_formula("0 != 1")
     d = Derivation("Abs", (axiom("x", A),),
