@@ -463,6 +463,7 @@ def valid_all_bas(A: Formula,
     least two elements.  An empty family would pass every formula, so it
     is refused."""
     closed(A, "valid_all_bas")
+    family = tuple(family)  # an iterator is truthy however empty
     if not family:
         raise UsageError("valid_all_bas needs a nonempty family")
     decided = _in_01(A)
@@ -507,9 +508,9 @@ class TheoryOracle:
     family: tuple[BASpec, ...] = DEFAULT_FAMILY
 
     def __post_init__(self):
+        self.family = tuple(self.family)  # an iterator is truthy however empty
         if not self.family:
             raise UsageError("a theory oracle needs a nonempty family")
-        self.family = tuple(self.family)
 
     def membership(self, A: Formula) -> bool:
         closed(A, "TheoryOracle.membership")

@@ -233,13 +233,12 @@ def cmd_suite(args) -> int:
     return EX_OK if ok else EX_FALSE
 
 
-def _check_naturals(args) -> None:
-    """Reject negative counts."""
-    for key in ("k", "k_max", "depth", "fuel", "size", "rank", "size_budget"):
-        value = getattr(args, key, None)
-        if value is not None and value < 0:
-            raise UsageError(f"--{key.replace('_', '-')} must not be "
-                             f"negative, got {value}")
+def natural(text: str) -> int:
+    """The argparse type of a count: a nonnegative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -254,88 +253,74 @@ def build_parser() -> argparse.ArgumentParser:
     after = argparse.ArgumentParser(add_help=False)
     after.add_argument("--json", action="store_true",
                        default=argparse.SUPPRESS, help=json_help)
+    family = argparse.ArgumentParser(add_help=False)
+    family.add_argument("--family", type=parse_family, default=DEFAULT_FAMILY,
+                        help="comma list of pfN and atomless")
+    rank = argparse.ArgumentParser(add_help=False)
+    rank.add_argument("--rank", type=natural, required=True)
+    element = argparse.ArgumentParser(add_help=False, parents=[rank])
+    element.add_argument("--element", type=int, required=True)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def command(name: str, help: str) -> argparse.ArgumentParser:
-        return sub.add_parser(name, help=help, parents=[after])
+    def command(name: str, help: str, fn, *parents):
+        p = sub.add_parser(name, help=help, parents=[after, *parents])
+        p.set_defaults(fn=fn)
+        return p
 
-    def fam(p):
-        p.add_argument("--family", type=parse_family, default=DEFAULT_FAMILY,
-                       help="comma list of pfN and atomless")
-
-    p = command("parse", help="parse and reprint")
+    p = command("parse", "parse and reprint", cmd_parse)
     p.add_argument("kind", choices=("term", "formula", "lcterm", "stack",
                                     "process"))
     p.add_argument("source")
-    p.set_defaults(fn=cmd_parse)
 
-    p = command("eval", help="run the machine")
+    p = command("eval", "run the machine", cmd_eval)
     p.add_argument("process")
-    p.add_argument("--fuel", type=int, default=1000)
-    p.set_defaults(fn=cmd_eval)
+    p.add_argument("--fuel", type=natural, default=1000)
 
-    p = command("typecheck", help="check a derivation file ('-' = stdin)")
+    p = command("typecheck", "check a derivation file ('-' = stdin)",
+                cmd_typecheck)
     p.add_argument("file")
-    p.set_defaults(fn=cmd_typecheck)
 
-    p = command("validity", help="truth in all Boolean algebras >= 2")
+    p = command("validity", "truth in all Boolean algebras >= 2",
+                cmd_validity, family)
     p.add_argument("formula")
-    fam(p)
-    p.set_defaults(fn=cmd_validity)
 
-    p = command("theory", help="membership in a family theory")
+    p = command("theory", "membership in a family theory", cmd_theory, family)
     p.add_argument("--contains", required=True)
-    fam(p)
-    p.set_defaults(fn=cmd_theory)
 
-    p = command("pole-member", help="bounded pole membership")
+    p = command("pole-member", "bounded pole membership", cmd_pole_member)
     p.add_argument("process")
-    p.add_argument("--k", type=int, default=32)
-    p.set_defaults(fn=cmd_pole_member)
+    p.add_argument("--k", type=natural, default=32)
 
-    p = command("realizes", help="bounded realizability report")
+    p = command("realizes", "bounded realizability report", cmd_realizes)
     p.add_argument("term")
     p.add_argument("formula")
-    p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--k-max", type=int, default=32)
-    p.set_defaults(fn=cmd_realizes)
+    p.add_argument("--depth", type=natural, default=2)
+    p.add_argument("--k-max", type=natural, default=32)
 
-    p = command("denote", help="model component of a machine term")
+    p = command("denote", "model component of a machine term", cmd_denote)
     p.add_argument("term")
-    p.add_argument("--rank", type=int, default=2)
-    p.set_defaults(fn=cmd_denote)
+    p.add_argument("--rank", type=natural, default=2)
 
-    p = command("lattice", help="finite lattice sizes and elements")
-    p.add_argument("--rank", type=int, required=True)
+    p = command("lattice", "finite lattice sizes and elements", cmd_lattice,
+                rank)
     p.add_argument("--list", action="store_true")
-    p.set_defaults(fn=cmd_lattice)
 
-    p = command("theta", help="synthesize a formula for an element")
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--element", type=int, required=True)
-    p.set_defaults(fn=cmd_theta)
+    command("theta", "synthesize a formula for an element", cmd_theta,
+            element)
+    command("seq-check", "sequentialisability of an element", cmd_seq_check,
+            element, family)
 
-    p = command("seq-check", help="sequentialisability of an element")
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--element", type=int, required=True)
-    fam(p)
-    p.set_defaults(fn=cmd_seq_check)
+    p = command("term-search", "first small term dominating an element",
+                cmd_term_search, element)
+    p.add_argument("--size-budget", type=natural, default=5)
 
-    p = command("term-search", help="first small term dominating an element")
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--element", type=int, required=True)
-    p.add_argument("--size-budget", type=int, default=5)
-    p.set_defaults(fn=cmd_term_search)
-
-    p = command("corpus", help="reproducible random corpora")
+    p = command("corpus", "reproducible random corpora", cmd_corpus)
     p.add_argument("kind", choices=("formulas", "terms"))
-    p.add_argument("--size", type=int, default=20)
+    p.add_argument("--size", type=natural, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_corpus)
 
-    p = command("suite", help="run the acceptance checks")
+    p = command("suite", "run the acceptance checks", cmd_suite)
     p.add_argument("only", nargs="?", help="criterion index or name fragment")
-    p.set_defaults(fn=cmd_suite)
 
     return ap
 
@@ -344,7 +329,6 @@ def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
-        _check_naturals(args)
         return args.fn(args)
     except SystemExit as e:
         return EX_USAGE if e.code not in (0, None) else 0

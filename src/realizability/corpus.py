@@ -46,8 +46,7 @@ def random_formula(rng: random.Random, *, height: int = 3,
                                    max_qdepth=max_qdepth, vars=vars))
     z = VARS[len(vars)]
     return Forall(z, random_formula(rng, height=height - 1,
-                                    max_qdepth=max_qdepth, vars=vars + (z,
-)))
+                                    max_qdepth=max_qdepth, vars=vars + (z,)))
 
 
 def random_horn_clause(rng: random.Random) -> Formula:
@@ -92,8 +91,7 @@ def random_lcterm(rng: random.Random, vars: tuple[str, ...] = (),
                    random_lcterm(rng, vars, depth - 1))
     if r < 0.85:
         x = f"x{len(vars)}"
-        return Lam(x, random_lcterm(rng, vars + (x,
-), depth - 1))
+        return Lam(x, random_lcterm(rng, vars + (x,), depth - 1))
     return Kont(random_stack(rng, depth - 1))
 
 

@@ -120,8 +120,7 @@ def check_derivation(d: Derivation, path: str = "root") -> Judgement:
         x = c.subject.var
         _require(all(y != x for y, _ in ctx), path,
                  f"abstracted variable {x} already occurs in the context")
-        want = Judgement(ctx + ((x, c.type.ante),
-), c.subject.body, c.type.cons)
+        want = Judgement(ctx + ((x, c.type.ante),), c.subject.body, c.type.cons)
         _require(judgement_eq(d.premises[0].conclusion, want), path,
                  "premise does not extend the context by the bound variable")
 
@@ -221,14 +220,12 @@ def weaken(d: Derivation, x: str, A: Formula) -> Derivation:
         if z in free_vars(A):
             raise UsageError(
                 f"weakening formula must not contain the substituted variable {z}")
-        rule_data = (z, a, b, template + ((x, A),
-))
+        rule_data = (z, a, b, template + ((x, A),))
     c = d.conclusion
     return Derivation(
         d.rule,
         tuple(weaken(p, x, A) for p in d.premises),
-        Judgement(c.context + ((x, A),
-), c.subject, c.type),
+        Judgement(c.context + ((x, A),), c.subject, c.type),
         rule_data)
 
 
@@ -288,21 +285,17 @@ def eq_elim_derivation(d: Derivation, z: str, a: BTerm, b: BTerm,
     kt_a = Derivation("App", (ax_k, d0),
                       Judgement(ctx_a, App(LVar(k), t), Neq(a, b)))
     template = gamma + ((x, eq_ab), (k, hyp_tmpl))
-    kt_b = Derivation("NeqSubst", (kt_a,
-),
+    kt_b = Derivation("NeqSubst", (kt_a,),
                       Judgement(ctx_b, App(LVar(k), t), Neq(a, b)),
                       rule_data=(z, a, b, template))
     ax_x = Derivation("Axiom", (), Judgement(ctx_b, LVar(x), eq_ab))
     xkt_bot = Derivation("App", (ax_x, kt_b),
                          Judgement(ctx_b, App(LVar(x), App(LVar(k), t)),
                                    Neq(ZERO, ZERO)))
-    xkt_b = Derivation("NeqElim", (xkt_bot,
-),
+    xkt_b = Derivation("NeqElim", (xkt_bot,),
                        Judgement(ctx_b, App(LVar(x), App(LVar(k), t)), b_inst))
-    ctx_xb = gamma + ((x, eq_ab),
-)
-    lam_k = Derivation("Abs", (xkt_b,
-),
+    ctx_xb = gamma + ((x, eq_ab),)
+    lam_k = Derivation("Abs", (xkt_b,),
                        Judgement(ctx_xb, Lam(k, App(LVar(x), App(LVar(k), t))),
                                  Impl(hyp_b, b_inst)))
     peirce = Derivation("Peirce", (),

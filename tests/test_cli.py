@@ -32,6 +32,9 @@ def test_parse_command(capsys):
 
 def test_parse_error_exit_code(capsys):
     assert main(["parse", "formula", "z != "]) == 65
+    assert capsys.readouterr().err.endswith("(at position 5)\n")
+    # forall is reserved, so no formula prints as `forall != 0`
+    assert main(["parse", "formula", "(forall) != 0"]) == 65
     # the instruction forms zeta<n> and eta<n> are not machine terms
     assert main(["pole-member", "zeta<0> * []"]) == 65
     # a cc binder would bind nothing: cc in the body is the operator
@@ -190,6 +193,8 @@ def test_parse_formula_reads_an_implication_chain_in_a_loop(capsys):
     src = "(z != 0 -> " * 400 + "_|_" + ")" * 400
     code, out = run(capsys, "parse", "formula", src)
     assert (code, out) == (0, "z != 0 -> " * 400 + "0 != 0\n")
+    src = "(" * 400 + "z != 0" + ")" * 400
+    assert run(capsys, "parse", "formula", src) == (0, "z != 0\n")
 
 
 def test_lattice(capsys):
@@ -313,6 +318,18 @@ def test_json_mode(capsys):
     assert code == 0
     rec = json.loads(out.strip().splitlines()[-1])
     assert rec["status"] == "valid"
+    # a refutation carries its path, with --json before or after validity
+    src = "forall z. forall w. z /\\ w != 0"
+    for argv in (("--json", "validity", src), ("validity", "--json", src)):
+        code, out = run(capsys, *argv)
+        rec = json.loads(out)
+        assert (code, rec["status"], rec["witness"]) == (
+            1, "refuted", "PowerFinite(1)")
+        assert rec["trace"] == [
+            "inequation fails on cell sizes {0: 0, 2: 0, 1: 1, 3: 0}",
+            "forall w: failing split {0: (0, 0), 1: (1, 0)}",
+            "forall z: failing split {0: (0, 1)}",
+        ]
 
 
 @pytest.mark.parametrize("command", [
@@ -471,10 +488,19 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     ("theta", "--rank", "-1", "--element", "0"),
     ("term-search", "--rank", "2", "--element", "10"),
     ("term-search", "--rank", "1", "--element", "0", "--size-budget", "-1"),
+    ("pole-member", "g{_|_} * []", "--k", "x"),
+    ("term-search", "--rank", "1", "--element", "0", "--size-budget", "1.5"),
 ])
 def test_out_of_range_numbers_are_usage_errors(capsys, argv):
     assert main(list(argv)) == 64
-    assert capsys.readouterr().out == ""
+    out, err = capsys.readouterr()
+    assert out == ""
+    # argparse names the first count whose value is negative or not an
+    # integer; an --element outside its rank is named by the command
+    count = next((flag for flag, value in zip(argv, argv[1:])
+                  if flag.startswith("--") and not value.isdigit()
+                  and flag != "--element"), None)
+    assert (f"argument {count}: " if count else "--element must be in ") in err
 
 
 def _readme_command_lines() -> list[list[str]]:

@@ -697,13 +697,16 @@ def test_family_passed_is_unknown_by_default():
 
 def test_empty_family_is_refused():
     # no algebra to refute it: {0,1} does, so "unknown (family-passed)"
-    # would have checked nothing
+    # would have checked nothing; an empty iterator is truthy, and
+    # TheoryOracle(iter(())) once answered True here
     A = parse_formula("forall z. (z != 0 -> z != 1)")
     assert not brute_check(A, 1)
-    with pytest.raises(UsageError, match="nonempty family"):
-        valid_all_bas(A, family=())
-    with pytest.raises(UsageError, match="nonempty family"):
-        TheoryOracle(())
+    for empty in (tuple, iter):
+        with pytest.raises(UsageError, match="nonempty family"):
+            valid_all_bas(A, family=empty(()))
+        with pytest.raises(UsageError, match="nonempty family"):
+            TheoryOracle(empty(()))
+    assert TheoryOracle(iter(DEFAULT_FAMILY)).membership(A) is False
 
 
 def test_is_prop_tautology():
