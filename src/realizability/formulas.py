@@ -39,8 +39,10 @@ class BTerm:
     __reduce__ = _reduce
 
 
-# Every term and formula node is a slotted frozen dataclass that sets its
-# slots in its own __init__ through `_set`, as `lcterms` nodes do, and
+# Every term and formula node is a slotted frozen dataclass that writes
+# each slot in its own __init__ through the setter of that slot's member
+# descriptor, bound once per class by `_setters`, as `lcterms` nodes do
+# (`object.__setattr__` would look the slot up by name on every write), and
 # keeps a variable set, computed from its children's when it is built: a
 # term its variables in the slot `_vars`, a formula its free variables in
 # the slot `_free`.  So `term_vars` and `free_vars` read an attribute, and
@@ -59,10 +61,17 @@ class BTerm:
 # slot to fill in each inequation cost `decide`, which builds many and
 # prints none, about 3% of its requests/s.  No kept slot is a dataclass
 # field, so ==, repr and `fields` are the plain dataclass's, and the hash
-# is the dataclass's own hash of the field tuple.
+# is the dataclass's own hash of the field tuple.  A kept value written
+# after construction (a hash, a printed text) goes through `_set`.
 
 _set = object.__setattr__  # how a frozen dataclass sets its slots
 _NO_VARS: frozenset[str] = frozenset()
+
+
+def _setters(cls) -> tuple:
+    """The `__set__` of each of cls's slots, in `__slots__` order: how a
+    node's __init__ writes its frozen slots."""
+    return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
 
 def _not_a(kind: str, *children) -> TypeError:
@@ -79,8 +88,8 @@ class Var(BTerm):
     name: str
 
     def __init__(self, name: str) -> None:
-        _set(self, "name", name)
-        _set(self, "_vars", frozenset({name}))
+        _var_name(self, name)
+        _var_vars(self, frozenset({name}))
 
 
 @dataclass(frozen=True)
@@ -95,17 +104,24 @@ class One(BTerm):
     _vars = _NO_VARS
 
 
-def _pair_init(self, lhs: BTerm, rhs: BTerm) -> None:
-    try:
-        left, right = lhs._vars, rhs._vars
-    except AttributeError:
-        raise _not_a("term", lhs, rhs) from None
-    _set(self, "lhs", lhs)
-    _set(self, "rhs", rhs)
-    _set(self, "_vars", left if right <= left else right if left <= right
-         else left | right)
-    _set(self, "_hash", None)
-    _set(self, "_text", None)
+def _pair_init(cls):
+    """The __init__ of the pair class cls, writing through cls's own
+    slot setters."""
+    set_lhs, set_rhs, set_vars, set_hash, set_text = _setters(cls)
+
+    def __init__(self, lhs: BTerm, rhs: BTerm) -> None:
+        try:
+            left, right = lhs._vars, rhs._vars
+        except AttributeError:
+            raise _not_a("term", lhs, rhs) from None
+        set_lhs(self, lhs)
+        set_rhs(self, rhs)
+        set_vars(self, left if right <= left else right if left <= right
+                 else left | right)
+        set_hash(self, None)
+        set_text(self, None)
+
+    return __init__
 
 
 def _pair_hash(self) -> int:
@@ -130,7 +146,6 @@ class Or(BTerm):
     __slots__ = ("lhs", "rhs", "_vars", "_hash", "_text")
     lhs: BTerm
     rhs: BTerm
-    __init__ = _pair_init
     __hash__ = _pair_hash
 
 
@@ -139,7 +154,6 @@ class And(BTerm):
     __slots__ = ("lhs", "rhs", "_vars", "_hash", "_text")
     lhs: BTerm
     rhs: BTerm
-    __init__ = _pair_init
     __hash__ = _pair_hash
 
 
@@ -153,10 +167,14 @@ class Not(BTerm):
             vs = arg._vars
         except AttributeError:
             raise _not_a("term", arg) from None
-        _set(self, "arg", arg)
-        _set(self, "_vars", vs)
+        _not_arg(self, arg)
+        _not_vars(self, vs)
 
 
+_var_name, _var_vars = _setters(Var)
+_not_arg, _not_vars = _setters(Not)
+Or.__init__ = _pair_init(Or)
+And.__init__ = _pair_init(And)
 _PAIRS = (Or, And)
 ZERO = Zero()
 ONE = One()
@@ -274,10 +292,10 @@ class Neq(Formula):
             left, right = lhs._vars, rhs._vars
         except AttributeError:
             raise _not_a("term", lhs, rhs) from None
-        _set(self, "lhs", lhs)
-        _set(self, "rhs", rhs)
-        _set(self, "_free", left if right <= left else right if left <= right
-             else left | right)
+        _neq_lhs(self, lhs)
+        _neq_rhs(self, rhs)
+        _neq_free(self, left if right <= left else right if left <= right
+                  else left | right)
 
 
 @dataclass(frozen=True)
@@ -291,9 +309,9 @@ class Impl(Formula):
             a, c = ante._free, cons._free
         except AttributeError:
             raise _not_a("formula", ante, cons) from None
-        _set(self, "ante", ante)
-        _set(self, "cons", cons)
-        _set(self, "_free", a if c <= a else c if a <= c else a | c)
+        _impl_ante(self, ante)
+        _impl_cons(self, cons)
+        _impl_free(self, a if c <= a else c if a <= c else a | c)
 
 
 @dataclass(frozen=True)
@@ -307,10 +325,15 @@ class Forall(Formula):
             vs = body._free
         except AttributeError:
             raise _not_a("formula", body) from None
-        _set(self, "var", var)
-        _set(self, "body", body)
-        _set(self, "_free", vs - {var} if var in vs else vs)
-        _set(self, "_text", None)
+        _forall_var(self, var)
+        _forall_body(self, body)
+        _forall_free(self, vs - {var} if var in vs else vs)
+        _forall_text(self, None)
+
+
+_neq_lhs, _neq_rhs, _neq_free = _setters(Neq)
+_impl_ante, _impl_cons, _impl_free = _setters(Impl)
+_forall_var, _forall_body, _forall_free, _forall_text = _setters(Forall)
 
 
 def free_vars(A: Formula) -> frozenset[str]:

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .formulas import (
-    Formula, UsageError, _reduce, _set, canon as canon_formula, conj_many,
+    Formula, UsageError, _reduce, _setters, canon as canon_formula,
+    conj_many,
 )
 
 
@@ -42,11 +43,13 @@ class LcTerm:
     __reduce__ = _reduce
 
 
-# The one- and two-field classes set their slots in their own __init__
-# through `_set`, as formulas' Or and And do.  App and Lam keep their
-# printed text (unparenthesized, set by `syntax.print_lcterm`) in the slot
-# `_text`, which their __init__ sets to None.  It is not a field, so ==,
-# hash, repr and `fields` are the plain dataclass's.
+# The one- and two-field classes write each slot in their own __init__
+# through that slot's member descriptor, whose setter is bound once per
+# class below them, as formula nodes do; `formulas._set` is kept for
+# values written after construction.  App and Lam keep their printed text
+# (unparenthesized, set by `syntax.print_lcterm`) in the slot `_text`,
+# which their __init__ sets to None.  It is not a field, so ==, hash,
+# repr and `fields` are the plain dataclass's.
 
 @dataclass(frozen=True)
 class LVar(LcTerm):
@@ -54,7 +57,7 @@ class LVar(LcTerm):
     name: str
 
     def __init__(self, name: str) -> None:
-        _set(self, "name", name)
+        _lvar_name(self, name)
 
 
 @dataclass(frozen=True)
@@ -64,9 +67,9 @@ class App(LcTerm):
     arg: LcTerm
 
     def __init__(self, fn: LcTerm, arg: LcTerm) -> None:
-        _set(self, "fn", fn)
-        _set(self, "arg", arg)
-        _set(self, "_text", None)
+        _app_fn(self, fn)
+        _app_arg(self, arg)
+        _app_text(self, None)
 
 
 @dataclass(frozen=True)
@@ -76,9 +79,9 @@ class Lam(LcTerm):
     body: LcTerm
 
     def __init__(self, var: str, body: LcTerm) -> None:
-        _set(self, "var", var)
-        _set(self, "body", body)
-        _set(self, "_text", None)
+        _lam_var(self, var)
+        _lam_body(self, body)
+        _lam_text(self, None)
 
 
 @dataclass(frozen=True)
@@ -92,7 +95,7 @@ class Kont(LcTerm):
     stack: "StackT"
 
     def __init__(self, stack: "StackT") -> None:
-        _set(self, "stack", stack)
+        _kont_stack(self, stack)
 
 
 @dataclass(frozen=True)
@@ -101,7 +104,7 @@ class Gamma(LcTerm):
     tag: Formula
 
     def __init__(self, tag: Formula) -> None:
-        _set(self, "tag", tag)
+        _gamma_tag(self, tag)
 
 
 @dataclass(frozen=True)
@@ -124,8 +127,8 @@ class SPush(StackT):
     tail: StackT
 
     def __init__(self, head: LcTerm, tail: StackT) -> None:
-        _set(self, "head", head)
-        _set(self, "tail", tail)
+        _spush_head(self, head)
+        _spush_tail(self, tail)
 
 
 @dataclass(frozen=True)
@@ -138,10 +141,17 @@ class Process:
     __reduce__ = _reduce
 
     def __init__(self, term: LcTerm, stack: StackT) -> None:
-        _set(self, "term", term)
-        _set(self, "stack", stack)
+        _process_term(self, term)
+        _process_stack(self, stack)
 
 
+_lvar_name = LVar.name.__set__
+_app_fn, _app_arg, _app_text = _setters(App)
+_lam_var, _lam_body, _lam_text = _setters(Lam)
+_kont_stack = Kont.stack.__set__
+_gamma_tag = Gamma.tag.__set__
+_spush_head, _spush_tail = _setters(SPush)
+_process_term, _process_stack = _setters(Process)
 CC = Cc()
 EMPTY = SEmpty()
 

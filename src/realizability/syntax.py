@@ -322,31 +322,39 @@ def _bterm(t: BTerm, prec: int) -> str:
     and ~ keep nothing, as their text costs no more to make than to look
     up.  A left-nested chain of one connective is printed with one loop
     and one join, down to the first link that holds its text, so it has
-    no length limit and no link copies the text below it."""
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Zero):
-        return "0"
-    if isinstance(t, One):
-        return "1"
-    if isinstance(t, Not):
-        return "~" + _bterm(t.arg, 3)
+    no length limit and no link copies the text below it.  A right
+    operand that is a \\/ or /\\ and keeps its text is read in place.
+    Dispatched on the node's exact class, spines first."""
     cls = type(t)
     spine = _SPINES.get(cls)
-    if spine is None:
-        raise TypeError(f"not a term: {t!r}")
-    own, sep = spine
-    s = t._text
-    if s is None:
-        parts, link = [], t
-        while type(link) is cls and link._text is None:
-            parts.append(_bterm(link.rhs, own + 1))
-            link = link.lhs
-        parts.append(_bterm(link, own))
-        parts.reverse()
-        s = sep.join(parts)
-        _set(t, "_text", s)
-    return f"({s})" if prec > own else s
+    if spine is not None:
+        own, sep = spine
+        s = t._text
+        if s is None:
+            parts, link = [], t
+            while type(link) is cls and link._text is None:
+                r = link.rhs
+                kept = _SPINES.get(type(r))
+                if kept is None or r._text is None:
+                    parts.append(_bterm(r, own + 1))
+                else:
+                    parts.append(r._text if kept[0] > own
+                                 else f"({r._text})")
+                link = link.lhs
+            parts.append(_bterm(link, own))
+            parts.reverse()
+            s = sep.join(parts)
+            _set(t, "_text", s)
+        return f"({s})" if prec > own else s
+    if cls is Var:
+        return t.name
+    if cls is Not:
+        return "~" + _bterm(t.arg, 3)
+    if cls is Zero:
+        return "0"
+    if cls is One:
+        return "1"
+    raise TypeError(f"not a term: {t!r}")
 
 
 def _formula(f: Formula, prec: int) -> str:

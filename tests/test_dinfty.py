@@ -832,18 +832,20 @@ def test_seq_check_walks_each_theta_term_node_once(monkeypatch):
     formulas._minterm_prefixes.cache_clear()
     dinfty._selcode.cache_clear()
     built, inits, calls = [], [], []
-    original_init, original_vars = formulas._pair_init, formulas.term_vars
+    original_vars = formulas.term_vars
 
-    def counted(self, lhs, rhs):
-        inits.append(self)
-        original_init(self, lhs, rhs)
+    def counted(original_init):
+        def __init__(self, lhs, rhs):
+            inits.append(self)
+            original_init(self, lhs, rhs)
+        return __init__
 
     def recorded(alpha):
         built.append(theta(alpha))
         return built[-1]
 
     for cls in (Or, And):
-        monkeypatch.setattr(cls, "__init__", counted)
+        monkeypatch.setattr(cls, "__init__", counted(cls.__init__))
     _patch_everywhere(monkeypatch, original_vars,
                       lambda a: calls.append(a) or original_vars(a))
     monkeypatch.setattr(dinfty, "theta", recorded)

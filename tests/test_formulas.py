@@ -410,6 +410,40 @@ def test_kept_values_are_not_fields():
         A.var = "w"
 
 
+def test_every_node_class_writes_every_slot_and_stays_frozen():
+    # one fresh node of each formula-module class that has slots, with the
+    # arguments it is built from and the variable set it keeps
+    z, w = Var("z"), Var("w")
+    table = [(Var, ("z",), {"z"}), (Or, (z, ONE), {"z"}),
+             (And, (z, Not(w)), {"z", "w"}), (Not, (w,), {"w"}),
+             (Neq, (z, w), {"z", "w"}), (Impl, (Neq(z, ZERO), bot()), {"z"}),
+             (Forall, ("z", Neq(z, w)), {"w"})]
+    for cls, args, vs in table:
+        x = cls(*args)
+        kept_vars = term_vars if isinstance(x, BTerm) else free_vars
+        assert not hasattr(x, "__dict__"), x
+        # a slot that no __init__ wrote raises AttributeError when read,
+        # so reading every slot catches a constructor that forgets one
+        blank = object.__new__(cls)
+        for name in cls.__slots__:
+            getattr(x, name)
+            with pytest.raises(AttributeError):
+                getattr(blank, name)
+        fields = [f.name for f in dataclasses.fields(x)]
+        assert all(getattr(x, f) is a
+                   for f, a in zip(fields, args, strict=True))
+        for name in {"_hash", "_text"} & set(cls.__slots__):
+            assert getattr(x, name) is None
+        assert kept_vars(x) == vs
+        for name in cls.__slots__:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(x, name, getattr(x, name))
+        for twin in (copy.copy(x), copy.deepcopy(x),
+                     pickle.loads(pickle.dumps(x))):
+            assert twin == x and hash(twin) == hash(x), x
+            assert kept_vars(twin) == vs
+
+
 def test_subst_capture_avoiding():
     A = Forall("z", Neq(Var("z"), Var("w")))
     B = subst_formula(A, ["w"], [Var("z")])

@@ -150,8 +150,17 @@ def test_kept_text_is_no_field():
 
 
 def test_nodes_are_slotted_and_frozen():
+    assert {type(t) for t in _samples()} == {
+        LVar, App, Lam, Cc, Kont, Gamma, SEmpty, SPush, Process}
     for t in _samples():
         assert not hasattr(t, "__dict__"), t
+        # a slot that no __init__ wrote raises AttributeError when read,
+        # so reading every slot catches a constructor that forgets one
+        blank = object.__new__(type(t))
+        for name in type(t).__slots__:
+            getattr(t, name)
+            with pytest.raises(AttributeError):
+                getattr(blank, name)
         for f in dataclasses.fields(t):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(t, f.name, getattr(t, f.name))
