@@ -114,8 +114,6 @@ def _splits(size, cap=math.inf):
     sum(2 * cap + 2) = 138 entries."""
     if size == math.inf:
         return ((math.inf, math.inf), (math.inf, 0), (0, math.inf))
-    if size <= cap:
-        return tuple((i, size - i) for i in range(size + 1))
     return tuple(dict.fromkeys((min(i, cap), min(size - i, cap))
                                for i in range(size + 1)))
 
@@ -253,39 +251,7 @@ def model_check(A: Formula, spec: BASpec) -> bool:
 def _compile(A: Formula):
     """model_check's compile step: the check of the closed formula A in a
     spec, which answers None or A's refutation there."""
-    def compile_(f: Formula, env: dict[str, int], width: int, depth: int):
-        """f's closure and quantifier rank under depth quantifiers; env maps
-        each variable to its column over the 2^width cells."""
-        if isinstance(f, Neq):
-            ones = (1 << (1 << width)) - 1
-            diff = (eval_term_01(f.lhs, env, ones)
-                    ^ eval_term_01(f.rhs, env, ones))
-            cells = [m for m in range(1 << width) if diff >> m & 1]
-            return (lambda sizes: None if any(map(sizes.__getitem__, cells))
-                    else sizes), 0
-        if isinstance(f, Impl):
-            ante, r_ante = compile_(f.ante, env, width, depth)
-            cons, r_cons = compile_(f.cons, env, width, depth)
-            return (lambda sizes: None if ante(sizes) is not None
-                    else cons(sizes)), max(r_ante, r_cons)
-        if not isinstance(f, Forall):
-            raise TypeError(f"not a formula: {f!r}")
-        if depth == MAX_DEPTH:
-            def too_deep(sizes):
-                raise GuardExceeded(
-                    f"quantifier depth {depth + 1} exceeds the guard of {MAX_DEPTH}")
-            return too_deep, 0
-        getters = None
-        if len(f._free) < width:
-            getters, env = _project(env, width, sorted(f._free))
-            width = len(f._free)
-        half = 1 << width  # cell m + half is cell m inside f.var
-        cols = {name: col | col << half for name, col in env.items()}
-        cols[f.var] = (1 << half) - 1 << half
-        body, rank = compile_(f.body, cols, width + 1, depth + 1)
-        return _memoised(f.var, body, rank, getters), rank + 1
-
-    check, rank = compile_(A, {}, 0, 0)
+    check, rank = _compiled(A, {}, 0, 0)
     top = 1 << rank
 
     def run(spec: BASpec):
@@ -297,38 +263,73 @@ def _compile(A: Formula):
     return run
 
 
+def _compiled(f: Formula, env: dict[str, int], width: int, depth: int):
+    """f's closure and quantifier rank under depth quantifiers; env maps
+    each variable to its column over the 2^width cells."""
+    if isinstance(f, Neq):
+        ones = (1 << (1 << width)) - 1
+        diff = (eval_term_01(f.lhs, env, ones)
+                ^ eval_term_01(f.rhs, env, ones))
+        cells = [m for m in range(1 << width) if diff >> m & 1]
+        return (lambda sizes: None if any(map(sizes.__getitem__, cells))
+                else sizes), 0
+    if isinstance(f, Impl):
+        ante, r_ante = _compiled(f.ante, env, width, depth)
+        cons, r_cons = _compiled(f.cons, env, width, depth)
+        return (lambda sizes: None if ante(sizes) is not None
+                else cons(sizes)), max(r_ante, r_cons)
+    if not isinstance(f, Forall):
+        raise TypeError(f"not a formula: {f!r}")
+    if depth == MAX_DEPTH:
+        def too_deep(sizes):
+            raise GuardExceeded(
+                f"quantifier depth {depth + 1} exceeds the guard of {MAX_DEPTH}")
+        return too_deep, 0
+    getters = None
+    if len(f._free) < width:
+        getters, env = _project(env, width, sorted(f._free))
+        width = len(f._free)
+    half = 1 << width  # cell m + half is cell m inside f.var
+    cols = {name: col | col << half for name, col in env.items()}
+    cols[f.var] = (1 << half) - 1 << half
+    body, rank = _compiled(f.body, cols, width + 1, depth + 1)
+    return _memoised(f.var, body, rank, getters), rank + 1
+
+
 def brute_check(A: Formula, k: int) -> bool:
     """Truth in {0,1}^k by direct enumeration; elements are k-bit masks."""
     closed(A, "brute_check")
     if not 1 <= k <= 3:
         raise UsageError(f"brute_check supports 1 <= k <= 3, got {k}")
-    full = (1 << k) - 1
+    return _brute_holds(A, {}, (1 << k) - 1)
 
-    def term(a, env: dict[str, int]) -> int:
-        if isinstance(a, Var):
-            return env[a.name]
-        if isinstance(a, Zero):
-            return 0
-        if isinstance(a, One):
-            return full
-        if isinstance(a, Not):
-            return full ^ term(a.arg, env)
-        if isinstance(a, Or):
-            return term(a.lhs, env) | term(a.rhs, env)
-        if isinstance(a, And):
-            return term(a.lhs, env) & term(a.rhs, env)
-        raise TypeError(f"not a term: {a!r}")
 
-    def go(f: Formula, env: dict[str, int]) -> bool:
-        if isinstance(f, Neq):
-            return term(f.lhs, env) != term(f.rhs, env)
-        if isinstance(f, Impl):
-            return (not go(f.ante, env)) or go(f.cons, env)
-        if isinstance(f, Forall):
-            return all(go(f.body, {**env, f.var: v}) for v in range(full + 1))
-        raise TypeError(f"not a formula: {f!r}")
+def _brute_term(a, env: dict[str, int], full: int) -> int:
+    if isinstance(a, Var):
+        return env[a.name]
+    if isinstance(a, Zero):
+        return 0
+    if isinstance(a, One):
+        return full
+    if isinstance(a, Not):
+        return full ^ _brute_term(a.arg, env, full)
+    if isinstance(a, Or):
+        return _brute_term(a.lhs, env, full) | _brute_term(a.rhs, env, full)
+    if isinstance(a, And):
+        return _brute_term(a.lhs, env, full) & _brute_term(a.rhs, env, full)
+    raise TypeError(f"not a term: {a!r}")
 
-    return go(A, {})
+
+def _brute_holds(f: Formula, env: dict[str, int], full: int) -> bool:
+    if isinstance(f, Neq):
+        return _brute_term(f.lhs, env, full) != _brute_term(f.rhs, env, full)
+    if isinstance(f, Impl):
+        return (not _brute_holds(f.ante, env, full)
+                or _brute_holds(f.cons, env, full))
+    if isinstance(f, Forall):
+        return all(_brute_holds(f.body, {**env, f.var: v}, full)
+                   for v in range(full + 1))
+    raise TypeError(f"not a formula: {f!r}")
 
 
 # --------------------------------------------------------------------------
@@ -381,18 +382,21 @@ def is_prop_tautology(A: Formula) -> bool:
     numbered 0..n-1 in order of first occurrence, left to right.  The
     truth table is an int of 2^n bits: bit b holds the matrix's value
     under the assignment that makes atom i true exactly when bit i of b
-    is 1."""
+    is 1.  Atoms are collected from a to-do list of (subformula, binders
+    in scope), antecedents first, so in pre-order; `_prop_table` reads
+    the leaves' columns from an iterator passed down to it."""
     binders = itertools.count()
     index: dict[tuple, int] = {}  # distinct atoms, in order of first occurrence
     pins: list[bool | None] = []  # each distinct atom's pinned truth value
     leaves: list[int] = []  # each leaf's atom, left to right
-
-    def collect(f: Formula, env: dict[str, int]):
+    todo: list[tuple[Formula, dict[str, int]]] = [(A, {})]
+    while todo:
+        f, env = todo.pop()
         if isinstance(f, Impl):
-            collect(f.ante, env)
-            collect(f.cons, env)
+            todo.append((f.cons, env))
+            todo.append((f.ante, env))
         elif isinstance(f, Forall):
-            collect(f.body, {**env, f.var: next(binders)})
+            todo.append((f.body, {**env, f.var: next(binders)}))
         else:
             names = sorted(f._free)
             i = index.setdefault((f.lhs, f.rhs, *map(env.get, names)),
@@ -401,8 +405,6 @@ def is_prop_tautology(A: Formula) -> bool:
                 pins.append(False if f.lhs == f.rhs
                             else None if names else eval_formula_01(f))
             leaves.append(i)
-
-    collect(A, {})
     n = pins.count(None)
     if n > MAX_PROP_ATOMS:
         return False
@@ -415,16 +417,16 @@ def is_prop_tautology(A: Formula) -> bool:
             i += 1
         else:
             columns.append(ones if pin else 0)
-    column = map(columns.__getitem__, leaves)
+    return _prop_table(A, ones, map(columns.__getitem__, leaves)) == ones
 
-    def table(f: Formula) -> int:
-        if isinstance(f, Neq):
-            return next(column)
-        if isinstance(f, Forall):
-            return table(f.body)
-        return (ones ^ table(f.ante)) | table(f.cons)
 
-    return table(A) == ones
+def _prop_table(f: Formula, ones: int, column) -> int:
+    if isinstance(f, Neq):
+        return next(column)
+    if isinstance(f, Forall):
+        return _prop_table(f.body, ones, column)
+    ante = _prop_table(f.ante, ones, column)
+    return (ones ^ ante) | _prop_table(f.cons, ones, column)
 
 
 def _in_01(A: Formula) -> tuple[Justification, bool] | None:

@@ -87,15 +87,15 @@ def tables(n: int):
     if n == 0:
         yield from (0, 1)
         return
+    yield from _completions(n, 0, (0,) * level_size(n - 1), ())
 
-    def dfs(i: int, lows: tuple, prefix: tuple):
-        if not lows:
-            yield prefix
-            return
-        for c, after in _moves(n, i, lows):
-            yield from dfs(i + 1, after, prefix + (c,))
 
-    yield from dfs(0, (0,) * level_size(n - 1), ())
+def _completions(n: int, i: int, lows: tuple, prefix: tuple):
+    if not lows:
+        yield prefix
+        return
+    for c, after in _moves(n, i, lows):
+        yield from _completions(n, i + 1, after, prefix + (c,))
 
 
 @lru_cache(maxsize=None)
@@ -272,14 +272,15 @@ class DElem:
 
 def elem(home: int, v) -> DElem:
     """The coherent family through a single rank-`home` value, raised by
-    phi above and projected by psi below."""
+    phi above and projected by psi below.  `fn` keeps only home and v and
+    raises v a rank at a time, so the family does not refer to itself."""
     def fn(n: int):
-        if n == home:
-            return v
-        return phi_tbl(n - 1, e.component(n - 1))
+        raised = v
+        for k in range(home, n):
+            raised = phi_tbl(k, raised)
+        return raised
 
-    e = DElem(home, fn)
-    return e
+    return DElem(home, fn)
 
 
 def bottom() -> DElem:
@@ -389,32 +390,29 @@ def denote(t: LcTerm) -> DElem:
 
 def _denote(t: LcTerm) -> DElem:
     """`denote` of a term known closed, unchecked: the term search's
-    candidates are built closed."""
+    candidates are built closed.  The walk is `_denote_in`, whose state is
+    the environment of the binders in scope, passed down to it."""
+    return _denote_in(t, {})
 
-    def go(t: LcTerm, env: dict[str, DElem]) -> DElem:
-        if isinstance(t, LVar):
-            return env[t.name]
-        if isinstance(t, App):
-            return app(go(t.fn, env), go(t.arg, env))
-        if isinstance(t, Lam):
-            def body(d: DElem, t=t, env=dict(env)) -> DElem:
-                env2 = dict(env)
-                env2[t.var] = d
-                return go(t.body, env2)
-            return lam(body)
-        if isinstance(t, Cc):
-            return cc_elem()
-        if isinstance(t, Gamma):
-            return bottom()
-        if isinstance(t, Kont):
-            # The entries are closed, so the binder y captures none of them.
-            expansion: LcTerm = LVar("y")
-            for u in stack_to_list(t.stack):
-                expansion = App(expansion, u)
-            return go(Lam("y", expansion), env)
-        raise TypeError(f"not a term: {t!r}")
 
-    return go(t, {})
+def _denote_in(t: LcTerm, env: dict[str, DElem]) -> DElem:
+    if isinstance(t, LVar):
+        return env[t.name]
+    if isinstance(t, App):
+        return app(_denote_in(t.fn, env), _denote_in(t.arg, env))
+    if isinstance(t, Lam):
+        return lam(lambda d: _denote_in(t.body, {**env, t.var: d}))
+    if isinstance(t, Cc):
+        return cc_elem()
+    if isinstance(t, Gamma):
+        return bottom()
+    if isinstance(t, Kont):
+        # The entries are closed, so the binder y captures none of them.
+        expansion: LcTerm = LVar("y")
+        for u in stack_to_list(t.stack):
+            expansion = App(expansion, u)
+        return _denote_in(Lam("y", expansion), env)
+    raise TypeError(f"not a term: {t!r}")
 
 
 # --------------------------------------------------------------------------
@@ -428,19 +426,19 @@ def denote_formula(A: Formula) -> DElem:
     instance is the body read with its variable bound to a bit in env, so
     no term is rebuilt."""
     closed(A, "denote_formula")
+    return _denote_formula(A, {})
 
-    def go(f: Formula, env: dict[str, int]) -> DElem:
-        if isinstance(f, Neq):
-            truth = eval_term_01(f.lhs, env) != eval_term_01(f.rhs, env)
-            return bottom() if truth else top()
-        if isinstance(f, Impl):
-            return arrow(go(f.ante, env), go(f.cons, env))
-        if isinstance(f, Forall):
-            return join(go(f.body, {**env, f.var: 0}),
-                        go(f.body, {**env, f.var: 1}))
-        raise TypeError(f"not a formula: {f!r}")
 
-    return go(A, {})
+def _denote_formula(f: Formula, env: dict[str, int]) -> DElem:
+    if isinstance(f, Neq):
+        truth = eval_term_01(f.lhs, env) != eval_term_01(f.rhs, env)
+        return bottom() if truth else top()
+    if isinstance(f, Impl):
+        return arrow(_denote_formula(f.ante, env), _denote_formula(f.cons, env))
+    if isinstance(f, Forall):
+        return join(_denote_formula(f.body, {**env, f.var: 0}),
+                    _denote_formula(f.body, {**env, f.var: 1}))
+    raise TypeError(f"not a formula: {f!r}")
 
 
 def _selectors(n: int) -> tuple[int, list[int]]:

@@ -190,21 +190,17 @@ def term_vars(a: BTerm) -> frozenset[str]:
 
 def _subst_term(a: BTerm, mapping: Mapping[str, BTerm]) -> BTerm:
     """Simultaneous substitution of each variable in mapping by its term."""
-
-    def go(t: BTerm) -> BTerm:
-        if isinstance(t, Var):
-            return mapping.get(t.name, t)
-        if isinstance(t, (Zero, One)):
-            return t
-        if isinstance(t, Not):
-            return Not(go(t.arg))
-        if isinstance(t, Or):
-            return Or(go(t.lhs), go(t.rhs))
-        if isinstance(t, And):
-            return And(go(t.lhs), go(t.rhs))
-        raise TypeError(f"not a term: {t!r}")
-
-    return go(a)
+    if isinstance(a, Var):
+        return mapping.get(a.name, a)
+    if isinstance(a, (Zero, One)):
+        return a
+    if isinstance(a, Not):
+        return Not(_subst_term(a.arg, mapping))
+    if isinstance(a, Or):
+        return Or(_subst_term(a.lhs, mapping), _subst_term(a.rhs, mapping))
+    if isinstance(a, And):
+        return And(_subst_term(a.lhs, mapping), _subst_term(a.rhs, mapping))
+    raise TypeError(f"not a term: {a!r}")
 
 
 def eval_term_01(a: BTerm, env: Mapping[str, int], ones: int = 1) -> int:
@@ -358,51 +354,49 @@ def subst_formula(A: Formula, zs: Sequence[str], bs: Sequence[BTerm]) -> Formula
         raise UsageError(f"substitution length mismatch: {len(zs)} vs {len(bs)}")
     if len(set(zs)) != len(zs):
         raise UsageError("substituted variables must be pairwise distinct")
+    return _subst_formula(A, dict(zip(zs, bs)))
 
-    def go(f: Formula, mapping: dict[str, BTerm]) -> Formula:
-        if not mapping:
+
+def _subst_formula(f: Formula, mapping: dict[str, BTerm]) -> Formula:
+    if not mapping:
+        return f
+    if isinstance(f, Neq):
+        return Neq(_subst_term(f.lhs, mapping), _subst_term(f.rhs, mapping))
+    if isinstance(f, Impl):
+        return Impl(_subst_formula(f.ante, mapping),
+                    _subst_formula(f.cons, mapping))
+    if isinstance(f, Forall):
+        inner = {k: v for k, v in mapping.items() if k != f.var}
+        if not inner:
             return f
-        if isinstance(f, Neq):
-            return Neq(_subst_term(f.lhs, mapping), _subst_term(f.rhs, mapping))
-        if isinstance(f, Impl):
-            return Impl(go(f.ante, mapping), go(f.cons, mapping))
-        if isinstance(f, Forall):
-            inner = {k: v for k, v in mapping.items() if k != f.var}
-            if not inner:
-                return f
-            clash = set().union(*(term_vars(v) for v in inner.values()))
-            if f.var in clash:
-                avoid = clash | free_vars(f.body) | set(inner)
-                new = next(n for i in itertools.count()
-                           if (n := f"{f.var}_{i}") not in avoid)
-                body = go(f.body, {f.var: Var(new)})
-                return Forall(new, go(body, inner))
-            return Forall(f.var, go(f.body, inner))
-        raise TypeError(f"not a formula: {f!r}")
-
-    return go(A, dict(zip(zs, bs)))
+        clash = set().union(*(term_vars(v) for v in inner.values()))
+        if f.var in clash:
+            avoid = clash | free_vars(f.body) | set(inner)
+            new = next(n for i in itertools.count()
+                       if (n := f"{f.var}_{i}") not in avoid)
+            body = _subst_formula(f.body, {f.var: Var(new)})
+            return Forall(new, _subst_formula(body, inner))
+        return Forall(f.var, _subst_formula(f.body, inner))
+    raise TypeError(f"not a formula: {f!r}")
 
 
 def canon(A: Formula) -> Formula:
     """Canonical bound-variable naming; two formulas are alpha-equivalent
     iff their canonical forms are structurally equal."""
-    counter = itertools.count()
+    return _canon(A, {}, itertools.count())
 
-    def go(f: Formula, env: dict[str, Var]) -> Formula:
-        if isinstance(f, Neq):
-            if env:
-                return Neq(_subst_term(f.lhs, env), _subst_term(f.rhs, env))
-            return f
-        if isinstance(f, Impl):
-            return Impl(go(f.ante, env), go(f.cons, env))
-        if isinstance(f, Forall):
-            new = f"!b{next(counter)}"  # '!' cannot appear in source identifiers
-            env2 = dict(env)
-            env2[f.var] = Var(new)
-            return Forall(new, go(f.body, env2))
-        raise TypeError(f"not a formula: {f!r}")
 
-    return go(A, {})
+def _canon(f: Formula, env: dict[str, Var], counter) -> Formula:
+    if isinstance(f, Neq):
+        if env:
+            return Neq(_subst_term(f.lhs, env), _subst_term(f.rhs, env))
+        return f
+    if isinstance(f, Impl):
+        return Impl(_canon(f.ante, env, counter), _canon(f.cons, env, counter))
+    if isinstance(f, Forall):
+        new = f"!b{next(counter)}"  # '!' cannot appear in source identifiers
+        return Forall(new, _canon(f.body, {**env, f.var: Var(new)}, counter))
+    raise TypeError(f"not a formula: {f!r}")
 
 
 def alpha_eq(A: Formula, B: Formula) -> bool:
@@ -411,19 +405,20 @@ def alpha_eq(A: Formula, B: Formula) -> bool:
 
 def eval_formula_01(A: Formula, env: Mapping[str, int] | None = None) -> bool:
     """Classical truth in {0, 1}; quantifiers range over {0, 1}."""
-    def go(f: Formula, env: Mapping[str, int]) -> bool:
-        if isinstance(f, Neq):
-            return eval_term_01(f.lhs, env) != eval_term_01(f.rhs, env)
-        if isinstance(f, Impl):
-            return (not go(f.ante, env)) or go(f.cons, env)
-        if isinstance(f, Forall):
-            if f.var not in f.body._free:  # vacuous: one value answers
-                return go(f.body, env)
-            return (go(f.body, {**env, f.var: 0})
-                    and go(f.body, {**env, f.var: 1}))
-        raise TypeError(f"not a formula: {f!r}")
+    return _eval_01(A, env or {})
 
-    return go(A, env or {})
+
+def _eval_01(f: Formula, env: Mapping[str, int]) -> bool:
+    if isinstance(f, Neq):
+        return eval_term_01(f.lhs, env) != eval_term_01(f.rhs, env)
+    if isinstance(f, Impl):
+        return (not _eval_01(f.ante, env)) or _eval_01(f.cons, env)
+    if isinstance(f, Forall):
+        if f.var not in f.body._free:  # vacuous: one value answers
+            return _eval_01(f.body, env)
+        return (_eval_01(f.body, {**env, f.var: 0})
+                and _eval_01(f.body, {**env, f.var: 1}))
+    raise TypeError(f"not a formula: {f!r}")
 
 
 # --------------------------------------------------------------------------

@@ -349,64 +349,69 @@ def _read_back(tok, toks):
     raise UsageError(f"unexpected {tok or 'end of input'} in derivation text")
 
 
+def _items(form, what: str, n: int | None = None) -> list:
+    if not isinstance(form, list) or n not in (None, len(form)):
+        raise UsageError(f"malformed {what} in derivation text")
+    return form
+
+
+def _text(form, what: str) -> str:
+    if not isinstance(form, tuple):
+        raise UsageError(f"{what} must be a string, not a list")
+    return form[1]
+
+
+def _head(form, what: str) -> str:
+    form = _items(form, what)
+    if not form or not isinstance(form[0], tuple) or form[0][0] != "atom":
+        raise UsageError(f"{what} must start with a name")
+    return form[0][1]
+
+
+def _ctx_of(form) -> Context:
+    out = []
+    for entry in _items(form, "context"):
+        name, fsrc = _items(entry, "context entry", 2)
+        x = _text(name, "context variable")
+        if x == "cc":  # a cc subject is always the control operator
+            raise UsageError("context variable 'cc' in derivation text "
+                             "names the control operator")
+        out.append((x, parse_formula(_text(fsrc, "context formula"))))
+    return tuple(out)
+
+
+def _node(form) -> Derivation:
+    rule = _head(form, "derivation node")
+    rule_data = None
+    premises: tuple[Derivation, ...] = ()
+    judgement = None
+    for part in form[1:]:
+        block = _head(part, "derivation block")
+        if block == "term":
+            _, t = _items(part, "term block", 2)
+            rule_data = parse_bterm(_text(t, "term"))
+        elif block == "subst":
+            _, z, asrc, bsrc, tmpl = _items(part, "subst block", 5)
+            rule_data = (_text(z, "substituted variable"),
+                         parse_bterm(_text(asrc, "term")),
+                         parse_bterm(_text(bsrc, "term")), _ctx_of(tmpl))
+        elif block == "premises":
+            premises = tuple(_node(sub) for sub in part[1:])
+        elif block == "judgement":
+            _, ctx, subject, ftype = _items(part, "judgement block", 4)
+            judgement = Judgement(_ctx_of(ctx),
+                                  parse_lcterm(_text(subject, "subject")),
+                                  parse_formula(_text(ftype, "type")))
+        else:
+            raise UsageError(f"unknown derivation block {block!r}")
+    if judgement is None:
+        raise UsageError(f"rule {rule} has no judgement block")
+    return Derivation(rule, premises, judgement, rule_data)
+
+
 def parse_derivation(src: str) -> Derivation:
-    def items(form, what: str, n: int | None = None) -> list:
-        if not isinstance(form, list) or n not in (None, len(form)):
-            raise UsageError(f"malformed {what} in derivation text")
-        return form
-
-    def text(form, what: str) -> str:
-        if not isinstance(form, tuple):
-            raise UsageError(f"{what} must be a string, not a list")
-        return form[1]
-
-    def head(form, what: str) -> str:
-        form = items(form, what)
-        if not form or not isinstance(form[0], tuple) or form[0][0] != "atom":
-            raise UsageError(f"{what} must start with a name")
-        return form[0][1]
-
-    def ctx_of(form) -> Context:
-        out = []
-        for entry in items(form, "context"):
-            name, fsrc = items(entry, "context entry", 2)
-            x = text(name, "context variable")
-            if x == "cc":  # a cc subject is always the control operator
-                raise UsageError("context variable 'cc' in derivation text "
-                                 "names the control operator")
-            out.append((x, parse_formula(text(fsrc, "context formula"))))
-        return tuple(out)
-
-    def node(form) -> Derivation:
-        rule = head(form, "derivation node")
-        rule_data = None
-        premises: tuple[Derivation, ...] = ()
-        judgement = None
-        for part in form[1:]:
-            block = head(part, "derivation block")
-            if block == "term":
-                _, t = items(part, "term block", 2)
-                rule_data = parse_bterm(text(t, "term"))
-            elif block == "subst":
-                _, z, asrc, bsrc, tmpl = items(part, "subst block", 5)
-                rule_data = (text(z, "substituted variable"),
-                             parse_bterm(text(asrc, "term")),
-                             parse_bterm(text(bsrc, "term")), ctx_of(tmpl))
-            elif block == "premises":
-                premises = tuple(node(sub) for sub in part[1:])
-            elif block == "judgement":
-                _, ctx, subject, ftype = items(part, "judgement block", 4)
-                judgement = Judgement(ctx_of(ctx),
-                                      parse_lcterm(text(subject, "subject")),
-                                      parse_formula(text(ftype, "type")))
-            else:
-                raise UsageError(f"unknown derivation block {block!r}")
-        if judgement is None:
-            raise UsageError(f"rule {rule} has no judgement block")
-        return Derivation(rule, premises, judgement, rule_data)
-
     toks = _sexpr_tokens(src)
     form = _read_back(next(toks), toks)
     if next(toks) is not None:
         raise UsageError("trailing input after derivation")
-    return node(form)
+    return _node(form)

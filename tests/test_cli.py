@@ -394,6 +394,24 @@ def test_horn_clause_past_the_read_bound_answers_at_once(
         assert text in captured.out + captured.err
 
 
+FORTY_VACUOUS = "".join(f"forall a{i}. " for i in range(40)) + "a0 \\/ ~a0 == 1"
+
+
+@pytest.mark.parametrize("argv, code, out", [
+    # a Horn goal clause past the depth guard, which {0,1} refutes
+    (("validity", SEVEN_FORALLS), 1, "refuted witness PowerFinite(1)\n"),
+    (("theory", "--contains", SEVEN_FORALLS), 1, "false\n"),
+    # forty quantifiers, all but the first vacuous
+    (("validity", FORTY_VACUOUS), 0, "valid (horn)\n"),
+    (("theory", "--contains", FORTY_VACUOUS), 0, "true\n"),
+])
+def test_theory_and_validity_agree_past_the_depth_guard(capsys, argv, code,
+                                                        out):
+    start = time.perf_counter()
+    assert run(capsys, *argv) == (code, out)
+    assert time.perf_counter() - start < 1
+
+
 @pytest.mark.parametrize("argv, code, message", [
     (("denote", "\\x. x", "--rank", "4"), 2, "rank cap 3"),
     # SEVEN_FORALLS is a Horn goal clause, which {0,1} decides; this

@@ -455,6 +455,15 @@ def test_capped_splits_keep_first_occurrences():
     assert all(_splits(s, 2) == want for s in (4, 5, 9))
     assert _splits(3, 2) == ((0, 2), (1, 2), (2, 1), (2, 0))
 
+    def two_branch(size, cap):  # the form with its own size <= cap branch
+        if size <= cap:
+            return tuple((i, size - i) for i in range(size + 1))
+        return tuple(dict.fromkeys((min(i, cap), min(size - i, cap))
+                                   for i in range(size + 1)))
+    for cap in [*range(1, 33), math.inf]:
+        for size in range(4 * min(cap, 32) + 3):
+            assert _splits(size, cap) == two_branch(size, cap), (size, cap)
+
 
 def _counting(monkeypatch, name):
     calls = []

@@ -4,13 +4,16 @@ The oracles below are the earlier free_lvars, dinfty._uses_cc, the name
 sweep of typecheck._all_lvars, the root-by-root loops of
 the earlier pole._check_closed (now lcterms.check_closed) and
 lcterms.iter_tags, and the recursive alpha-canonical keys canon_term and
-canon_stack, kept here as they were."""
+canon_stack, kept here as they were.  Last, a warm call of each layer
+function that walks formulas or terms must leave no cyclic garbage."""
 
+import gc
 import itertools
 import random
 
 import pytest
 
+from realizability import bamodels, dinfty, formulas, pole
 from realizability.cli import main
 from realizability.corpus import lcterm_corpus, process_corpus
 from realizability.dinfty import _debruijn_terms
@@ -20,8 +23,12 @@ from realizability.lcterms import (
     free_lvars, iter_tags, lc_alpha_eq, proc_alpha_eq, stack_of,
     stack_to_list, walk,
 )
-from realizability.syntax import parse_formula, parse_lcterm, print_formula
-from realizability.typecheck import Derivation, Judgement, _all_lvars
+from realizability.syntax import (
+    parse_formula, parse_lcterm, parse_process, print_formula,
+)
+from realizability.typecheck import (
+    Derivation, Judgement, _all_lvars, parse_derivation,
+)
 
 
 def old_free_lvars(t):
@@ -380,3 +387,54 @@ def test_alpha_eq_on_a_deep_lambda_nest():
     assert proc_alpha_eq(Process(t, stack_of(u)), Process(u, stack_of(t)))
     with pytest.raises(RecursionError):
         old_canon_term(t)
+
+
+_A = parse_formula("forall z. forall w. z /\\ w != 0 -> z != 0")
+_IDENT = Lam("x", LVar("x"))
+_DERIVATION = """(Abs (premises (Axiom (premises)
+                   (judgement ((x "0 != 1")) "x" "0 != 1")))
+                 (judgement () "\\x. x" "0 != 1 -> 0 != 1"))"""
+_WARM_CALLS = {
+    "valid_all_bas": lambda: bamodels.valid_all_bas(_A),
+    "is_prop_tautology": lambda: bamodels.is_prop_tautology(
+        parse_formula("forall z. z \\/ ~z == 1")),
+    "canon": lambda: canon(_A),
+    "subst_formula": lambda: formulas.subst_formula(
+        parse_formula("forall z. z != w"), ["w"], [formulas.Var("z")]),
+    "denote_formula": lambda: dinfty.denote_formula(_A),
+    "brute_check": lambda: bamodels.brute_check(_A, 2),
+    "parse_derivation": lambda: parse_derivation(_DERIVATION),
+    "tables": lambda: list(dinfty.tables(1)),
+    "model_check": lambda: bamodels.model_check(_A, bamodels.PowerFinite(2)),
+    "membership": lambda: bamodels.TheoryOracle(
+        bamodels.DEFAULT_FAMILY).membership(_A),
+    "eval_formula_01": lambda: formulas.eval_formula_01(_A),
+    "denote": lambda: dinfty.denote(_IDENT),
+    "realizes_bounded": lambda: pole.realizes_bounded(
+        _IDENT, parse_formula("forall z. z != 0 -> z != 0"),
+        pole.PoleConfig(k_max=4)),
+    "in_pole_limit": lambda: pole.in_pole_limit(parse_process(
+        "g{forall z. ((z != 0 -> _|_) -> _|_)} * g{_|_} . []"),
+        pole.PoleConfig(k_max=4)),
+    **{f"{name}-rank{n}":
+       lambda fn=fn, n=n, i=i: fn(dinfty.elem(n, dinfty.val(n, i)))
+       for name, fn in (("theta", dinfty.theta),
+                        ("seq_check", dinfty.seq_check),
+                        ("term_search", dinfty.term_search))
+       for n, i in ((2, 5), (3, 33481))},
+}
+
+
+@pytest.mark.parametrize("name", _WARM_CALLS)
+def test_a_warm_call_leaves_no_cyclic_garbage(name):
+    # every walk keeps its state in parameters, not in a closure that
+    # refers to itself, so reference counting frees all a call leaves
+    call = _WARM_CALLS[name]
+    call()
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
